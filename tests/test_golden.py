@@ -1,0 +1,119 @@
+"""Golden digests of small ``csemb`` CLI outputs.
+
+Any change that moves an output bit fails here, so a refactor that claims
+byte-identical output is checked, and one that does not has to update the
+digests and say by how much the values moved.
+
+The digests were computed with numpy 2.4.6, scipy 1.17.1 and
+scipy-openblas 0.3.31 on x86-64. Another BLAS or another scipy sparse kernel
+may round differently; regenerate the digests there before trusting a
+mismatch.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from csemb.cli import main
+from helpers import sbm
+
+
+def _write_graph(path):
+    edges, _ = sbm(80, 4, 0.4, 0.03, np.random.default_rng(0))
+    path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+
+
+def _write_mtx(path, dense):
+    rows, cols = np.nonzero(dense)
+    lines = [
+        "%%MatrixMarket matrix coordinate real general",
+        f"{dense.shape[0]} {dense.shape[1]} {len(rows)}",
+    ]
+    lines += [f"{i + 1} {j + 1} {float(dense[i, j])!r}" for i, j in zip(rows, cols)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _write_symmetric(path):
+    a = np.random.default_rng(1).standard_normal((30, 30))
+    _write_mtx(path, a + a.T)
+
+
+def _write_rectangular(path):
+    _write_mtx(path, np.random.default_rng(2).standard_normal((7, 4)))
+
+
+def _write_points(path):
+    pts = np.random.default_rng(3).standard_normal((25, 2))
+    path.write_text("".join(f"{x!r},{y!r}\n" for x, y in pts.tolist()))
+
+
+def _embed(input_name, fmt, matrix, function, L, b, d, seed, extra=()):
+    return [
+        "embed", "--input", input_name, "--format", fmt, "--matrix", matrix,
+        "--function", function, "--L", str(L), "--b", str(b), "--d", str(d),
+        "--seed", str(seed), "--output", "out.bin", *extra,
+    ]
+
+
+# name -> (input writer, input file, argv, {output file: sha256})
+CASES = {
+    "graph-b1": (
+        _write_graph, "graph.txt",
+        _embed("graph.txt", "edgelist", "normalized-adjacency", "indicator:0.3", 24, 1, 12, 42),
+        {"out.bin": "602307110dfe664c3409e61e2660dcfa123dd53eaa239b6b9d3a8725cbb45120"},
+    ),
+    "graph-b2": (
+        _write_graph, "graph.txt",
+        _embed("graph.txt", "edgelist", "normalized-adjacency", "indicator:0.3", 24, 2, 12, 42),
+        {"out.bin": "349cca686e906d7093c84465ba0df93d854a5426d08f8694c9f9fa4b83082e53"},
+    ),
+    "raw": (
+        _write_symmetric, "m.mtx",
+        _embed("m.mtx", "matrix-market", "raw", "indicator:0.5", 16, 1, 8, 1),
+        {"out.bin": "3964a99a49b34c37a6e412699f8660f2ab6cebf40236d8770b47e949a9eca2a4"},
+    ),
+    "dilation-b1": (
+        _write_rectangular, "a.mtx",
+        _embed("a.mtx", "matrix-market", "dilation", "indicator:0.5", 16, 1, 6, 3,
+               ("--output-cols", "cols.bin")),
+        {
+            "out.bin": "d617e796e227c470fdb505e26035b47eec3f13c7173dfdc4259ca2687b4aaccb",
+            "cols.bin": "d4e350758784e1ab6ca7b53dc6139bf62b907eaa1ab0f7e33e33018e1f38ee92",
+        },
+    ),
+    "dilation-b2": (
+        _write_rectangular, "a.mtx",
+        _embed("a.mtx", "matrix-market", "dilation", "indicator:0.5", 16, 2, 6, 3,
+               ("--output-cols", "cols.bin")),
+        {
+            "out.bin": "366db4d1eef59c9ebfd2b825eb58a5ad6b6797cdeeaf6ffe89e7e8695988f6c1",
+            "cols.bin": "66e1aed984b480103ca1c205191ff52166cf1a1de4e2cc119d61a562a85cdecc",
+        },
+    ),
+    "points": (
+        _write_points, "pts.csv",
+        _embed("pts.csv", "points-csv", "raw", "indicator:0.2", 12, 1, 6, 4,
+               ("--kernel", "gaussian", "--bandwidth", "1.0")),
+        {"out.bin": "3472962829b2f1fdb8362a6781b65ee5596233857c917cef5121c088215d0141"},
+    ),
+    "cluster": (
+        _write_graph, "graph.txt",
+        ["cluster", "--input", "graph.txt", "--function", "indicator:0.3", "--L", "16",
+         "--b", "2", "--d", "10", "--seed", "5", "--k", "4", "--runs", "3",
+         "--labels-out", "labels.csv"],
+        {"labels.csv": "9063065d76ab60bbfb83546fce0ebfdc8a706557297de2f2cf2be6f70235981d"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_digest(name, tmp_path, monkeypatch):
+    write_input, input_name, argv, expected = CASES[name]
+    write_input(tmp_path / input_name)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    got = {
+        out: hashlib.sha256((tmp_path / out).read_bytes()).hexdigest() for out in expected
+    }
+    assert got == expected
