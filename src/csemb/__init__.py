@@ -22,7 +22,6 @@ from .engine import (
     default_dimension,
     estimate_spectral_norm,
     fast_embed_cascaded,
-    fast_embed_eig,
     fast_embed_general,
     fold_seed,
     jl_dimension,
@@ -115,7 +114,6 @@ __all__ = [
     "exact_embedding",
     "expansion_eval",
     "fast_embed_cascaded",
-    "fast_embed_eig",
     "fast_embed_general",
     "fold_seed",
     "identity",

@@ -18,16 +18,19 @@ import numpy as np
 from . import io as cio
 from .cluster import cluster_experiment
 from .engine import (
+    NORM_ITERS,
+    NORM_SAFETY,
+    NORM_VECTORS_FACTOR,
     EmbedConfig,
     SpmvCounter,
     default_dimension,
     estimate_spectral_norm,
     fast_embed_cascaded,
-    fast_embed_general,
     sample_projection,
+    split_dilation,
 )
 from .errors import DivergenceError, InputFormatError, OracleCapError, OracleError
-from .functions import parse_function
+from .functions import odd_extension, parse_function
 from .oracle import (
     distortion_percentiles,
     exact_embedding,
@@ -77,8 +80,6 @@ def _add_embed_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--b", type=int, default=1, help="cascade factor (divides L)")
     p.add_argument("--d", type=int, default=None, help="embedding dimension (default ceil(6 ln n))")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,44 +151,39 @@ def _load_matrix(args, parser):
     return mat, args.matrix, {}
 
 
-def _make_config(args, n: int) -> EmbedConfig:
+def _make_config(args, n: int, parser) -> EmbedConfig:
     d = args.d if args.d is not None else default_dimension(n)
-    return EmbedConfig(
-        L=args.L, d=d, b=args.b, seed=args.seed, epsilon=args.epsilon, beta=args.beta
-    )
+    try:
+        return EmbedConfig(L=args.L, d=d, b=args.b, seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def cmd_embed(args, parser) -> int:
     mat, kind, _ = _load_matrix(args, parser)
-    if args.b < 1 or args.L % args.b != 0:
-        parser.error(f"--b {args.b} must divide --L {args.L}")
     t0 = time.perf_counter()
     counter = SpmvCounter()
     norm_estimate = None
+    f = args.function
 
     if kind == "dilation":
-        cfg = _make_config(args, mat.n_rows + mat.n_cols)
-        norm_estimate = estimate_spectral_norm(dilate(mat), cfg)
+        S = dilate(mat)
+        f = odd_extension(f)
+    elif mat.n_rows != mat.n_cols:
+        parser.error("--matrix raw requires a square matrix; use --matrix dilation")
+    else:
+        S = mat
+    cfg = _make_config(args, S.n_rows, parser)
+    if kind != "normalized-adjacency":
+        norm_estimate = estimate_spectral_norm(S, cfg)
         if norm_estimate > 0:
-            mat = scale_values(mat, 1.0 / norm_estimate)
-        rows_emb, cols_emb = fast_embed_general(
-            mat, args.function, cfg, n_workers=args.threads, counter=counter
-        )
-        emb = rows_emb
+            S = scale_values(S, 1.0 / norm_estimate)
+    omega = sample_projection(S.n_rows, cfg.d, cfg.seed)
+    emb = fast_embed_cascaded(S, f, cfg, omega, n_workers=args.threads, counter=counter)
+    if kind == "dilation":
+        emb, cols_emb = split_dilation(emb, mat.n_cols)
         if args.output_cols:
             cio.write_embedding(args.output_cols, cols_emb.values)
-    else:
-        if mat.n_rows != mat.n_cols:
-            parser.error("--matrix raw requires a square matrix; use --matrix dilation")
-        cfg = _make_config(args, mat.n_rows)
-        if kind == "raw":
-            norm_estimate = estimate_spectral_norm(mat, cfg)
-            if norm_estimate > 0:
-                mat = scale_values(mat, 1.0 / norm_estimate)
-        omega = sample_projection(mat.n_rows, cfg.d, cfg.seed)
-        emb = fast_embed_cascaded(
-            mat, args.function, cfg, omega, n_workers=args.threads, counter=counter
-        )
 
     cio.write_embedding(args.output, emb.values)
     if args.output_csv:
@@ -206,8 +202,6 @@ def cmd_embed(args, parser) -> int:
         "b": cfg.b,
         "d": cfg.d,
         "seed": cfg.seed,
-        "epsilon": cfg.epsilon,
-        "beta": cfg.beta,
         "norm_estimate": norm_estimate,
         "spmv_products": counter.products,
         "coeffs_sha256": emb.provenance.get("coeffs_sha256"),
@@ -247,16 +241,17 @@ def cmd_eval(args, parser) -> int:
 
 
 def cmd_cluster(args, parser) -> int:
-    if args.b < 1 or args.L % args.b != 0:
-        parser.error(f"--b {args.b} must divide --L {args.L}")
     edges, inferred = cio.read_edgelist(args.input)
     n = args.n if args.n is not None else inferred
     if n < 1:
         raise InputFormatError(f"empty graph in {args.input}")
-    cfg = _make_config(args, n)
-    result = cluster_experiment(
-        edges, n, args.function, cfg, K=args.k, runs=args.runs, n_workers=args.threads
-    )
+    cfg = _make_config(args, n, parser)
+    try:
+        result = cluster_experiment(
+            edges, n, args.function, cfg, K=args.k, runs=args.runs, n_workers=args.threads
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.labels_out:
         cio.write_labels_csv(args.labels_out, result.median_labels)
     summary = {
@@ -291,9 +286,9 @@ def cmd_norm(args, parser) -> int:
         "n": mat.n_rows,
         "matrix": kind,
         "norm_estimate": estimate,
-        "iterations": cfg.norm_iters,
-        "start_vectors_factor": cfg.norm_vectors_factor,
-        "safety": cfg.norm_safety,
+        "iterations": NORM_ITERS,
+        "start_vectors_factor": NORM_VECTORS_FACTOR,
+        "safety": NORM_SAFETY,
         "seed": args.seed,
     }
     text = json.dumps(out, indent=2, sort_keys=True)

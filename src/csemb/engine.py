@@ -26,13 +26,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError
-from .functions import odd_extension, root_function
-from .legendre import LegendreExpansion, QuadratureSpec, legendre_coefficients
+from .functions import describe, odd_extension, root_function
+from .legendre import LegendreExpansion, legendre_coefficients, legendre_terms
 from .sparse import SparseMatrix, dilate, spmv_multi
 
 logger = logging.getLogger("csemb.engine")
 
 COLUMN_CHUNK = 32  # fixed work unit; must not depend on worker count
+NORM_ITERS = 20
+NORM_VECTORS_FACTOR = 6.0
+NORM_SAFETY = 1.01
 _NORM_SEED_TAG = 0x6E6F726D  # "norm"
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -104,9 +107,9 @@ class EmbedConfig:
     """Parameters of one embedding run.
 
     ``L`` is the total polynomial order, split into ``b`` cascade stages of
-    order L/b each; ``d`` is the embedding dimension; ``epsilon``/``beta``
-    are the projection's distortion target and failure exponent. The norm_*
-    fields drive :func:`estimate_spectral_norm`.
+    order L/b each; ``d`` is the embedding dimension; ``epsilon`` is the
+    projection's distortion target, which :func:`csemb.distance_bound_audit`
+    checks.
     """
 
     L: int
@@ -114,10 +117,6 @@ class EmbedConfig:
     b: int = 1
     seed: int = 0
     epsilon: float = 0.5
-    beta: float = 1.0
-    norm_iters: int = 20
-    norm_vectors_factor: float = 6.0
-    norm_safety: float = 1.01
 
     def __post_init__(self):
         if self.L < 1:
@@ -128,10 +127,6 @@ class EmbedConfig:
             raise ValueError("d must be >= 1")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if not self.beta > 0.0:
-            raise ValueError("beta must be positive")
-        if self.norm_iters < 1 or self.norm_vectors_factor <= 0 or self.norm_safety < 1:
-            raise ValueError("bad norm-estimation settings")
 
     @property
     def stage_order(self) -> int:
@@ -165,22 +160,22 @@ class EmbeddingMatrix:
 def estimate_spectral_norm(S: SparseMatrix, cfg: EmbedConfig) -> float:
     """Power-iteration estimate of ||S|| for symmetric S.
 
-    Runs ``norm_iters`` iterations on ceil(norm_vectors_factor * ln n) random
+    Runs ``NORM_ITERS`` iterations on ceil(NORM_VECTORS_FACTOR * ln n) random
     unit vectors, takes the largest Rayleigh-quotient magnitude seen, and
-    scales it by ``norm_safety``. The Rayleigh quotient never exceeds ||S||,
-    so the estimate never exceeds norm_safety * ||S||.
+    scales it by ``NORM_SAFETY``. The Rayleigh quotient never exceeds ||S||,
+    so the estimate never exceeds NORM_SAFETY * ||S||.
     """
     if S.n_rows != S.n_cols:
         raise ValueError("spectral norm estimation requires a square matrix")
     if S.nnz == 0:
         return 0.0
     n = S.n_rows
-    k = max(1, math.ceil(cfg.norm_vectors_factor * math.log(max(n, 2))))
+    k = max(1, math.ceil(NORM_VECTORS_FACTOR * math.log(max(n, 2))))
     rng = np.random.default_rng(fold_seed(cfg.seed, _NORM_SEED_TAG))
     V = rng.standard_normal((n, k))
     V /= np.linalg.norm(V, axis=0)
     best = 0.0
-    for _ in range(cfg.norm_iters):
+    for _ in range(NORM_ITERS):
         W = spmv_multi(S, V)
         rayleigh = np.einsum("ij,ij->j", V, W)
         best = max(best, float(np.max(np.abs(rayleigh))))
@@ -189,31 +184,26 @@ def estimate_spectral_norm(S: SparseMatrix, cfg: EmbedConfig) -> float:
         if not np.any(alive):
             break
         V = W[:, alive] / norms[alive]
-    return best * cfg.norm_safety
+    return best * NORM_SAFETY
 
 
-def _resolve_expansion(f, order: int, quadrature: QuadratureSpec | None) -> LegendreExpansion:
+def _resolve_expansion(f, order: int) -> LegendreExpansion:
     if isinstance(f, LegendreExpansion):
         if f.order != order:
             raise ValueError(
                 f"expansion order {f.order} does not match requested order {order}"
             )
         return f
-    return legendre_coefficients(f, order, quadrature)
+    return legendre_coefficients(f, order)
 
 
 def _run_stage(
     S: SparseMatrix, coeffs: np.ndarray, block: np.ndarray, stage: int, col0: int
 ) -> np.ndarray:
     """Apply one expansion to one contiguous column block."""
-    order = len(coeffs) - 1
-    q_prev = block.copy()  # Q(0)
-    acc = coeffs[0] * block
-    q_prev2 = None
-    for r in range(1, order + 1):
-        q = (2.0 - 1.0 / r) * spmv_multi(S, q_prev)
-        if r > 1:
-            q -= (1.0 - 1.0 / r) * q_prev2
+    terms = legendre_terms(lambda c, q: c * spmv_multi(S, q), block, len(coeffs) - 1)
+    acc = coeffs[0] * next(terms)
+    for r, q in enumerate(terms, start=1):
         peak = float(np.max(np.abs(q), initial=0.0))
         logger.debug(
             "stage=%d cols=%d+%d r=%d max_abs=%.6e", stage, col0, block.shape[1], r, peak
@@ -224,7 +214,6 @@ def _run_stage(
                 "spectral norm > 1 - rescale it (estimate_spectral_norm) and retry"
             )
         acc += coeffs[r] * q
-        q_prev2, q_prev = q_prev, q
     return acc
 
 
@@ -233,11 +222,11 @@ def _apply_expansion(
     expansion: LegendreExpansion,
     block: np.ndarray,
     *,
-    stage: int = 0,
-    n_workers: int = 1,
-    counter: SpmvCounter | None = None,
+    stage: int,
+    n_workers: int,
+    counter: SpmvCounter,
 ) -> np.ndarray:
-    n, d = block.shape
+    d = block.shape[1]
     out = np.empty_like(block)
     chunks = [(lo, min(lo + COLUMN_CHUNK, d)) for lo in range(0, d, COLUMN_CHUNK)]
     coeffs = expansion.coeffs
@@ -253,50 +242,8 @@ def _apply_expansion(
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             list(pool.map(run, chunks))
-    if counter is not None:
-        counter.products += expansion.order
+    counter.products += expansion.order
     return out
-
-
-def fast_embed_eig(
-    S: SparseMatrix,
-    f,
-    L: int,
-    omega: np.ndarray,
-    *,
-    quadrature: QuadratureSpec | None = None,
-    n_workers: int = 1,
-    counter: SpmvCounter | None = None,
-) -> EmbeddingMatrix:
-    """Embed the rows of a symmetric S (||S|| <= 1) as f_L(S) @ omega.
-
-    ``f`` may be a SpectralFunction, a plain callable on [-1, 1], or a
-    precomputed :class:`LegendreExpansion` of matching order. Exactly ``L``
-    multi-vector products are performed.
-    """
-    if S.n_rows != S.n_cols:
-        raise ValueError("fast_embed_eig requires a square (symmetric) matrix")
-    omega = np.asarray(omega, dtype=np.float64)
-    if omega.ndim != 2 or omega.shape[0] != S.n_rows:
-        raise ValueError("projection block must be 2-d with one row per vertex")
-    if L < 0:
-        raise ValueError("L must be >= 0")
-    expansion = _resolve_expansion(f, L, quadrature)
-    own_counter = counter if counter is not None else SpmvCounter()
-    values = _apply_expansion(
-        S, expansion, omega, stage=1, n_workers=n_workers, counter=own_counter
-    )
-    return EmbeddingMatrix(
-        values=values,
-        provenance={
-            "function": _describe(f),
-            "L": L,
-            "b": 1,
-            "d": omega.shape[1],
-            "spmv_products": own_counter.products,
-            "coeffs_sha256": expansion.digest(),
-        },
-    )
 
 
 def fast_embed_cascaded(
@@ -305,14 +252,17 @@ def fast_embed_cascaded(
     cfg: EmbedConfig,
     omega: np.ndarray | None = None,
     *,
-    quadrature: QuadratureSpec | None = None,
     n_workers: int = 1,
     counter: SpmvCounter | None = None,
 ) -> EmbeddingMatrix:
-    """Embed via b cascade stages of order L/b applied to the b-th root of f.
+    """Embed the rows of a symmetric S (||S|| <= 1) as f_L(S) @ omega, by b
+    cascade stages of order L/b applied to the b-th root of f.
 
-    Stage i's output block is stage i+1's input block; with b = 1 this is
-    exactly :func:`fast_embed_eig`. SpMV cost is L/b per stage, L in total.
+    ``f`` may be a SpectralFunction, a plain callable on [-1, 1], or (with
+    b = 1) a precomputed :class:`LegendreExpansion` of order L. ``omega``
+    defaults to :func:`sample_projection` of ``cfg.d`` columns. Stage i's
+    output block is stage i+1's input block; exactly L/b multi-vector
+    products are performed per stage, L in total.
     """
     if S.n_rows != S.n_cols:
         raise ValueError("fast_embed_cascaded requires a square (symmetric) matrix")
@@ -327,7 +277,7 @@ def fast_embed_cascaded(
         if isinstance(f, LegendreExpansion):
             raise ValueError("cascading needs the function itself, not an expansion")
         g = root_function(f, cfg.b)
-    expansion = _resolve_expansion(g, cfg.stage_order, quadrature)
+    expansion = _resolve_expansion(g, cfg.stage_order)
     own_counter = counter if counter is not None else SpmvCounter()
     block = omega
     for stage in range(1, cfg.b + 1):
@@ -337,7 +287,7 @@ def fast_embed_cascaded(
     return EmbeddingMatrix(
         values=block,
         provenance={
-            "function": _describe(f),
+            "function": describe(f),
             "L": cfg.L,
             "b": cfg.b,
             "stage_order": cfg.stage_order,
@@ -354,47 +304,33 @@ def fast_embed_general(
     f,
     cfg: EmbedConfig,
     *,
-    quadrature: QuadratureSpec | None = None,
     n_workers: int = 1,
     counter: SpmvCounter | None = None,
 ) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
     """Row and column embeddings of a general m x n matrix with ||A|| <= 1.
 
     Runs the cascaded engine on the symmetric dilation [0 A^T; A 0] with the
-    odd extension of ``f``, then splits the output: the first n rows embed
-    the columns of A, the last m rows embed its rows. Returns
-    ``(row_embedding, column_embedding)``.
+    odd extension of ``f``, then splits the output with
+    :func:`split_dilation`. Returns ``(row_embedding, column_embedding)``.
     """
-    S = dilate(A)
-    m, n = A.n_rows, A.n_cols
-    omega = sample_projection(m + n, cfg.d, cfg.seed)
     emb = fast_embed_cascaded(
-        S,
-        odd_extension(f),
-        cfg,
-        omega,
-        quadrature=quadrature,
-        n_workers=n_workers,
-        counter=counter,
+        dilate(A), odd_extension(f), cfg, n_workers=n_workers, counter=counter
     )
-    base = dict(emb.provenance)
-    rows = EmbeddingMatrix(
-        values=emb.values[n:],
-        row_labels=np.arange(m, dtype=np.int64),
-        provenance={**base, "side": "rows"},
-    )
-    cols = EmbeddingMatrix(
-        values=emb.values[:n],
-        row_labels=np.arange(n, dtype=np.int64),
-        provenance={**base, "side": "columns"},
-    )
-    return rows, cols
+    return split_dilation(emb, A.n_cols)
 
 
-def _describe(f) -> str:
-    if isinstance(f, LegendreExpansion):
-        return f"expansion[{f.order}]"
-    d = getattr(f, "describe", None)
-    if callable(d):
-        return d()
-    return getattr(f, "__name__", "callable")
+def split_dilation(
+    emb: EmbeddingMatrix, n_cols: int
+) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
+    """Split an embedding of the dilation of an m x n matrix into
+    ``(row_embedding, column_embedding)``: the first n rows embed the
+    columns of the matrix, the last m rows embed its rows."""
+
+    def side(values, name):
+        return EmbeddingMatrix(
+            values=values,
+            row_labels=np.arange(values.shape[0], dtype=np.int64),
+            provenance={**emb.provenance, "side": name},
+        )
+
+    return side(emb.values[n_cols:], "rows"), side(emb.values[:n_cols], "columns")

@@ -2,13 +2,15 @@
 
 A :class:`SpectralFunction` is a declarative description of the weight
 applied to each eigenvalue: indicator steps, the commute-time weight
-1/sqrt(1-x), identity, constants, or a tabulated curve. Two composition
-flags cover the transforms the embedding pipeline needs: a b-th root (for
-cascading) and an odd extension (for dilations of rectangular matrices).
+1/sqrt(1-x), identity, constants, or a tabulated curve. The transforms the
+embedding pipeline needs, a b-th root (for cascading), an odd extension (for
+dilations of rectangular matrices) and an affine remap, are wrappers that
+share one protocol: a callable with ``breakpoints()`` and ``describe()``.
 
-Evaluation order is base kind -> clip -> root -> odd extension. Taking the
-root before extending keeps the root's nonnegativity precondition on the
-base function; for f >= 0 this equals the signed root of the extension.
+A root is always taken inside an odd extension, whatever order the two are
+requested in. Taking the root before extending keeps the root's
+nonnegativity precondition on the base function; for f >= 0 this equals the
+signed root of the extension.
 
 Any plain callable mapping arrays in [-1, 1] to arrays is accepted wherever
 a SpectralFunction is, so ad-hoc weights (e.g. polynomials) need no wrapper.
@@ -16,7 +18,7 @@ a SpectralFunction is, so ad-hoc weights (e.g. polynomials) need no wrapper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +36,6 @@ class SpectralFunction:
     value: float | None = None
     table_x: np.ndarray | None = None
     table_y: np.ndarray | None = None
-    root_power: int = 1
-    odd_extended: bool = False
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -64,10 +64,6 @@ class SpectralFunction:
             ys.setflags(write=False)
             object.__setattr__(self, "table_x", xs)
             object.__setattr__(self, "table_y", ys)
-        if self.root_power < 1:
-            raise ValueError("root power must be a positive integer")
-        if self.root_power % 2 == 0 and np.min(self._raw(_CHECK_GRID)) < -1e-12:
-            raise ValueError("even root of a function taking negative values")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -82,23 +78,10 @@ class SpectralFunction:
             return np.full_like(x, self.value, dtype=np.float64)
         return np.interp(x, self.table_x, self.table_y)
 
-    def _base(self, x: np.ndarray) -> np.ndarray:
-        y = self._raw(x)
-        b = self.root_power
-        if b == 1:
-            return y
-        if b % 2 == 0:
-            return np.maximum(y, 0.0) ** (1.0 / b)
-        return np.sign(y) * np.abs(y) ** (1.0 / b)
-
     def __call__(self, x) -> np.ndarray | float:
         arr = np.asarray(x, dtype=np.float64)
         scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        if self.odd_extended:
-            out = np.where(arr >= 0.0, self._base(arr), -self._base(-arr))
-        else:
-            out = self._base(arr)
+        out = self._raw(np.atleast_1d(arr))
         return float(out[0]) if scalar else out
 
     # -- structure ----------------------------------------------------------
@@ -113,31 +96,18 @@ class SpectralFunction:
             base.append(1.0 - float(self.clip))
         elif self.kind == "tabulated":
             base.extend(float(t) for t in self.table_x)
-        if not self.odd_extended:
-            return tuple(sorted(b for b in base if -1.0 < b < 1.0))
-        pts = {0.0}
-        for b in base:
-            if 0.0 < b < 1.0:
-                pts.add(b)
-                pts.add(-b)
-        return tuple(sorted(pts))
+        return tuple(sorted(b for b in base if -1.0 < b < 1.0))
 
     def describe(self) -> str:
         if self.kind == "indicator":
-            s = f"indicator:{self.threshold:g}"
-        elif self.kind == "commute":
-            s = f"commute:{self.clip:g}"
-        elif self.kind == "identity":
-            s = "identity"
-        elif self.kind == "constant":
-            s = f"const:{self.value:g}"
-        else:
-            s = f"table:{len(self.table_x)}pts"
-        if self.root_power != 1:
-            s += f"|root:{self.root_power}"
-        if self.odd_extended:
-            s += "|odd"
-        return s
+            return f"indicator:{self.threshold:g}"
+        if self.kind == "commute":
+            return f"commute:{self.clip:g}"
+        if self.kind == "identity":
+            return "identity"
+        if self.kind == "constant":
+            return f"const:{self.value:g}"
+        return f"table:{len(self.table_x)}pts"
 
 
 # -- constructors -----------------------------------------------------------
@@ -173,7 +143,7 @@ def tabulated(xs, ys) -> SpectralFunction:
 
 
 class _OddExtension:
-    """Odd extension of a plain callable: f(x) for x >= 0, -f(-x) below."""
+    """Odd extension of a callable: f(x) for x >= 0, -f(-x) below."""
 
     def __init__(self, f):
         self._f = f
@@ -191,11 +161,11 @@ class _OddExtension:
         return tuple(sorted(pts))
 
     def describe(self):
-        return f"{_describe(self._f)}|odd"
+        return f"{describe(self._f)}|odd"
 
 
 class _Root:
-    """Pointwise b-th root of a plain callable (b odd: signed root)."""
+    """Pointwise b-th root of a callable (b odd: signed root)."""
 
     def __init__(self, f, b: int):
         self._f = f
@@ -217,28 +187,31 @@ class _Root:
         return tuple(getattr(self._f, "breakpoints", tuple)())
 
     def describe(self):
-        return f"{_describe(self._f)}|root:{self._b}"
+        return f"{describe(self._f)}|root:{self._b}"
 
 
 def odd_extension(f):
     """f'(x) = f(x) for x >= 0 and -f(-x) for x < 0."""
-    if isinstance(f, SpectralFunction):
-        return replace(f, odd_extended=True)
     return _OddExtension(f)
 
 
 def root_function(f, b: int):
-    """Pointwise b-th root; even roots require a nonnegative function."""
+    """Pointwise b-th root; even roots require a nonnegative function.
+
+    The root of an odd extension is the odd extension of the root, so the
+    nonnegativity check sees the base function.
+    """
     if b < 1:
         raise ValueError("root power must be >= 1")
     if b == 1:
         return f
-    if isinstance(f, SpectralFunction):
-        return replace(f, root_power=f.root_power * b)
+    if isinstance(f, _OddExtension):
+        return _OddExtension(root_function(f._f, b))
     return _Root(f, b)
 
 
-def _describe(f) -> str:
+def describe(f) -> str:
+    """A short text form of a weighting function or expansion, for provenance."""
     d = getattr(f, "describe", None)
     if callable(d):
         return d()
@@ -269,7 +242,7 @@ class remapped:
         return tuple(sorted(out))
 
     def describe(self):
-        return f"{_describe(self._f)}|remap({self._t.scale:g},{self._t.center:g})"
+        return f"{describe(self._f)}|remap({self._t.scale:g},{self._t.center:g})"
 
 
 # -- CLI grammar ------------------------------------------------------------

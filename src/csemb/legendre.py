@@ -25,6 +25,27 @@ def _check_domain(x: np.ndarray) -> None:
         raise ValueError("argument outside [-1, 1]")
 
 
+def legendre_terms(step, q0, order: int):
+    """Yield Q(0..order) of the three-term recursion started at ``q0``.
+
+    ``step(c, q)`` returns c times the operator applied to q: ``c * x * q``
+    for scalars, ``c * spmv_multi(S, q)`` for a matrix. Every evaluation of
+    the expansion, scalar or matrix, runs through this one loop.
+    """
+    yield q0
+    q_prev, q = None, q0
+    for r in range(1, order + 1):
+        q_new = step(2.0 - 1.0 / r, q)
+        if r > 1:
+            q_new -= (1.0 - 1.0 / r) * q_prev
+        yield q_new
+        q_prev, q = q, q_new
+
+
+def _scalar_terms(x: np.ndarray, order: int):
+    return legendre_terms(lambda c, q: c * x * q, np.ones_like(x), order)
+
+
 def legendre_table(order: int, x) -> np.ndarray:
     """Values p(0..order, x) as an (order+1, len(x)) table."""
     if order < 0:
@@ -32,11 +53,8 @@ def legendre_table(order: int, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     _check_domain(x)
     P = np.empty((order + 1, x.shape[0]))
-    P[0] = 1.0
-    if order >= 1:
-        P[1] = x
-    for r in range(2, order + 1):
-        P[r] = (2.0 - 1.0 / r) * x * P[r - 1] - (1.0 - 1.0 / r) * P[r - 2]
+    for r, p in enumerate(_scalar_terms(x, order)):
+        P[r] = p
     return P
 
 
@@ -67,6 +85,9 @@ class LegendreExpansion:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
+    def describe(self) -> str:
+        return f"expansion[{self.order}]"
+
     def digest(self) -> str:
         import hashlib
 
@@ -85,13 +106,10 @@ class QuadratureSpec:
     nodes_per_panel: int = 64
     refine_degree: int = 48
     breakpoints: tuple[float, ...] = field(default_factory=tuple)
-    weight: str = "uniform"  # "uniform" | "chebyshev" (no accuracy contract)
 
     def __post_init__(self):
         if self.nodes_per_panel < 2 or self.refine_degree < 1:
             raise ValueError("bad quadrature settings")
-        if self.weight not in ("uniform", "chebyshev"):
-            raise ValueError("weight must be 'uniform' or 'chebyshev'")
 
 
 def _panel_nodes(
@@ -132,21 +150,13 @@ def legendre_coefficients(
 
     ``f`` may be a SpectralFunction or any callable on arrays in [-1, 1];
     declared breakpoints become panel boundaries so discontinuous integrands
-    converge. With ``weight="chebyshev"`` the function is first replaced by
-    its degree-``order`` Chebyshev interpolant (exposed for experimentation;
-    carries no accuracy contract).
+    converge.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     spec = quadrature or QuadratureSpec()
-    target = f
-    if spec.weight == "chebyshev":
-        cheb = np.polynomial.chebyshev.Chebyshev.interpolate(
-            lambda t: np.asarray(target(t), dtype=np.float64), order
-        )
-        target = cheb
     x, w = _panel_nodes(_breakpoints_of(f), order, spec)
-    fx = np.asarray(target(x), dtype=np.float64)
+    fx = np.asarray(f(x), dtype=np.float64)
     if not np.all(np.isfinite(fx)):
         raise ValueError("function produced non-finite values on quadrature nodes")
     P = legendre_table(order, x)
@@ -160,15 +170,10 @@ def expansion_eval(expansion: LegendreExpansion, x):
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
     _check_domain(xv)
     a = expansion.coeffs
-    acc = np.full_like(xv, a[0])
-    q_prev = np.ones_like(xv)
-    q = None
-    for r in range(1, len(a)):
-        q_new = (2.0 - 1.0 / r) * xv * q_prev
-        if r > 1:
-            q_new -= (1.0 - 1.0 / r) * q
-        acc += a[r] * q_new
-        q, q_prev = q_prev, q_new
+    terms = _scalar_terms(xv, expansion.order)
+    acc = a[0] * next(terms)
+    for r, q in enumerate(terms, start=1):
+        acc += a[r] * q
     return float(acc[0]) if scalar else acc
 
 

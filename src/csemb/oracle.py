@@ -10,11 +10,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import EmbedConfig, EmbeddingMatrix, _apply_expansion, fold_seed, sample_projection
+from .engine import EmbedConfig, EmbeddingMatrix, fast_embed_cascaded, fold_seed
 from .errors import OracleCapError, OracleError
 from .legendre import expansion_eval, legendre_coefficients
 from .sparse import SparseMatrix
@@ -209,11 +209,10 @@ def distance_bound_audit(
     upper = math.sqrt(1.0 + cfg.epsilon) * (d_exact + slack)
 
     sp = SparseMatrix.from_dense(a)
-    n = a.shape[0]
     violations = 0
     for t in range(trials):
-        omega = sample_projection(n, cfg.d, fold_seed(cfg.seed, t))
-        emb = _apply_expansion(sp, expansion, omega)
+        trial = replace(cfg, b=1, seed=fold_seed(cfg.seed, t))
+        emb = fast_embed_cascaded(sp, expansion, trial).values
         d_approx = _pairwise_distances(emb)
         violations += int(np.sum((d_approx < lower) | (d_approx > upper)))
     return violations / (trials * len(d_exact))

@@ -107,13 +107,7 @@ class SparseMatrix:
         csr.sum_duplicates()
         csr.sort_indices()
         csr.eliminate_zeros()
-        return cls(
-            csr.shape[0],
-            csr.shape[1],
-            csr.indptr.astype(np.int64),
-            csr.indices.astype(np.int64),
-            csr.data.astype(np.float64),
-        )
+        return cls(csr.shape[0], csr.shape[1], csr.indptr, csr.indices, csr.data)
 
     @classmethod
     def from_coo(cls, rows, cols, vals, n_rows: int, n_cols: int) -> "SparseMatrix":
@@ -211,14 +205,9 @@ def normalized_adjacency(edges, n: int) -> SparseMatrix:
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise ValueError("edge endpoint out of range [0, n)")
-    u, v = edges[:, 0], edges[:, 1]
-    keep = u != v
-    u, v = u[keep], v[keep]
-    if len(u) == 0:
+    und = simple_edges(edges)
+    if len(und) == 0:
         return SparseMatrix.zeros(n, n)
-    und = np.unique(
-        np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1), axis=0
-    )
     deg = np.bincount(und.ravel(), minlength=n).astype(np.float64)
     rows = np.concatenate([und[:, 0], und[:, 1]])
     cols = np.concatenate([und[:, 1], und[:, 0]])
@@ -279,15 +268,6 @@ def rescale_spectrum(
     span = sigma_max - sigma_min
     shift = (sigma_max + sigma_min) / span
     t = AffineMap(scale=span / 2.0, center=(sigma_max + sigma_min) / 2.0)
-    if shift == 0.0:
-        scaled = SparseMatrix(
-            S.n_rows,
-            S.n_cols,
-            S.row_offsets,
-            S.col_indices,
-            S.values * (2.0 / span),
-        )
-        return scaled, t
     out = S._csr * (2.0 / span) - shift * _sp.identity(S.n_rows, format="csr")
     return SparseMatrix.from_scipy(out), t
 

@@ -44,7 +44,8 @@ def test_a1_polynomial_exactness():
     S = cs.SparseMatrix.from_dense(dense)
 
     omega = cs.sample_projection(n, 16, seed=11)
-    emb = cs.fast_embed_eig(S, lambda x: 0.3 + 0.5 * x - 0.2 * x**3, 3, omega)
+    cfg = cs.EmbedConfig(L=3, d=16, seed=11)
+    emb = cs.fast_embed_cascaded(S, lambda x: 0.3 + 0.5 * x - 0.2 * x**3, cfg, omega)
     oracle = (
         0.3 * omega + 0.5 * (dense @ omega) - 0.2 * np.linalg.matrix_power(dense, 3) @ omega
     )
@@ -67,7 +68,7 @@ def test_a2_distance_bound_audit():
     S = 0.5 * (S + S.T)
     S /= np.linalg.norm(S, 2) * 1.02
     c = float(np.median(np.linalg.eigvalsh(S)))
-    cfg = cs.EmbedConfig(L=200, d=2000, seed=0, epsilon=0.3, beta=1.0)
+    cfg = cs.EmbedConfig(L=200, d=2000, seed=0, epsilon=0.3)
     rate = cs.distance_bound_audit(S, cs.indicator_above(c), cfg, trials=20)
     ok = rate <= 0.02
     _report("A2 distance-bound audit", ok, f"violation rate {rate:.4f} <= 0.02")

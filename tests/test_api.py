@@ -1,0 +1,95 @@
+"""The package's public surface and its internal import discipline."""
+
+import ast
+import pathlib
+
+import csemb
+
+PACKAGE_DIR = pathlib.Path(csemb.__file__).parent
+
+PUBLIC = [
+    "AffineMap",
+    "ApproximationReport",
+    "ClusterAssignment",
+    "ClusterExperiment",
+    "CsembError",
+    "DistortionReport",
+    "DivergenceError",
+    "EmbedConfig",
+    "EmbeddingMatrix",
+    "ExactEmbedding",
+    "InputFormatError",
+    "KernelSpec",
+    "LegendreExpansion",
+    "ModularityScore",
+    "ORACLE_CAP",
+    "OracleCapError",
+    "OracleError",
+    "QuadratureSpec",
+    "SparseMatrix",
+    "SpectralFunction",
+    "SpmvCounter",
+    "approximation_report",
+    "cluster_experiment",
+    "commute_time",
+    "constant",
+    "default_dimension",
+    "dilate",
+    "distance_bound_audit",
+    "distortion_percentiles",
+    "estimate_spectral_norm",
+    "exact_embedding",
+    "expansion_eval",
+    "fast_embed_cascaded",
+    "fast_embed_general",
+    "fold_seed",
+    "identity",
+    "indicator_above",
+    "jl_dimension",
+    "kernel_matrix",
+    "kmeans",
+    "legendre_coefficients",
+    "legendre_eval",
+    "legendre_table",
+    "modularity",
+    "normalized_adjacency",
+    "normalized_correlation",
+    "odd_extension",
+    "parse_function",
+    "remapped",
+    "rescale_spectrum",
+    "root_function",
+    "sample_pairs",
+    "sample_projection",
+    "scale_values",
+    "spmv_multi",
+    "tabulated",
+]
+
+
+def test_all_is_pinned():
+    assert PUBLIC == sorted(PUBLIC)
+    assert csemb.__all__ == PUBLIC
+
+
+def test_every_public_name_resolves():
+    for name in csemb.__all__:
+        assert getattr(csemb, name, None) is not None, name
+
+
+def test_no_private_names_imported_across_modules():
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            internal = node.level > 0 or (node.module or "").split(".")[0] == "csemb"
+            if not internal:
+                continue
+            offenders += [
+                f"{path.name}: {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    assert offenders == []

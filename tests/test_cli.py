@@ -154,9 +154,24 @@ class TestErrors:
             main(argv)
         assert exc.value.code == 2
 
-    def test_b_not_dividing_L(self, small_graph, tmp_path):
-        argv = _embed_argv(small_graph, tmp_path / "e.bin")
-        argv[argv.index("--b") + 1] = "5"
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            ("embed", "--b", "5"),
+            ("embed", "--L", "0"),
+            ("embed", "--d", "0"),
+            ("cluster", "--k", "0"),
+            ("cluster", "--runs", "0"),
+        ],
+        ids=["embed-b-not-dividing-L", "embed-L-0", "embed-d-0", "cluster-k-0", "cluster-runs-0"],
+    )
+    def test_out_of_range_number_usage_error(self, small_graph, tmp_path, command, option, value):
+        if command == "embed":
+            argv = _embed_argv(small_graph, tmp_path / "e.bin")
+        else:
+            argv = ["cluster", "--input", str(small_graph), "--function", "indicator:0.3",
+                    "--L", "16", "--b", "2", "--d", "10", "--k", "4", "--runs", "3"]
+        argv[argv.index(option) + 1] = value
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -12,7 +12,6 @@ from csemb import (
     default_dimension,
     estimate_spectral_norm,
     fast_embed_cascaded,
-    fast_embed_eig,
     fast_embed_general,
     identity,
     indicator_above,
@@ -96,25 +95,22 @@ class TestNormEstimate:
         assert est <= 1.01 * np.linalg.norm(dense, 2) + 1e-12
 
 
+def _embed(S, f, L, om, **kw):
+    """The single-stage (b = 1) engine on a given projection block."""
+    return fast_embed_cascaded(S, f, EmbedConfig(L=L, d=om.shape[1]), om, **kw)
+
+
 class TestFastEmbed:
     def test_identity_matrix_identity_function(self):
         om = sample_projection(8, 4, seed=5)
-        emb = fast_embed_eig(SparseMatrix.identity(8), identity(), 1, om)
+        emb = _embed(SparseMatrix.identity(8), identity(), 1, om)
         assert np.allclose(emb.values, om, atol=1e-15)
 
     def test_square_function_on_diagonal(self):
         S = sparse_from(np.diag([0.5, -0.5]))
         om = sample_projection(2, 6, seed=6)
-        emb = fast_embed_eig(S, lambda x: x**2, 2, om)
+        emb = _embed(S, lambda x: x**2, 2, om)
         assert np.allclose(emb.values, 0.25 * om, atol=1e-14)
-
-    def test_constant_at_order_zero(self):
-        rng = np.random.default_rng(7)
-        S = sparse_from(random_symmetric(12, rng))
-        om = sample_projection(12, 3, seed=7)
-        emb = fast_embed_eig(S, constant(2.5), 0, om)
-        assert np.array_equal(emb.values, 2.5 * om)
-        assert emb.provenance["spmv_products"] == 0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_polynomial_exactness(self, seed):
@@ -124,7 +120,7 @@ class TestFastEmbed:
         coeffs = rng.standard_normal(deg + 1)
         f = lambda x: np.polynomial.polynomial.polyval(x, coeffs)
         om = sample_projection(n, 10, seed=seed)
-        emb = fast_embed_eig(sparse_from(dense), f, deg, om)
+        emb = _embed(sparse_from(dense), f, deg, om)
         oracle = dense_weighted(dense, f) @ om
         rel = np.linalg.norm(emb.values - oracle) / np.linalg.norm(oracle)
         assert rel <= 1e-10
@@ -142,11 +138,12 @@ class TestFastEmbed:
         # identical quadrature panels for all three projections
         quad = QuadratureSpec(breakpoints=(0.2,))
         L = 25
-        lhs = fast_embed_eig(S, combo, L, om, quadrature=quad).values
-        rhs = (
-            a * fast_embed_eig(S, f, L, om, quadrature=quad).values
-            + b * fast_embed_eig(S, g, L, om, quadrature=quad).values
-        )
+
+        def embed(h):
+            return _embed(S, legendre_coefficients(h, L, quad), L, om).values
+
+        lhs = embed(combo)
+        rhs = a * embed(f) + b * embed(g)
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
 
     def test_column_subset_bit_exact(self):
@@ -154,9 +151,9 @@ class TestFastEmbed:
         n = 60
         S = sparse_from(random_symmetric(n, rng))
         om = sample_projection(n, 40, seed=9)
-        full = fast_embed_eig(S, indicator_above(0.1), 15, om).values
+        full = _embed(S, indicator_above(0.1), 15, om).values
         # slice crossing the internal chunk boundary
-        part = fast_embed_eig(S, indicator_above(0.1), 15, om[:, 30:37]).values
+        part = _embed(S, indicator_above(0.1), 15, om[:, 30:37]).values
         assert np.array_equal(part, full[:, 30:37])
 
     def test_worker_count_bit_exact(self):
@@ -165,7 +162,7 @@ class TestFastEmbed:
         S = sparse_from(random_symmetric(n, rng))
         om = sample_projection(n, 70, seed=10)
         runs = [
-            fast_embed_eig(S, indicator_above(0.0), 12, om, n_workers=w).values
+            _embed(S, indicator_above(0.0), 12, om, n_workers=w).values
             for w in (1, 4, 8)
         ]
         assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
@@ -174,24 +171,14 @@ class TestFastEmbed:
         S = sparse_from(10.0 * np.eye(4))
         om = sample_projection(4, 2, seed=0)
         with pytest.raises(DivergenceError):
-            fast_embed_eig(S, identity(), 250, om)
+            _embed(S, identity(), 250, om)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            fast_embed_eig(SparseMatrix.identity(4), identity(), 1, np.zeros((3, 2)))
+            _embed(SparseMatrix.identity(4), identity(), 1, np.zeros((3, 2)))
 
 
 class TestCascade:
-    def test_b_one_is_plain_engine(self):
-        rng = np.random.default_rng(11)
-        n = 30
-        S = sparse_from(random_symmetric(n, rng))
-        om = sample_projection(n, 6, seed=11)
-        cfg = EmbedConfig(L=24, d=6, b=1, seed=11)
-        a = fast_embed_cascaded(S, indicator_above(0.3), cfg, om).values
-        b = fast_embed_eig(S, indicator_above(0.3), 24, om).values
-        assert np.array_equal(a, b)
-
     def test_constant_cascade(self):
         om = sample_projection(5, 3, seed=12)
         cfg = EmbedConfig(L=2, d=3, b=2, seed=12)
@@ -264,6 +251,27 @@ class TestGeneralMatrices:
         ) / np.linalg.norm(oracle)
         assert rel <= 1e-10
 
+    def test_plain_callable_with_even_cascade(self):
+        # the even root is taken before the odd extension, as for a
+        # SpectralFunction, so a forwarding wrapper gives the same bytes
+        class Forward:
+            def __init__(self, f):
+                self._f = f
+
+            def __call__(self, x):
+                return self._f(x)
+
+            def breakpoints(self):
+                return self._f.breakpoints()
+
+        A = sparse_from(np.random.default_rng(19).standard_normal((6, 4)) / 4.0)
+        cfg = EmbedConfig(L=12, d=5, b=2, seed=19)
+        f = indicator_above(0.5)
+        expected = fast_embed_general(A, f, cfg)
+        got = fast_embed_general(A, Forward(f), cfg)
+        for e, g in zip(expected, got):
+            assert np.array_equal(e.values, g.values)
+
     def test_row_geometry_within_distance_bounds(self):
         rng = np.random.default_rng(17)
         A = rng.standard_normal((6, 4))
@@ -300,8 +308,6 @@ class TestEmbedConfig:
             EmbedConfig(L=10, d=0)
         with pytest.raises(ValueError):
             EmbedConfig(L=10, d=4, epsilon=1.0)
-        with pytest.raises(ValueError):
-            EmbedConfig(L=10, d=4, beta=0.0)
 
     def test_stage_order(self):
         assert EmbedConfig(L=180, d=80, b=2).stage_order == 90

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from csemb import (
     LegendreExpansion,
-    QuadratureSpec,
     approximation_report,
     constant,
     expansion_eval,
@@ -97,14 +96,6 @@ class TestCoefficients:
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(ValueError):
                 legendre_coefficients(lambda x: 1.0 / (x - x), 2)
-
-    def test_chebyshev_weight_flag(self):
-        # exposed but carries no accuracy contract; sanity only
-        e = legendre_coefficients(
-            commute := lambda x: np.cos(2 * x), 12, QuadratureSpec(weight="chebyshev")
-        )
-        rep = approximation_report(commute, e)
-        assert rep.delta_sup < 1e-6
 
 
 class TestExpansionEval:
