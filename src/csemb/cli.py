@@ -201,6 +201,7 @@ def cmd_embed(args, parser) -> int:
         "L": cfg.L,
         "b": cfg.b,
         "d": cfg.d,
+        "block_width": emb.provenance["block_width"],
         "seed": cfg.seed,
         "norm_estimate": norm_estimate,
         "spmv_products": counter.products,

@@ -12,8 +12,12 @@ costing one multi-vector product per order and nothing else superlinear.
 Cascading applies a shorter expansion of the b-th root of f, b times, which
 deepens the nulls the plain expansion leaves shallow.
 
-Every random entry is a pure function of (seed, position), so results are
-bit-identical for any worker count and any column subset.
+The work unit is a block of columns sized from n so that one n x w operand
+fits in ``BLOCK_BYTES``, about half a core's L2 cache (:func:`block_width`).
+Each block runs every cascade stage in a fixed set of preallocated buffers,
+and blocks are spread over the worker threads. Columns never mix, and every
+random entry is a pure function of (seed, position), so results are
+bit-identical for any block width, any worker count and any column subset.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .sparse import SparseMatrix, dilate, spmv_multi
 
 logger = logging.getLogger("csemb.engine")
 
-COLUMN_CHUNK = 32  # fixed work unit; must not depend on worker count
+BLOCK_BYTES = 1 << 20  # operand bytes per column block; see block_width
 NORM_ITERS = 20
 NORM_VECTORS_FACTOR = 6.0
 NORM_SAFETY = 1.01
@@ -203,52 +207,81 @@ def _resolve_expansion(f, order: int) -> LegendreExpansion:
     return legendre_coefficients(f, order)
 
 
+def block_width(n: int, d: int) -> int:
+    """Columns per work unit: as many as keep an n-row float64 block within
+    ``BLOCK_BYTES``, at least 8 and at most d. It depends on the shape only,
+    never on the worker count."""
+    fit = BLOCK_BYTES // (8 * max(n, 1))
+    return max(1, min(d, max(8, fit)))
+
+
 def _run_stage(
     S: SparseMatrix, coeffs: np.ndarray, block: np.ndarray, stage: int, col0: int
 ) -> np.ndarray:
-    """Apply one expansion to one contiguous column block."""
-    terms = legendre_terms(lambda c, q: c * spmv_multi(S, q), block, len(coeffs) - 1)
-    acc = coeffs[0] * next(terms)
-    for r, q in enumerate(terms, start=1):
-        peak = float(np.max(np.abs(q), initial=0.0))
-        logger.debug(
-            "stage=%d cols=%d+%d r=%d max_abs=%.6e", stage, col0, block.shape[1], r, peak
+    """Apply one expansion to one contiguous column block.
+
+    A term that overflows makes the sum non-finite from then on, so one
+    finite check at the end catches every divergent run; the recursion runs
+    to the end without floating-point warnings.
+    """
+
+    def step(c, q, out):
+        spmv_multi(S, q, out=out)
+        out *= c
+
+    debug = logger.isEnabledFor(logging.DEBUG)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = legendre_terms(step, block, len(coeffs) - 1)
+        acc = coeffs[0] * next(terms)
+        tmp = np.empty_like(acc)
+        for r, q in enumerate(terms, start=1):
+            if debug:
+                logger.debug(
+                    "stage=%d cols=%d+%d r=%d max_abs=%.6e",
+                    stage, col0, block.shape[1], r, np.max(np.abs(q), initial=0.0),
+                )
+            np.multiply(q, coeffs[r], out=tmp)
+            acc += tmp
+    if not np.isfinite(acc).all():
+        raise DivergenceError(
+            f"cascade stage {stage} produced non-finite values in columns "
+            f"{col0}..{col0 + block.shape[1] - 1}; the matrix likely has spectral "
+            "norm > 1 - rescale it (estimate_spectral_norm) and retry"
         )
-        if not np.isfinite(peak):
-            raise DivergenceError(
-                f"iteration r={r} produced non-finite values; the matrix likely has "
-                "spectral norm > 1 - rescale it (estimate_spectral_norm) and retry"
-            )
-        acc += coeffs[r] * q
     return acc
 
 
-def _apply_expansion(
+def _apply_cascade(
     S: SparseMatrix,
     expansion: LegendreExpansion,
-    block: np.ndarray,
+    omega: np.ndarray,
     *,
-    stage: int,
+    stages: int,
+    width: int,
     n_workers: int,
     counter: SpmvCounter,
 ) -> np.ndarray:
-    d = block.shape[1]
-    out = np.empty_like(block)
-    chunks = [(lo, min(lo + COLUMN_CHUNK, d)) for lo in range(0, d, COLUMN_CHUNK)]
+    """Apply ``expansion`` ``stages`` times to ``omega``, one column block at
+    a time: stage i+1 of a column needs only stage i of the same column."""
+    d = omega.shape[1]
+    out = np.empty_like(omega)
+    spans = [(lo, min(lo + width, d)) for lo in range(0, d, width)]
     coeffs = expansion.coeffs
 
     def run(span):
         lo, hi = span
-        piece = np.ascontiguousarray(block[:, lo:hi])
-        out[:, lo:hi] = _run_stage(S, coeffs, piece, stage, lo)
+        piece = np.ascontiguousarray(omega[:, lo:hi])
+        for stage in range(1, stages + 1):
+            piece = _run_stage(S, coeffs, piece, stage, lo)
+        out[:, lo:hi] = piece
 
-    if n_workers <= 1 or len(chunks) == 1:
-        for span in chunks:
+    if n_workers <= 1 or len(spans) == 1:
+        for span in spans:
             run(span)
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(run, chunks))
-    counter.products += expansion.order
+            list(pool.map(run, spans))
+    counter.products += stages * expansion.order
     return out
 
 
@@ -285,19 +318,20 @@ def fast_embed_cascaded(
         g = root_function(f, cfg.b)
     expansion = _resolve_expansion(g, cfg.stage_order)
     own_counter = counter if counter is not None else SpmvCounter()
-    block = omega
-    for stage in range(1, cfg.b + 1):
-        block = _apply_expansion(
-            S, expansion, block, stage=stage, n_workers=n_workers, counter=own_counter
-        )
+    width = block_width(S.n_rows, omega.shape[1])
+    values = _apply_cascade(
+        S, expansion, omega, stages=cfg.b, width=width, n_workers=n_workers,
+        counter=own_counter,
+    )
     return EmbeddingMatrix(
-        values=block,
+        values=values,
         provenance={
             "function": describe(f),
             "L": cfg.L,
             "b": cfg.b,
             "stage_order": cfg.stage_order,
             "d": omega.shape[1],
+            "block_width": width,
             "seed": cfg.seed,
             "spmv_products": own_counter.products,
             "coeffs_sha256": expansion.digest(),

@@ -28,22 +28,36 @@ def _check_domain(x: np.ndarray) -> None:
 def legendre_terms(step, q0, order: int):
     """Yield Q(0..order) of the three-term recursion started at ``q0``.
 
-    ``step(c, q)`` returns c times the operator applied to q: ``c * x * q``
-    for scalars, ``c * spmv_multi(S, q)`` for a matrix. Every evaluation of
-    the expansion, scalar or matrix, runs through this one loop.
+    ``step(c, q, out)`` writes c times the operator applied to q into
+    ``out``: ``np.multiply(x, c, out); out *= q`` for scalars (the bits of
+    ``c * x * q``), a product into ``out`` scaled by c for a matrix. Every
+    evaluation of the expansion, scalar or matrix, runs through this one loop.
+
+    ``q0`` is yielded first and never written. The later terms rotate
+    through three buffers allocated once, plus one scratch buffer for
+    (1 - 1/r) Q(r-2), so a yielded term is valid only until the next one is
+    requested; copy it to keep it.
     """
     yield q0
+    bufs = [np.empty_like(q0) for _ in range(min(order, 3))]
+    scratch = np.empty_like(q0) if order > 1 else None
     q_prev, q = None, q0
     for r in range(1, order + 1):
-        q_new = step(2.0 - 1.0 / r, q)
+        q_new = bufs[(r - 1) % 3]
+        step(2.0 - 1.0 / r, q, q_new)
         if r > 1:
-            q_new -= (1.0 - 1.0 / r) * q_prev
+            np.multiply(q_prev, 1.0 - 1.0 / r, out=scratch)
+            q_new -= scratch
         yield q_new
         q_prev, q = q, q_new
 
 
 def _scalar_terms(x: np.ndarray, order: int):
-    return legendre_terms(lambda c, q: c * x * q, np.ones_like(x), order)
+    def step(c, q, out):
+        np.multiply(x, c, out=out)
+        out *= q
+
+    return legendre_terms(step, np.ones_like(x), order)
 
 
 def legendre_table(order: int, x) -> np.ndarray:

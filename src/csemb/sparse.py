@@ -13,13 +13,16 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as _sp
+from scipy.sparse import _sparsetools
 
 GAUSSIAN_DROP_TOL = 1e-12  # kernel entries below this are not stored
 
 
 def _frozen(a: np.ndarray, dtype) -> np.ndarray:
+    """A read-only contiguous array of ``dtype`` holding ``a``'s values. An
+    array that is already read-only and owns its data is kept as it is."""
     out = np.ascontiguousarray(a, dtype=dtype)
-    if out is a:
+    if out is a and (out.flags.writeable or not out.flags.owndata):
         out = out.copy()
     out.setflags(write=False)
     return out
@@ -162,12 +165,14 @@ class SparseMatrix:
         return self._csr.toarray()
 
 
-def spmv_multi(S: SparseMatrix, X: np.ndarray) -> np.ndarray:
+def spmv_multi(S: SparseMatrix, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Multiply ``S`` with a dense block of column vectors.
 
     Each output entry is accumulated over the row's stored entries in column
     order, so results are deterministic and each output column depends only
-    on the matching input column.
+    on the matching input column. With ``out`` (a C-contiguous float64 array
+    of the result's shape, not overlapping ``X``) the product is written
+    there and ``out`` is returned, so a caller can reuse one buffer.
     """
     X = np.asarray(X, dtype=np.float64)
     squeeze = X.ndim == 1
@@ -178,8 +183,34 @@ def spmv_multi(S: SparseMatrix, X: np.ndarray) -> np.ndarray:
             f"dimension mismatch: matrix is {S.n_rows}x{S.n_cols}, block has "
             f"{X.shape[0] if X.ndim == 2 else X.shape} rows"
         )
-    Y = S._csr @ X
-    return Y[:, 0] if squeeze else Y
+    shape = (S.n_rows,) if squeeze else (S.n_rows, X.shape[1])
+    if out is None:
+        out = np.zeros(shape)
+    elif not (
+        isinstance(out, np.ndarray)
+        and out.shape == shape
+        and out.dtype == np.float64
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        raise ValueError(f"out must be a writable C-contiguous float64 array of shape {shape}")
+    elif np.may_share_memory(out, X):
+        raise ValueError("out must not overlap the input block")
+    else:
+        out.fill(0.0)
+    # scipy's compiled CSR kernels, chosen as ``S._csr @ X`` chooses them
+    # (one column takes the vector kernel); both add into the zeroed ``out``
+    csr = S._csr
+    k = X.shape[1]
+    if k == 1:
+        _sparsetools.csr_matvec(
+            S.n_rows, S.n_cols, csr.indptr, csr.indices, csr.data, X.ravel(), out.ravel()
+        )
+    elif k > 1:
+        _sparsetools.csr_matvecs(
+            S.n_rows, S.n_cols, k, csr.indptr, csr.indices, csr.data, X.ravel(), out.ravel()
+        )
+    return out
 
 
 def dilate(A: SparseMatrix) -> SparseMatrix:
@@ -276,6 +307,6 @@ def scale_values(S: SparseMatrix, factor: float) -> SparseMatrix:
     """Return ``S * factor`` (used to divide a matrix by its norm estimate)."""
     if factor == 0.0 or not np.isfinite(factor):
         raise ValueError("scale factor must be finite and nonzero")
-    return SparseMatrix(
-        S.n_rows, S.n_cols, S.row_offsets, S.col_indices, S.values * factor
-    )
+    values = S.values * factor
+    values.setflags(write=False)  # handed over, so the constructor keeps it uncopied
+    return SparseMatrix(S.n_rows, S.n_cols, S.row_offsets, S.col_indices, values)

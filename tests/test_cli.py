@@ -46,6 +46,7 @@ class TestEmbedCommand:
         assert meta["spmv_products"] == 24
         assert meta["norm_estimate"] is None  # normalized adjacency skips it
         assert meta["d"] == 12 and meta["seed"] == 42
+        assert meta["block_width"] == 12  # n = 80 runs all columns as one block
 
     def test_byte_identical_rerun(self, small_graph, tmp_path):
         out1, out2 = tmp_path / "e1.bin", tmp_path / "e2.bin"
@@ -60,6 +61,18 @@ class TestEmbedCommand:
             main(["--threads", str(w)] + _embed_argv(small_graph, out))
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_block_width_does_not_change_bytes(self, small_graph, tmp_path, monkeypatch):
+        import csemb.engine
+
+        one = tmp_path / "one.bin"
+        main(_embed_argv(small_graph, one))
+        monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", 1)  # 8-column blocks
+        split = tmp_path / "split.bin"
+        assert main(["--threads", "2"] + _embed_argv(small_graph, split)) == 0
+        meta = json.loads((tmp_path / "split.bin.meta.json").read_text())
+        assert meta["block_width"] == 8
+        assert split.read_bytes() == one.read_bytes()
 
     def test_metadata_replay(self, small_graph, tmp_path):
         out = tmp_path / "e.bin"

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import csemb.engine
 from csemb import (
     DivergenceError,
     EmbedConfig,
@@ -152,7 +154,7 @@ class TestFastEmbed:
         S = sparse_from(random_symmetric(n, rng))
         om = sample_projection(n, 40, seed=9)
         full = _embed(S, indicator_above(0.1), 15, om).values
-        # slice crossing the internal chunk boundary
+        # a column subset reproduces those columns of the full run
         part = _embed(S, indicator_above(0.1), 15, om[:, 30:37]).values
         assert np.array_equal(part, full[:, 30:37])
 
@@ -170,12 +172,54 @@ class TestFastEmbed:
     def test_divergence_detected(self):
         S = sparse_from(10.0 * np.eye(4))
         om = sample_projection(4, 2, seed=0)
-        with pytest.raises(DivergenceError):
-            _embed(S, identity(), 250, om)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError, match=r"stage 1 .*spectral norm > 1"):
+                _embed(S, identity(), 250, om)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             _embed(SparseMatrix.identity(4), identity(), 1, np.zeros((3, 2)))
+
+
+class TestColumnBlocks:
+    def test_width_from_n(self):
+        # the benchmark's shapes: embed-graph, cluster-sbm, embed-dilation, eval-desk
+        assert csemb.engine.block_width(20_000, 80) == 8
+        assert csemb.engine.block_width(8_000, 54) == 16
+        assert csemb.engine.block_width(18_750, 64) == 8
+        assert csemb.engine.block_width(1_500, 80) == 80
+        assert csemb.engine.block_width(10**7, 3) == 3
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_multi_block_bit_exact(self, monkeypatch, b):
+        rng = np.random.default_rng(19)
+        n, d = 90, 29
+        S = sparse_from(random_symmetric(n, rng))
+        om = sample_projection(n, d, seed=19)
+        cfg = EmbedConfig(L=16, d=d, b=b, seed=19)
+        f = indicator_above(0.2)
+        single = fast_embed_cascaded(S, f, cfg, om)
+        assert single.provenance["block_width"] == d
+        # 8 columns per block: blocks of 8, 8, 8 and a ragged 5
+        monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", 8 * n * 8)
+        for w in (1, 2, 4):
+            emb = fast_embed_cascaded(S, f, cfg, om, n_workers=w)
+            assert emb.provenance["block_width"] == 8
+            assert emb.provenance["spmv_products"] == 16
+            assert np.array_equal(emb.values, single.values)
+
+    def test_single_column_blocks(self, monkeypatch):
+        # d below the 8-column floor, and a last block of one column
+        rng = np.random.default_rng(20)
+        n = 40
+        S = sparse_from(random_symmetric(n, rng))
+        om = sample_projection(n, 9, seed=20)
+        f = indicator_above(0.0)
+        single = _embed(S, f, 10, om).values
+        monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", 1)
+        assert np.array_equal(_embed(S, f, 10, om, n_workers=2).values, single)
+        assert np.array_equal(_embed(S, f, 10, om[:, :1]).values, single[:, :1])
 
 
 class TestCascade:

@@ -8,6 +8,7 @@ from csemb import (
     kernel_matrix,
     normalized_adjacency,
     rescale_spectrum,
+    scale_values,
     spmv_multi,
 )
 from helpers import random_symmetric
@@ -77,6 +78,41 @@ class TestSpmv:
         lhs = spmv_multi(S, a * X + b * Y)
         rhs = a * spmv_multi(S, X) + b * spmv_multi(S, Y)
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(rhs), 1.0)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_out_buffer_same_bits(self, k):
+        rng = np.random.default_rng(4)
+        S = SparseMatrix.from_dense(random_symmetric(40, rng, density=0.2))
+        X = rng.standard_normal((40, k))
+        out = np.full((40, k), np.nan)  # stale contents must not leak through
+        assert spmv_multi(S, X, out=out) is out
+        assert np.array_equal(out, S._csr @ X)
+        vec = np.full(40, np.nan)
+        assert np.array_equal(spmv_multi(S, X[:, 0], out=vec), S._csr @ X[:, 0])
+
+    def test_out_buffer_rejected(self):
+        S = SparseMatrix.identity(3)
+        X = np.ones((3, 2))
+        for bad in (np.empty((3, 3)), np.empty((3, 2), dtype=np.float32),
+                    np.empty((2, 3)).T, X):
+            with pytest.raises(ValueError):
+                spmv_multi(S, X, out=bad)
+
+
+class TestScaleValues:
+    def test_values_scaled_and_pattern_shared(self):
+        S = SparseMatrix.from_dense(np.array([[0.0, 2.0], [2.0, -4.0]]))
+        T = scale_values(S, 0.5)
+        assert np.array_equal(T.to_dense(), [[0.0, 1.0], [1.0, -2.0]])
+        # the pattern arrays are frozen and owned, so they are not copied
+        assert np.shares_memory(T.col_indices, S.col_indices)
+        assert np.shares_memory(T.row_offsets, S.row_offsets)
+        assert not T.values.flags.writeable
+
+    def test_writable_input_is_copied(self):
+        cols = np.array([1, 0])
+        S = SparseMatrix(2, 2, np.array([0, 1, 2]), cols, np.array([1.0, 1.0]))
+        assert not np.shares_memory(S.col_indices, cols)
 
 
 class TestDilate:
