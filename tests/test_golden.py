@@ -101,8 +101,11 @@ CASES = {
         _write_graph, "graph.txt",
         ["cluster", "--input", "graph.txt", "--function", "indicator:0.3", "--L", "16",
          "--b", "2", "--d", "10", "--seed", "5", "--k", "4", "--runs", "3",
-         "--labels-out", "labels.csv"],
-        {"labels.csv": "9063065d76ab60bbfb83546fce0ebfdc8a706557297de2f2cf2be6f70235981d"},
+         "--labels-out", "labels.csv", "--summary-out", "summary.json"],
+        {
+            "labels.csv": "9063065d76ab60bbfb83546fce0ebfdc8a706557297de2f2cf2be6f70235981d",
+            "summary.json": "a3d5cc51f4e3379dc74390a8819900ca37d8ccb9aa81eba1fda65d3ddd009a58",
+        },
     ),
 }
 
