@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import EmbedConfig, EmbeddingMatrix, fast_embed_cascaded, fold_seed
-from .sparse import normalized_adjacency, simple_edges
+from .sparse import SparseMatrix, normalized_adjacency, simple_edges, spmv_multi
 
 _KMEANS_SEED_TAG = 0x6B6D6531  # distinct stream from projection sampling
 
@@ -31,20 +31,26 @@ class ModularityScore:
             raise ValueError(f"modularity {self.Q} outside [-0.5, 1]")
 
 
-def _sq_distances(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(X * X, axis=1)[:, None]
-        + np.sum(C * C, axis=1)[None, :]
-        - 2.0 * (X @ C.T)
-    )
-    return np.maximum(d2, 0.0)
+def sq_distances(X: np.ndarray, C: np.ndarray, x_sq: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances between the rows of X and of C, as
+    max(|x|^2 + |c|^2 - 2 x.c, 0). ``x_sq`` holds the precomputed
+    ``sum(X * X, axis=1)`` when X is reused against many C."""
+    if x_sq is None:
+        x_sq = np.sum(X * X, axis=1)
+    d2 = x_sq[:, None] + np.sum(C * C, axis=1)[None, :]
+    g = X @ C.T
+    g *= 2.0
+    d2 -= g
+    return np.maximum(d2, 0.0, out=d2)
 
 
-def _plus_plus_init(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
+def _plus_plus_init(
+    X: np.ndarray, x_sq: np.ndarray, K: int, rng: np.random.Generator
+) -> np.ndarray:
     n = X.shape[0]
     centroids = np.empty((K, X.shape[1]))
     centroids[0] = X[rng.integers(n)]
-    closest = _sq_distances(X, centroids[:1])[:, 0]
+    closest = sq_distances(X, centroids[:1], x_sq)[:, 0]
     for k in range(1, K):
         total = closest.sum()
         if total <= 0.0:
@@ -52,8 +58,18 @@ def _plus_plus_init(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarr
         else:
             pick = int(rng.choice(n, p=closest / total))
         centroids[k] = X[pick]
-        closest = np.minimum(closest, _sq_distances(X, centroids[k : k + 1])[:, 0])
+        np.minimum(closest, sq_distances(X, centroids[k : k + 1], x_sq)[:, 0], out=closest)
     return centroids
+
+
+def _centroid_sums(rows: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-cluster row sums through the sparse product kernel: a K x n one-hot
+    matrix whose rows list each cluster's members in increasing row order, so
+    every sum accumulates from 0.0 in row order, the bits of ``np.add.at``."""
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    order = np.argsort(labels, kind="stable")
+    members = SparseMatrix(len(counts), len(labels), offsets, order, np.ones(len(labels)))
+    return spmv_multi(members, rows)
 
 
 def kmeans(X, K: int, max_iters: int = 100, seed: int = 0) -> ClusterAssignment:
@@ -67,11 +83,12 @@ def kmeans(X, K: int, max_iters: int = 100, seed: int = 0) -> ClusterAssignment:
     if not 1 <= K <= n:
         raise ValueError(f"K={K} must lie in [1, n_rows={n}]")
     rng = np.random.default_rng(seed)
-    centroids = _plus_plus_init(rows, K, rng)
+    x_sq = np.sum(rows * rows, axis=1)
+    centroids = _plus_plus_init(rows, x_sq, K, rng)
     labels = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
     for it in range(1, max_iters + 1):
-        d2 = _sq_distances(rows, centroids)
+        d2 = sq_distances(rows, centroids, x_sq)
         new_labels = np.argmin(d2, axis=1).astype(np.int64)
         mindist = d2[np.arange(n), new_labels]
         inertia = float(mindist.sum())
@@ -95,9 +112,7 @@ def kmeans(X, K: int, max_iters: int = 100, seed: int = 0) -> ClusterAssignment:
         labels = new_labels
         if converged:
             break
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, labels, rows)
-        centroids = sums / np.bincount(labels, minlength=K)[:, None]
+        centroids = _centroid_sums(rows, labels, counts) / counts[:, None]
     return ClusterAssignment(
         labels=labels,
         K=K,

@@ -102,7 +102,7 @@ def sample_projection(n: int, d: int, seed: int) -> np.ndarray:
     scale = 1.0 / math.sqrt(d)
     out = np.empty((n, d))
     cols = np.arange(d, dtype=np.uint64)
-    step = max(1, (1 << 22) // max(d, 1))
+    step = max(1, BLOCK_BYTES // (8 * d))  # rows per chunk of hash temporaries
     with np.errstate(over="ignore"):
         for lo in range(0, n, step):
             hi = min(lo + step, n)
@@ -173,7 +173,9 @@ def estimate_spectral_norm(S: SparseMatrix, cfg: EmbedConfig) -> float:
     Runs ``NORM_ITERS`` iterations on ceil(NORM_VECTORS_FACTOR * ln n) random
     unit vectors, takes the largest Rayleigh-quotient magnitude seen, and
     scales it by ``NORM_SAFETY``. The Rayleigh quotient never exceeds ||S||,
-    so the estimate never exceeds NORM_SAFETY * ||S||.
+    so the estimate never exceeds NORM_SAFETY * ||S||. The vectors run in
+    column blocks of :func:`block_width`, each in two reused buffers; columns
+    never mix, so the estimate does not depend on the blocks.
     """
     if S.n_rows != S.n_cols:
         raise ValueError("spectral norm estimation requires a square matrix")
@@ -182,18 +184,29 @@ def estimate_spectral_norm(S: SparseMatrix, cfg: EmbedConfig) -> float:
     n = S.n_rows
     k = max(1, math.ceil(NORM_VECTORS_FACTOR * math.log(max(n, 2))))
     rng = np.random.default_rng(fold_seed(cfg.seed, _NORM_SEED_TAG))
-    V = rng.standard_normal((n, k))
-    V /= np.linalg.norm(V, axis=0)
+    start = rng.standard_normal((n, k))
+    start /= np.linalg.norm(start, axis=0)
+    # A one-column block would reduce its contiguous column pairwise and round
+    # differently from the wider blocks, so a one-column tail joins the block
+    # before it.
+    width = block_width(n, k)
+    bounds = list(range(0, k, width)) + [k]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
     best = 0.0
-    for _ in range(NORM_ITERS):
-        W = spmv_multi(S, V)
-        rayleigh = np.einsum("ij,ij->j", V, W)
-        best = max(best, float(np.max(np.abs(rayleigh))))
-        norms = np.linalg.norm(W, axis=0)
-        alive = norms > 0.0
-        if not np.any(alive):
-            break
-        V = W[:, alive] / norms[alive]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        V = np.ascontiguousarray(start[:, lo:hi])
+        W = np.empty_like(V)
+        for _ in range(NORM_ITERS):
+            spmv_multi(S, V, out=W)
+            rayleigh = np.einsum("ij,ij->j", V, W)
+            best = max(best, float(np.max(np.abs(rayleigh))))
+            norms = np.linalg.norm(W, axis=0)
+            alive = norms > 0.0
+            if not np.any(alive):
+                break
+            norms[~alive] = np.inf  # a vanished column stays zero
+            np.divide(W, norms, out=V)
     return best * NORM_SAFETY
 
 

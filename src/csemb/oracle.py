@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .cluster import sq_distances
 from .engine import EmbedConfig, EmbeddingMatrix, fast_embed_cascaded, fold_seed
 from .errors import OracleCapError, OracleError
 from .legendre import expansion_eval, legendre_coefficients
@@ -220,10 +221,7 @@ def distance_bound_audit(
 
 
 def _pairwise_distances(rows: np.ndarray) -> np.ndarray:
-    sq = np.sum(rows * rows, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (rows @ rows.T)
-    iu = np.triu_indices(rows.shape[0], k=1)
-    return np.sqrt(np.maximum(d2[iu], 0.0))
+    return np.sqrt(sq_distances(rows, rows)[np.triu_indices(rows.shape[0], k=1)])
 
 
 # -- report serialization ----------------------------------------------------

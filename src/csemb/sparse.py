@@ -16,6 +16,7 @@ import scipy.sparse as _sp
 from scipy.sparse import _sparsetools
 
 GAUSSIAN_DROP_TOL = 1e-12  # kernel entries below this are not stored
+MAX_PAIR_ENDPOINT = 3_037_000_498  # largest vertex id whose pair codes fit in int64
 
 
 def _frozen(a: np.ndarray, dtype) -> np.ndarray:
@@ -247,14 +248,26 @@ def normalized_adjacency(edges, n: int) -> SparseMatrix:
 
 
 def simple_edges(edges) -> np.ndarray:
-    """Canonicalize an edge list: drop self-loops, collapse duplicates."""
+    """Canonicalize an edge list: drop self-loops, collapse duplicates.
+
+    Returns the distinct pairs (min, max) in lexicographic order. Each pair
+    is sorted as the one code ``lo * n + hi`` (n = largest endpoint + 1),
+    which needs n^2 < 2^63, so endpoints must lie in [0, MAX_PAIR_ENDPOINT].
+    """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     u, v = edges[:, 0], edges[:, 1]
     keep = u != v
     u, v = u[keep], v[keep]
     if len(u) == 0:
         return np.empty((0, 2), dtype=np.int64)
-    return np.unique(np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1), axis=0)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    if lo.min() < 0 or hi.max() > MAX_PAIR_ENDPOINT:
+        raise ValueError(f"edge endpoints must lie in [0, {MAX_PAIR_ENDPOINT}]")
+    n = int(hi.max()) + 1
+    codes = lo * n + hi
+    codes.sort()
+    codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+    return np.stack([codes // n, codes % n], axis=1)
 
 
 def kernel_matrix(points, spec: KernelSpec) -> SparseMatrix:

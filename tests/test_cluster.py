@@ -59,6 +59,75 @@ class TestKmeans:
         assert km.labels.min() >= 0 and km.labels.max() < 20
 
 
+def _reference_kmeans(X, K, seed, max_iters=100):
+    """k-means as first written: full distance formula on every call and
+    centroid sums by np.add.at. Returns (labels, inertia history, reseeds)."""
+
+    def sq(X, C):
+        d2 = np.sum(X * X, axis=1)[:, None] + np.sum(C * C, axis=1)[None, :] - 2.0 * (X @ C.T)
+        return np.maximum(d2, 0.0)
+
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((K, X.shape[1]))
+    centroids[0] = X[rng.integers(n)]
+    closest = sq(X, centroids[:1])[:, 0]
+    for k in range(1, K):
+        total = closest.sum()
+        pick = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=closest / total))
+        centroids[k] = X[pick]
+        closest = np.minimum(closest, sq(X, centroids[k : k + 1])[:, 0])
+    labels = np.full(n, -1, dtype=np.int64)
+    history, reseeds = [], 0
+    for _ in range(max_iters):
+        d2 = sq(X, centroids)
+        new = np.argmin(d2, axis=1).astype(np.int64)
+        mindist = d2[np.arange(n), new]
+        history.append(float(mindist.sum()))
+        empties = np.flatnonzero(np.bincount(new, minlength=K) == 0)
+        if len(empties):
+            avail = mindist.copy()
+            for c in empties:
+                far = int(np.argmax(avail))
+                centroids[c] = X[far]
+                new[far] = c
+                avail[far] = -1.0
+            labels, reseeds = new, reseeds + len(empties)
+            continue
+        converged = np.array_equal(new, labels)
+        labels = new
+        if converged:
+            break
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, labels, X)
+        centroids = sums / np.bincount(labels, minlength=K)[:, None]
+    return labels, history, reseeds
+
+
+class TestKmeansBits:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(50, 600)), int(rng.integers(1, 20))
+        X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d)
+        K = int(rng.integers(1, 30))
+        labels, history, _ = _reference_kmeans(X, K, seed)
+        km = kmeans(X, K, seed=seed)
+        assert np.array_equal(km.labels, labels)
+        assert km.inertia_history == tuple(history)
+
+    def test_matches_reference_through_reseeds(self):
+        # four distinct points, each 10 times, and K = 6: seeding runs out of
+        # distinct points, so Lloyd starts with duplicate centroids and empties
+        rng = np.random.default_rng(11)
+        X = np.repeat(rng.standard_normal((4, 3)), 10, axis=0)[rng.permutation(40)]
+        labels, history, reseeds = _reference_kmeans(X, 6, 3)
+        assert reseeds > 0
+        km = kmeans(X, 6, seed=3)
+        assert np.array_equal(km.labels, labels)
+        assert km.inertia_history == tuple(history)
+
+
 class TestModularity:
     def test_single_cluster_zero(self):
         score = modularity([(0, 1), (1, 2)], np.zeros(3, dtype=int))

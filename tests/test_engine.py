@@ -65,6 +65,13 @@ class TestSampleProjection:
         )
         assert np.array_equal(om, expected)
 
+    def test_chunked_rows_bit_exact(self, monkeypatch):
+        n, d = 50, 7
+        whole = sample_projection(n, d, seed=5)
+        # 6 rows per chunk: eight chunks of 6 and a ragged last one of 2
+        monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", 8 * d * 6)
+        assert np.array_equal(sample_projection(n, d, seed=5), whole)
+
     def test_mean_concentration(self):
         n, d = 100_000, 64
         om = sample_projection(n, d, seed=0)
@@ -95,6 +102,24 @@ class TestNormEstimate:
         dense = random_symmetric(60, rng, spectral_norm=None)
         est = estimate_spectral_norm(sparse_from(dense), EmbedConfig(L=1, d=1, seed=seed))
         assert est <= 1.01 * np.linalg.norm(dense, 2) + 1e-12
+
+    @pytest.mark.parametrize("width", [8, 9, 10, 15, 16, 30])
+    def test_column_blocks_bit_exact(self, monkeypatch, width):
+        # n = 150 gives k = 31 vectors. Widths 10, 15 and 30 would leave a
+        # one-column tail; on this input (seed 10) such a tail changes the
+        # estimate, because the largest Rayleigh quotient lies in the last
+        # column.
+        rng = np.random.default_rng(10)
+        n = 150
+        edges = rng.integers(0, n, size=(900, 2))
+        A = SparseMatrix.from_coo(edges[:, 0], edges[:, 1], rng.standard_normal(900), n, n)
+        S = SparseMatrix.from_scipy(A._csr + A._csr.T)
+        cfg = EmbedConfig(L=1, d=1, seed=10)
+        assert csemb.engine.block_width(n, 31) == 31
+        single = estimate_spectral_norm(S, cfg)
+        monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", 8 * n * width)
+        assert csemb.engine.block_width(n, 31) == width
+        assert estimate_spectral_norm(S, cfg) == single
 
 
 def _embed(S, f, L, om, **kw):

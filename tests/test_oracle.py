@@ -14,7 +14,12 @@ from csemb import (
     normalized_correlation,
     sample_pairs,
 )
-from csemb.oracle import write_calibration_csv, write_percentiles_csv, write_report_json
+from csemb.oracle import (
+    _pairwise_distances,
+    write_calibration_csv,
+    write_percentiles_csv,
+    write_report_json,
+)
 from helpers import dense_weighted, pairwise_distances, random_symmetric
 
 
@@ -161,6 +166,15 @@ class TestDistanceBoundAudit:
         cfg = EmbedConfig(L=3, d=1500, seed=0, epsilon=0.4)
         rate = distance_bound_audit(S, lambda x: 0.2 + 0.5 * x**3, cfg, trials=5)
         assert rate <= 40 ** -1.0
+
+    def test_distances_match_formula(self):
+        rng = np.random.default_rng(9)
+        rows = rng.standard_normal((70, 6))
+        rows[10:20] = rows[3]  # coincident rows, whose formula value can dip below 0
+        sq = np.sum(rows * rows, axis=1)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (rows @ rows.T)
+        expected = np.sqrt(np.maximum(d2[np.triu_indices(70, k=1)], 0.0))
+        assert np.array_equal(_pairwise_distances(rows), expected)
 
     def test_tiny_projection_violates(self):
         rng = np.random.default_rng(7)

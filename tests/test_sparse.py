@@ -11,6 +11,7 @@ from csemb import (
     scale_values,
     spmv_multi,
 )
+from csemb.sparse import MAX_PAIR_ENDPOINT, simple_edges
 from helpers import random_symmetric
 
 
@@ -181,6 +182,46 @@ class TestNormalizedAdjacency:
         edges = rng.integers(0, n, size=(120, 2))
         m = normalized_adjacency(edges, n).to_dense()
         assert np.abs(np.linalg.eigvalsh(m)).max() <= 1.0 + 1e-9
+
+
+class TestSimpleEdges:
+    @staticmethod
+    def _reference(edges):
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        e = e[e[:, 0] != e[:, 1]]
+        if len(e) == 0:
+            return np.empty((0, 2), dtype=np.int64)
+        return np.unique(np.sort(e, axis=1), axis=0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_row_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        edges = rng.integers(0, n, size=(int(rng.integers(1, 400)), 2))
+        # every edge again, reversed, and some self-loops
+        loops = np.repeat(rng.integers(0, n, size=(5, 1)), 2, axis=1)
+        edges = np.concatenate([edges, edges[:, ::-1], loops])
+        edges = edges[rng.permutation(len(edges))]
+        got = simple_edges(edges)
+        assert got.dtype == np.int64 and got.shape[1] == 2
+        assert np.array_equal(got, self._reference(edges))
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[(3, 1)], [(1, 3), (3, 1), (1, 3)], [(2, 2)], [(0, 0), (4, 4)], np.empty((0, 2))],
+    )
+    def test_small_cases(self, edges):
+        assert np.array_equal(simple_edges(edges), self._reference(edges))
+
+    def test_endpoint_range(self):
+        top = MAX_PAIR_ENDPOINT
+        assert top == 3_037_000_498  # (top + 1)^2 < 2^63 <= (top + 2)^2
+        assert np.array_equal(simple_edges([(top, 0), (top - 1, top)]),
+                              [[0, top], [top - 1, top]])
+        with pytest.raises(ValueError, match="endpoints"):
+            simple_edges([(0, top + 1)])
+        with pytest.raises(ValueError, match="endpoints"):
+            simple_edges([(-1, 2)])
 
 
 class TestKernelMatrix:
