@@ -18,13 +18,11 @@ from .cluster import (
 from .engine import (
     EmbedConfig,
     EmbeddingMatrix,
-    SpmvCounter,
     default_dimension,
     estimate_spectral_norm,
     fast_embed_cascaded,
     fast_embed_general,
     fold_seed,
-    jl_dimension,
     sample_projection,
 )
 from .errors import (
@@ -42,18 +40,15 @@ from .functions import (
     indicator_above,
     odd_extension,
     parse_function,
-    remapped,
     root_function,
     tabulated,
 )
 from .legendre import (
     ApproximationReport,
     LegendreExpansion,
-    QuadratureSpec,
     approximation_report,
     expansion_eval,
     legendre_coefficients,
-    legendre_eval,
     legendre_table,
 )
 from .oracle import (
@@ -67,13 +62,11 @@ from .oracle import (
     sample_pairs,
 )
 from .sparse import (
-    AffineMap,
     KernelSpec,
     SparseMatrix,
     dilate,
     kernel_matrix,
     normalized_adjacency,
-    rescale_spectrum,
     scale_values,
     spmv_multi,
 )
@@ -81,7 +74,6 @@ from .sparse import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap",
     "ApproximationReport",
     "ClusterAssignment",
     "ClusterExperiment",
@@ -98,10 +90,8 @@ __all__ = [
     "ORACLE_CAP",
     "OracleCapError",
     "OracleError",
-    "QuadratureSpec",
     "SparseMatrix",
     "SpectralFunction",
-    "SpmvCounter",
     "approximation_report",
     "cluster_experiment",
     "commute_time",
@@ -118,19 +108,15 @@ __all__ = [
     "fold_seed",
     "identity",
     "indicator_above",
-    "jl_dimension",
     "kernel_matrix",
     "kmeans",
     "legendre_coefficients",
-    "legendre_eval",
     "legendre_table",
     "modularity",
     "normalized_adjacency",
     "normalized_correlation",
     "odd_extension",
     "parse_function",
-    "remapped",
-    "rescale_spectrum",
     "root_function",
     "sample_pairs",
     "sample_projection",

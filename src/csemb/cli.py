@@ -13,8 +13,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import io as cio
 from .cluster import cluster_experiment
 from .engine import (
@@ -22,7 +20,6 @@ from .engine import (
     NORM_SAFETY,
     NORM_VECTORS_FACTOR,
     EmbedConfig,
-    SpmvCounter,
     default_dimension,
     estimate_spectral_norm,
     fast_embed_cascaded,
@@ -143,6 +140,11 @@ def _load_matrix(args, parser):
         mat = cio.read_matrix_market(args.input)
         if args.matrix == "normalized-adjacency":
             parser.error("--matrix normalized-adjacency requires --format edgelist")
+        if args.matrix == "raw" and mat.n_rows != mat.n_cols:
+            parser.error(
+                "--matrix raw requires a square matrix; embed and norm take a "
+                "rectangular one with --matrix dilation"
+            )
         return mat, args.matrix, {}
     pts = cio.read_points_csv(args.input)
     if args.matrix == "normalized-adjacency":
@@ -151,35 +153,29 @@ def _load_matrix(args, parser):
     return mat, args.matrix, {}
 
 
-def _make_config(args, n: int, parser) -> EmbedConfig:
+def _make_config(args, n: int) -> EmbedConfig:
     d = args.d if args.d is not None else default_dimension(n)
-    try:
-        return EmbedConfig(L=args.L, d=d, b=args.b, seed=args.seed)
-    except ValueError as exc:
-        parser.error(str(exc))
+    return EmbedConfig(L=args.L, d=d, b=args.b, seed=args.seed)
 
 
 def cmd_embed(args, parser) -> int:
     mat, kind, _ = _load_matrix(args, parser)
     t0 = time.perf_counter()
-    counter = SpmvCounter()
     norm_estimate = None
     f = args.function
 
     if kind == "dilation":
         S = dilate(mat)
         f = odd_extension(f)
-    elif mat.n_rows != mat.n_cols:
-        parser.error("--matrix raw requires a square matrix; use --matrix dilation")
     else:
         S = mat
-    cfg = _make_config(args, S.n_rows, parser)
+    cfg = _make_config(args, S.n_rows)
     if kind != "normalized-adjacency":
         norm_estimate = estimate_spectral_norm(S, cfg)
         if norm_estimate > 0:
             S = scale_values(S, 1.0 / norm_estimate)
     omega = sample_projection(S.n_rows, cfg.d, cfg.seed)
-    emb = fast_embed_cascaded(S, f, cfg, omega, n_workers=args.threads, counter=counter)
+    emb = fast_embed_cascaded(S, f, cfg, omega, n_workers=args.threads)
     if kind == "dilation":
         emb, cols_emb = split_dilation(emb, mat.n_cols)
         if args.output_cols:
@@ -204,7 +200,7 @@ def cmd_embed(args, parser) -> int:
         "block_width": emb.provenance["block_width"],
         "seed": cfg.seed,
         "norm_estimate": norm_estimate,
-        "spmv_products": counter.products,
+        "spmv_products": emb.provenance["spmv_products"],
         "coeffs_sha256": emb.provenance.get("coeffs_sha256"),
         "n_rows": emb.n_rows,
         "wall_time_s": time.perf_counter() - t0,
@@ -246,13 +242,10 @@ def cmd_cluster(args, parser) -> int:
     n = args.n if args.n is not None else inferred
     if n < 1:
         raise InputFormatError(f"empty graph in {args.input}")
-    cfg = _make_config(args, n, parser)
-    try:
-        result = cluster_experiment(
-            edges, n, args.function, cfg, K=args.k, runs=args.runs, n_workers=args.threads
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    cfg = _make_config(args, n)
+    result = cluster_experiment(
+        edges, n, args.function, cfg, K=args.k, runs=args.runs, n_workers=args.threads
+    )
     if args.labels_out:
         cio.write_labels_csv(args.labels_out, result.median_labels)
     summary = {
@@ -312,6 +305,8 @@ def main(argv=None) -> int:
     )
     try:
         return _HANDLERS[args.command](args, parser)
+    except ValueError as exc:
+        parser.error(str(exc))
     except (InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

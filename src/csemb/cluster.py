@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,6 +10,7 @@ from .engine import EmbedConfig, EmbeddingMatrix, fast_embed_cascaded, fold_seed
 from .sparse import SparseMatrix, normalized_adjacency, simple_edges, spmv_multi
 
 _KMEANS_SEED_TAG = 0x6B6D6531  # distinct stream from projection sampling
+KMEANS_MAX_ITERS = 100
 
 
 @dataclass
@@ -24,7 +25,6 @@ class ClusterAssignment:
 @dataclass
 class ModularityScore:
     Q: float
-    m_edges: int
 
     def __post_init__(self):
         if not -0.5 - 1e-9 <= self.Q <= 1.0 + 1e-9:
@@ -72,8 +72,9 @@ def _centroid_sums(rows: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> 
     return spmv_multi(members, rows)
 
 
-def kmeans(X, K: int, max_iters: int = 100, seed: int = 0) -> ClusterAssignment:
-    """Lloyd iterations with distance-weighted seeding, deterministic per seed.
+def kmeans(X, K: int, seed: int = 0) -> ClusterAssignment:
+    """At most ``KMEANS_MAX_ITERS`` Lloyd iterations with distance-weighted
+    seeding, deterministic per seed.
 
     Empty clusters are re-seeded at the point currently farthest from its
     centroid, which keeps the inertia sequence non-increasing.
@@ -87,7 +88,7 @@ def kmeans(X, K: int, max_iters: int = 100, seed: int = 0) -> ClusterAssignment:
     centroids = _plus_plus_init(rows, x_sq, K, rng)
     labels = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
-    for it in range(1, max_iters + 1):
+    for _ in range(KMEANS_MAX_ITERS):
         d2 = sq_distances(rows, centroids, x_sq)
         new_labels = np.argmin(d2, axis=1).astype(np.int64)
         mindist = d2[np.arange(n), new_labels]
@@ -127,8 +128,12 @@ def modularity(edges, labels) -> ModularityScore:
     undirected simple graph under a vertex labeling."""
     if isinstance(labels, ClusterAssignment):
         labels = labels.labels
-    labels = np.asarray(labels, dtype=np.int64)
-    und = simple_edges(edges)
+    return _score(simple_edges(edges), np.asarray(labels, dtype=np.int64))
+
+
+def _score(und: np.ndarray, labels: np.ndarray) -> ModularityScore:
+    """Modularity of the canonical pairs ``und`` (from :func:`simple_edges`)
+    under int64 ``labels``."""
     m = len(und)
     if m == 0:
         raise ValueError("modularity needs at least one edge")
@@ -140,7 +145,7 @@ def modularity(edges, labels) -> ModularityScore:
     deg = np.bincount(und.ravel(), minlength=len(labels))
     degsum = np.bincount(labels, weights=deg, minlength=k)
     q = float(np.sum(intra / m - (degsum / (2.0 * m)) ** 2))
-    return ModularityScore(Q=q, m_edges=m)
+    return ModularityScore(Q=q)
 
 
 @dataclass
@@ -148,7 +153,6 @@ class ClusterExperiment:
     median_modularity: float
     run_scores: tuple[float, ...]
     median_labels: np.ndarray
-    embedding: EmbeddingMatrix = field(repr=False, default=None)
 
 
 def cluster_experiment(
@@ -164,17 +168,19 @@ def cluster_experiment(
     ``runs`` seeded K-means restarts by modularity and report the median.
 
     The normalized adjacency already has spectrum in [-1, 1], so no norm
-    estimation happens here.
+    estimation happens here. The edges are canonicalized once and every
+    restart is scored on the same pairs.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     adj = normalized_adjacency(edges, n)
     emb = fast_embed_cascaded(adj, f, cfg, n_workers=n_workers)
+    und = simple_edges(edges)
     scores = []
     assignments = []
     for run in range(runs):
         km = kmeans(emb.values, K, seed=fold_seed(cfg.seed, _KMEANS_SEED_TAG + run))
-        scores.append(modularity(edges, km).Q)
+        scores.append(_score(und, km.labels).Q)
         assignments.append(km)
     order = np.argsort(scores, kind="stable")
     median_idx = int(order[(runs - 1) // 2]) if runs % 2 else int(order[runs // 2 - 1])
@@ -182,5 +188,4 @@ def cluster_experiment(
         median_modularity=float(np.median(scores)),
         run_scores=tuple(scores),
         median_labels=assignments[median_idx].labels,
-        embedding=emb,
     )

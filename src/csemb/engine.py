@@ -63,21 +63,11 @@ def fold_seed(seed: int, index: int) -> int:
     return int(h)
 
 
-def jl_dimension(n: int, epsilon: float, beta: float) -> int:
-    """Smallest d strictly above (4 + 2 beta) ln(n) / (eps^2/2 - eps^3/3)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if not beta > 0.0:
-        raise ValueError("beta must be positive")
-    bound = (4.0 + 2.0 * beta) * math.log(n) / (epsilon**2 / 2.0 - epsilon**3 / 3.0)
-    return math.floor(bound) + 1
-
-
 def default_dimension(n: int) -> int:
     """The practical operating point ceil(6 ln n), well below the worst-case
-    bound of :func:`jl_dimension`.
+    Johnson-Lindenstrauss bound, the smallest d strictly above
+    (4 + 2 beta) ln(n) / (eps^2/2 - eps^3/3) (913 at n = 317,080, eps = 0.5,
+    beta = 1).
 
     Per-pair correlation noise is about 1/sqrt(d) whatever n is, so the
     paper's figure of 90% of correlation deviations within +-0.2 needs
@@ -144,18 +134,10 @@ class EmbedConfig:
 
 
 @dataclass
-class SpmvCounter:
-    """Counts logical multi-vector products (one per recursion step)."""
-
-    products: int = 0
-
-
-@dataclass
 class EmbeddingMatrix:
     """Dense embedding rows plus the provenance needed to reproduce them."""
 
     values: np.ndarray
-    row_labels: np.ndarray | None = None
     provenance: dict = field(default_factory=dict)
 
     @property
@@ -230,15 +212,19 @@ def block_width(n: int, d: int) -> int:
 
 def _run_stage(
     S: SparseMatrix, coeffs: np.ndarray, block: np.ndarray, stage: int, col0: int
-) -> np.ndarray:
-    """Apply one expansion to one contiguous column block.
+) -> tuple[np.ndarray, int]:
+    """Apply one expansion to one contiguous column block; returns the result
+    and the number of products the recursion made.
 
     A term that overflows makes the sum non-finite from then on, so one
     finite check at the end catches every divergent run; the recursion runs
     to the end without floating-point warnings.
     """
+    products = 0
 
     def step(c, q, out):
+        nonlocal products
+        products += 1
         spmv_multi(S, q, out=out)
         out *= c
 
@@ -261,7 +247,7 @@ def _run_stage(
             f"{col0}..{col0 + block.shape[1] - 1}; the matrix likely has spectral "
             "norm > 1 - rescale it (estimate_spectral_norm) and retry"
         )
-    return acc
+    return acc, products
 
 
 def _apply_cascade(
@@ -272,10 +258,14 @@ def _apply_cascade(
     stages: int,
     width: int,
     n_workers: int,
-    counter: SpmvCounter,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """Apply ``expansion`` ``stages`` times to ``omega``, one column block at
-    a time: stage i+1 of a column needs only stage i of the same column."""
+    a time: stage i+1 of a column needs only stage i of the same column.
+
+    Returns the result and the products each block made. Every block must
+    make exactly ``stages * expansion.order`` of them (the paper's L), or
+    ``RuntimeError`` is raised.
+    """
     d = omega.shape[1]
     out = np.empty_like(omega)
     spans = [(lo, min(lo + width, d)) for lo in range(0, d, width)]
@@ -284,18 +274,24 @@ def _apply_cascade(
     def run(span):
         lo, hi = span
         piece = np.ascontiguousarray(omega[:, lo:hi])
+        products = 0
         for stage in range(1, stages + 1):
-            piece = _run_stage(S, coeffs, piece, stage, lo)
+            piece, made = _run_stage(S, coeffs, piece, stage, lo)
+            products += made
         out[:, lo:hi] = piece
+        return products
 
     if n_workers <= 1 or len(spans) == 1:
-        for span in spans:
-            run(span)
+        counts = [run(span) for span in spans]
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(run, spans))
-    counter.products += stages * expansion.order
-    return out
+            counts = list(pool.map(run, spans))
+    expected = stages * expansion.order
+    if any(c != expected for c in counts):
+        raise RuntimeError(
+            f"column blocks made {counts} products; each must make exactly {expected}"
+        )
+    return out, max(counts, default=0)
 
 
 def fast_embed_cascaded(
@@ -305,7 +301,6 @@ def fast_embed_cascaded(
     omega: np.ndarray | None = None,
     *,
     n_workers: int = 1,
-    counter: SpmvCounter | None = None,
 ) -> EmbeddingMatrix:
     """Embed the rows of a symmetric S (||S|| <= 1) as f_L(S) @ omega, by b
     cascade stages of order L/b applied to the b-th root of f.
@@ -314,7 +309,9 @@ def fast_embed_cascaded(
     b = 1) a precomputed :class:`LegendreExpansion` of order L. ``omega``
     defaults to :func:`sample_projection` of ``cfg.d`` columns. Stage i's
     output block is stage i+1's input block; exactly L/b multi-vector
-    products are performed per stage, L in total.
+    products are performed per stage, L in total. Each column block counts
+    its own products and the run fails unless every block made L;
+    ``provenance["spmv_products"]`` is that count.
     """
     if S.n_rows != S.n_cols:
         raise ValueError("fast_embed_cascaded requires a square (symmetric) matrix")
@@ -330,11 +327,9 @@ def fast_embed_cascaded(
             raise ValueError("cascading needs the function itself, not an expansion")
         g = root_function(f, cfg.b)
     expansion = _resolve_expansion(g, cfg.stage_order)
-    own_counter = counter if counter is not None else SpmvCounter()
     width = block_width(S.n_rows, omega.shape[1])
-    values = _apply_cascade(
-        S, expansion, omega, stages=cfg.b, width=width, n_workers=n_workers,
-        counter=own_counter,
+    values, products = _apply_cascade(
+        S, expansion, omega, stages=cfg.b, width=width, n_workers=n_workers
     )
     return EmbeddingMatrix(
         values=values,
@@ -346,7 +341,7 @@ def fast_embed_cascaded(
             "d": omega.shape[1],
             "block_width": width,
             "seed": cfg.seed,
-            "spmv_products": own_counter.products,
+            "spmv_products": products,
             "coeffs_sha256": expansion.digest(),
         },
     )
@@ -358,7 +353,6 @@ def fast_embed_general(
     cfg: EmbedConfig,
     *,
     n_workers: int = 1,
-    counter: SpmvCounter | None = None,
 ) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
     """Row and column embeddings of a general m x n matrix with ||A|| <= 1.
 
@@ -366,9 +360,7 @@ def fast_embed_general(
     odd extension of ``f``, then splits the output with
     :func:`split_dilation`. Returns ``(row_embedding, column_embedding)``.
     """
-    emb = fast_embed_cascaded(
-        dilate(A), odd_extension(f), cfg, n_workers=n_workers, counter=counter
-    )
+    emb = fast_embed_cascaded(dilate(A), odd_extension(f), cfg, n_workers=n_workers)
     return split_dilation(emb, A.n_cols)
 
 
@@ -380,10 +372,6 @@ def split_dilation(
     columns of the matrix, the last m rows embed its rows."""
 
     def side(values, name):
-        return EmbeddingMatrix(
-            values=values,
-            row_labels=np.arange(values.shape[0], dtype=np.int64),
-            provenance={**emb.provenance, "side": name},
-        )
+        return EmbeddingMatrix(values=values, provenance={**emb.provenance, "side": name})
 
     return side(emb.values[n_cols:], "rows"), side(emb.values[:n_cols], "columns")

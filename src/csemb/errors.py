@@ -13,7 +13,7 @@ class DivergenceError(CsembError):
     """A matrix iteration produced non-finite values.
 
     Almost always means the operand's spectral norm exceeds 1; rescale the
-    matrix (see ``estimate_spectral_norm`` / ``rescale_spectrum``) and retry.
+    matrix (divide it by ``estimate_spectral_norm``) and retry.
     """
 
 

@@ -3,9 +3,9 @@
 A :class:`SpectralFunction` is a declarative description of the weight
 applied to each eigenvalue: indicator steps, the commute-time weight
 1/sqrt(1-x), identity, constants, or a tabulated curve. The transforms the
-embedding pipeline needs, a b-th root (for cascading), an odd extension (for
-dilations of rectangular matrices) and an affine remap, are wrappers that
-share one protocol: a callable with ``breakpoints()`` and ``describe()``.
+embedding pipeline needs, a b-th root (for cascading) and an odd extension
+(for dilations of rectangular matrices), are wrappers that share one
+protocol: a callable with ``breakpoints()`` and ``describe()``.
 
 A root is always taken inside an odd extension, whatever order the two are
 requested in. Taking the root before extending keeps the root's
@@ -216,33 +216,6 @@ def describe(f) -> str:
     if callable(d):
         return d()
     return getattr(f, "__name__", "callable")
-
-
-class remapped:
-    """Compose a weighting function with an affine spectrum map: x -> f(t(x)).
-
-    Used with :func:`csemb.sparse.rescale_spectrum`, whose map t sends the
-    normalized spectrum back to the original one.
-    """
-
-    def __init__(self, f, affine):
-        self._f = f
-        self._t = affine
-
-    def __call__(self, x):
-        return self._f(self._t(x))
-
-    def breakpoints(self):
-        inner = getattr(self._f, "breakpoints", tuple)()
-        out = []
-        for b in inner:
-            pre = (b - self._t.center) / self._t.scale
-            if -1.0 < pre < 1.0:
-                out.append(pre)
-        return tuple(sorted(out))
-
-    def describe(self):
-        return f"{describe(self._f)}|remap({self._t.scale:g},{self._t.center:g})"
 
 
 # -- CLI grammar ------------------------------------------------------------

@@ -12,10 +12,12 @@ that the matrix-level iteration uses, so scalar and matrix results agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+QUAD_NODES = 64  # Gauss-Legendre nodes per quadrature panel
+QUAD_REFINE_DEGREE = 48  # polynomial degrees resolved by one sub-panel
 REPORT_GRID_SIZE = 10001
 _EDGE_OFFSET = 1e-9  # report grid samples this close to each breakpoint
 
@@ -72,13 +74,6 @@ def legendre_table(order: int, x) -> np.ndarray:
     return P
 
 
-def legendre_eval(r: int, x):
-    """p(r, x) by the recursion; rejects |x| > 1."""
-    scalar = np.ndim(x) == 0
-    out = legendre_table(r, x)[r]
-    return float(out[0]) if scalar else out
-
-
 @dataclass(frozen=True)
 class LegendreExpansion:
     """Coefficients a(0..L) of an order-L expansion."""
@@ -108,38 +103,15 @@ class LegendreExpansion:
         return hashlib.sha256(self.coeffs.tobytes()).hexdigest()
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Composite Gauss-Legendre quadrature settings.
-
-    Panels are split at the integrand's breakpoints; every smooth piece is
-    further subdivided until 64 nodes per panel resolve the polynomial degree
-    being integrated (one sub-panel per ``refine_degree`` degrees).
-    """
-
-    nodes_per_panel: int = 64
-    refine_degree: int = 48
-    breakpoints: tuple[float, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if self.nodes_per_panel < 2 or self.refine_degree < 1:
-            raise ValueError("bad quadrature settings")
-
-
-def _panel_nodes(
-    breaks: tuple[float, ...], degree: int, spec: QuadratureSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    xs, ws = np.polynomial.legendre.leggauss(spec.nodes_per_panel)
+def _panel_nodes(breaks: tuple[float, ...], degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights on [-1, 1]: panels split at
+    ``breaks``, and every smooth piece subdivided into one sub-panel of
+    ``QUAD_NODES`` nodes per ``QUAD_REFINE_DEGREE`` degrees of the integrand."""
+    xs, ws = np.polynomial.legendre.leggauss(QUAD_NODES)
     edges = np.unique(
-        np.concatenate(
-            [
-                [-1.0, 1.0],
-                np.clip(np.asarray(breaks, dtype=np.float64), -1.0, 1.0),
-                np.clip(np.asarray(spec.breakpoints, dtype=np.float64), -1.0, 1.0),
-            ]
-        )
+        np.concatenate([[-1.0, 1.0], np.clip(np.asarray(breaks, dtype=np.float64), -1.0, 1.0)])
     )
-    refine = max(1, -(-(degree + 1) // spec.refine_degree))
+    refine = max(1, -(-(degree + 1) // QUAD_REFINE_DEGREE))
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         if b <= a:
@@ -157,9 +129,7 @@ def _breakpoints_of(f) -> tuple[float, ...]:
     return tuple(get()) if callable(get) else ()
 
 
-def legendre_coefficients(
-    f, order: int, quadrature: QuadratureSpec | None = None
-) -> LegendreExpansion:
+def legendre_coefficients(f, order: int) -> LegendreExpansion:
     """Project ``f`` onto p(0..order) by composite Gauss-Legendre quadrature.
 
     ``f`` may be a SpectralFunction or any callable on arrays in [-1, 1];
@@ -168,8 +138,7 @@ def legendre_coefficients(
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    spec = quadrature or QuadratureSpec()
-    x, w = _panel_nodes(_breakpoints_of(f), order, spec)
+    x, w = _panel_nodes(_breakpoints_of(f), order)
     fx = np.asarray(f(x), dtype=np.float64)
     if not np.all(np.isfinite(fx)):
         raise ValueError("function produced non-finite values on quadrature nodes")
@@ -197,25 +166,21 @@ class ApproximationReport:
 
     delta_sup: float
     delta_l2: float
-    grid_size: int
 
 
-def approximation_report(
-    f, expansion: LegendreExpansion, grid_size: int = REPORT_GRID_SIZE
-) -> ApproximationReport:
-    """Measure sup |f - f_L| on a uniform grid (plus breakpoint neighbors) and
-    the half-integral of (f - f_L)^2 by panel quadrature."""
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
+def approximation_report(f, expansion: LegendreExpansion) -> ApproximationReport:
+    """Measure sup |f - f_L| on a uniform grid of ``REPORT_GRID_SIZE`` points
+    (plus breakpoint neighbors) and the half-integral of (f - f_L)^2 by panel
+    quadrature."""
     breaks = _breakpoints_of(f)
-    grid = [np.linspace(-1.0, 1.0, grid_size), np.array([-1.0, 1.0])]
+    grid = [np.linspace(-1.0, 1.0, REPORT_GRID_SIZE), np.array([-1.0, 1.0])]
     for b in breaks:
         grid.append(np.clip([b - _EDGE_OFFSET, b, b + _EDGE_OFFSET], -1.0, 1.0))
     x = np.unique(np.concatenate(grid))
     resid = np.asarray(f(x), dtype=np.float64) - expansion_eval(expansion, x)
     delta_sup = float(np.max(np.abs(resid)))
 
-    qx, qw = _panel_nodes(breaks, 2 * expansion.order, QuadratureSpec())
+    qx, qw = _panel_nodes(breaks, 2 * expansion.order)
     qresid = np.asarray(f(qx), dtype=np.float64) - expansion_eval(expansion, qx)
     delta_l2 = float(0.5 * np.sum(qw * qresid * qresid))
-    return ApproximationReport(delta_sup, max(delta_l2, 0.0), grid_size)
+    return ApproximationReport(delta_sup, max(delta_l2, 0.0))

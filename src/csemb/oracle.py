@@ -35,7 +35,6 @@ class ExactEmbedding:
 
     embedding: np.ndarray
     eigenvalues: np.ndarray
-    basis: str = "dense-eigh"
 
     @property
     def n_rows(self) -> int:

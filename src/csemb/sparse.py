@@ -46,17 +46,6 @@ class KernelSpec:
 
 
 @dataclass(frozen=True)
-class AffineMap:
-    """The map t(x) = x*scale + center returned by :func:`rescale_spectrum`."""
-
-    scale: float
-    center: float
-
-    def __call__(self, x):
-        return np.asarray(x, dtype=float) * self.scale + self.center
-
-
-@dataclass(frozen=True)
 class SparseMatrix:
     """Immutable CSR matrix.
 
@@ -293,27 +282,6 @@ def kernel_matrix(points, spec: KernelSpec) -> SparseMatrix:
     else:
         K = (d2 < a * a).astype(np.float64)
     return SparseMatrix.from_dense(K)
-
-
-def rescale_spectrum(
-    S: SparseMatrix, sigma_min: float, sigma_max: float
-) -> tuple[SparseMatrix, AffineMap]:
-    """Affinely map a spectrum known to lie in [sigma_min, sigma_max] into [-1, 1].
-
-    Returns ``S' = 2 S / (sigma_max - sigma_min) - (sigma_max + sigma_min) /
-    (sigma_max - sigma_min) * I`` together with the inverse point map
-    ``t(x) = x (sigma_max - sigma_min)/2 + (sigma_max + sigma_min)/2``, so a
-    weighting function f on the original spectrum becomes f(t(x)) on [-1, 1].
-    """
-    if S.n_rows != S.n_cols:
-        raise ValueError("rescale_spectrum requires a square matrix")
-    if not sigma_max > sigma_min:
-        raise ValueError("sigma_max must exceed sigma_min")
-    span = sigma_max - sigma_min
-    shift = (sigma_max + sigma_min) / span
-    t = AffineMap(scale=span / 2.0, center=(sigma_max + sigma_min) / 2.0)
-    out = S._csr * (2.0 / span) - shift * _sp.identity(S.n_rows, format="csr")
-    return SparseMatrix.from_scipy(out), t
 
 
 def scale_values(S: SparseMatrix, factor: float) -> SparseMatrix:

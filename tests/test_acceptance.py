@@ -312,11 +312,10 @@ def test_a7_complexity_scaling():
 
     def run(d):
         cfg = cs.EmbedConfig(L=16, d=d, b=2, seed=0)
-        counter = cs.SpmvCounter()
         t0 = time.perf_counter()
         omega = cs.sample_projection(n, d, cfg.seed)
-        cs.fast_embed_cascaded(adj, f, cfg, omega, counter=counter)
-        return time.perf_counter() - t0, counter.products
+        emb = cs.fast_embed_cascaded(adj, f, cfg, omega)
+        return time.perf_counter() - t0, emb.provenance["spmv_products"]
 
     run(4)  # warm caches
     _, products = run(20)

@@ -189,6 +189,28 @@ class TestErrors:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("case", ["raw-not-square", "eval-size-mismatch", "edge-above-n"])
+    def test_bad_input_usage_error(self, tmp_path, case):
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 1\n1 2\n2 3\n")
+        if case == "raw-not-square":
+            mtx = tmp_path / "a.mtx"
+            scipy.io.mmwrite(mtx, scipy.sparse.coo_array(np.arange(1.0, 7.0).reshape(3, 2)))
+            argv = ["norm", "--input", str(mtx), "--format", "matrix-market", "--matrix", "raw"]
+        elif case == "eval-size-mismatch":
+            emb = tmp_path / "e.bin"
+            from csemb.io import write_embedding
+
+            write_embedding(emb, np.ones((3, 2)))
+            argv = ["eval", "--approx", str(emb), "--input", str(graph), "--format",
+                    "edgelist", "--function", "indicator:0.5",
+                    "--output-prefix", str(tmp_path / "r")]
+        else:
+            argv = ["norm", "--input", str(graph), "--format", "edgelist", "--n", "2"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_unparseable_input(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a graph\n")

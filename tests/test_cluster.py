@@ -11,7 +11,7 @@ from csemb import (
     normalized_adjacency,
     fast_embed_cascaded,
 )
-from csemb.cluster import _KMEANS_SEED_TAG
+from csemb.cluster import _KMEANS_SEED_TAG, KMEANS_MAX_ITERS
 from helpers import sbm
 
 
@@ -59,7 +59,7 @@ class TestKmeans:
         assert km.labels.min() >= 0 and km.labels.max() < 20
 
 
-def _reference_kmeans(X, K, seed, max_iters=100):
+def _reference_kmeans(X, K, seed):
     """k-means as first written: full distance formula on every call and
     centroid sums by np.add.at. Returns (labels, inertia history, reseeds)."""
 
@@ -79,7 +79,7 @@ def _reference_kmeans(X, K, seed, max_iters=100):
         closest = np.minimum(closest, sq(X, centroids[k : k + 1])[:, 0])
     labels = np.full(n, -1, dtype=np.int64)
     history, reseeds = [], 0
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         d2 = sq(X, centroids)
         new = np.argmin(d2, axis=1).astype(np.int64)
         mindist = d2[np.arange(n), new]

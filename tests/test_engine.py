@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -9,7 +10,6 @@ from csemb import (
     DivergenceError,
     EmbedConfig,
     SparseMatrix,
-    SpmvCounter,
     constant,
     default_dimension,
     estimate_spectral_norm,
@@ -17,7 +17,6 @@ from csemb import (
     fast_embed_general,
     identity,
     indicator_above,
-    jl_dimension,
     legendre_coefficients,
     odd_extension,
     root_function,
@@ -27,24 +26,9 @@ from csemb.legendre import expansion_eval
 from helpers import dense_weighted, pairwise_distances, random_symmetric, sparse_from
 
 
-class TestJlDimension:
-    def test_reference_value(self):
-        assert jl_dimension(100, 0.5, 2.0) == 443
-
+class TestDefaultDimension:
     def test_paper_scale_operating_point(self):
-        assert jl_dimension(317080, 0.5, 1.0) == 913
         assert default_dimension(317080) == 77  # the practical 6 ln n recipe
-
-    def test_monotone_in_n(self):
-        assert jl_dimension(10**6, 0.3, 1.0) > jl_dimension(10**3, 0.3, 1.0)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            jl_dimension(1, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            jl_dimension(100, 1.5, 1.0)
-        with pytest.raises(ValueError):
-            jl_dimension(100, 0.5, 0.0)
 
 
 class TestSampleProjection:
@@ -153,7 +137,17 @@ class TestFastEmbed:
         assert rel <= 1e-10
 
     def test_linearity_in_function(self):
-        from csemb import QuadratureSpec
+        class SplitAt02:
+            """A callable whose quadrature panels split at 0.2."""
+
+            def __init__(self, h):
+                self._h = h
+
+            def __call__(self, x):
+                return self._h(x)
+
+            def breakpoints(self):
+                return (0.2,)
 
         rng = np.random.default_rng(8)
         n = 40
@@ -161,13 +155,13 @@ class TestFastEmbed:
         om = sample_projection(n, 5, seed=8)
         f, g = indicator_above(0.2), constant(1.0)
         a, b = 0.6, -1.1
-        combo = lambda x: a * np.asarray(f(x)) + b * np.asarray(g(x))
         # identical quadrature panels for all three projections
-        quad = QuadratureSpec(breakpoints=(0.2,))
+        combo = SplitAt02(lambda x: a * np.asarray(f(x)) + b * np.asarray(g(x)))
+        f, g = SplitAt02(f), SplitAt02(g)
         L = 25
 
         def embed(h):
-            return _embed(S, legendre_coefficients(h, L, quad), L, om).values
+            return _embed(S, legendre_coefficients(h, L), L, om).values
 
         lhs = embed(combo)
         rhs = a * embed(f) + b * embed(g)
@@ -273,10 +267,44 @@ class TestCascade:
     def test_spmv_counter(self):
         rng = np.random.default_rng(14)
         S = sparse_from(random_symmetric(20, rng))
-        counter = SpmvCounter()
         cfg = EmbedConfig(L=12, d=4, b=3, seed=14)
-        fast_embed_cascaded(S, indicator_above(0.0), cfg, counter=counter)
-        assert counter.products == cfg.stage_order * cfg.b == 12
+        emb = fast_embed_cascaded(S, indicator_above(0.0), cfg)
+        assert emb.provenance["spmv_products"] == cfg.stage_order * cfg.b == 12
+
+
+class TestProductCount:
+    def test_every_block_counts_L(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        n, d = 30, 20
+        S = sparse_from(random_symmetric(n, rng))
+        # 8 columns per block: blocks of 8, 8 and 4, spread over two workers
+        monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", 8 * n * 8)
+        calls = []
+        real = csemb.engine.spmv_multi
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(csemb.engine, "spmv_multi", counted)
+        cfg = EmbedConfig(L=10, d=d, b=2, seed=21)
+        emb = fast_embed_cascaded(S, indicator_above(0.1), cfg, n_workers=2)
+        assert emb.provenance["block_width"] == 8
+        assert emb.provenance["spmv_products"] == cfg.L
+        assert sorted(calls) == [4] * cfg.L + [8] * (2 * cfg.L)
+
+    def test_short_recursion_raises(self, monkeypatch):
+        real = csemb.engine.legendre_terms
+
+        def one_term_short(step, q0, order):
+            return itertools.islice(real(step, q0, order), order)
+
+        monkeypatch.setattr(csemb.engine, "legendre_terms", one_term_short)
+        rng = np.random.default_rng(22)
+        S = sparse_from(random_symmetric(20, rng))
+        cfg = EmbedConfig(L=12, d=4, b=2, seed=22)
+        with pytest.raises(RuntimeError, match="exactly 12"):
+            fast_embed_cascaded(S, indicator_above(0.0), cfg)
 
 
 class TestGeneralMatrices:

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from csemb import (
-    AffineMap,
     commute_time,
     constant,
     identity,
     indicator_above,
     odd_extension,
     parse_function,
-    remapped,
     root_function,
     tabulated,
 )
@@ -141,11 +139,3 @@ def test_describe_round_trip():
     for text in ("indicator:0.98", "commute:0.001", "identity", "const:2"):
         f = parse_function(text)
         assert parse_function(f.describe().split("|")[0]).kind == f.kind
-
-
-def test_remapped():
-    t = AffineMap(scale=2.0, center=1.0)  # maps [-1,1] -> [-1,3]
-    g = remapped(indicator_above(0.0), t)
-    # g(x) = 1{t(x) >= 0} = 1{x >= -0.5}
-    assert g(-0.4) == 1.0 and g(-0.6) == 0.0
-    assert g.breakpoints() == (-0.5,)

@@ -11,7 +11,6 @@ from csemb import (
     identity,
     indicator_above,
     legendre_coefficients,
-    legendre_eval,
     legendre_table,
     odd_extension,
 )
@@ -37,23 +36,25 @@ def indicator_coeffs_analytic(c: float, order: int) -> np.ndarray:
 
 
 class TestLegendreEval:
+    """Values of p(r, x) from ``legendre_table``, the scalar recursion."""
+
     def test_base_cases(self):
-        assert legendre_eval(0, 0.37) == 1.0
-        assert legendre_eval(1, 0.5) == 0.5
+        assert legendre_table(0, 0.37)[0, 0] == 1.0
+        assert legendre_table(1, 0.5)[1, 0] == 0.5
 
     def test_recursion_by_hand(self):
-        assert legendre_eval(2, 0.5) == pytest.approx(-0.125, abs=1e-15)
+        assert legendre_table(2, 0.5)[2, 0] == pytest.approx(-0.125, abs=1e-15)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(min_value=-1.0, max_value=1.0), st.sampled_from([2, 3, 4, 5]))
     def test_matches_closed_forms(self, x, r):
-        assert legendre_eval(r, x) == pytest.approx(_CLOSED[r](x), abs=1e-12)
+        assert legendre_table(r, x)[r, 0] == pytest.approx(_CLOSED[r](x), abs=1e-12)
 
     def test_domain_guard(self):
         with pytest.raises(ValueError):
-            legendre_eval(3, 1.0001)
+            legendre_table(3, 1.0001)
         with pytest.raises(ValueError):
-            legendre_eval(3, np.array([0.0, -2.0]))
+            legendre_table(3, np.array([0.0, -2.0]))
 
 
 class TestOrthogonality:
@@ -122,7 +123,8 @@ class TestExpansionEval:
         coeffs = rng.standard_normal(9)
         e = LegendreExpansion(coeffs)
         x = rng.uniform(-1, 1, 50)
-        direct = sum(coeffs[r] * legendre_eval(r, x) for r in range(9))
+        P = legendre_table(8, x)
+        direct = sum(coeffs[r] * P[r] for r in range(9))
         assert np.allclose(expansion_eval(e, x), direct, atol=1e-13)
 
 

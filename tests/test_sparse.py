@@ -7,7 +7,6 @@ from csemb import (
     dilate,
     kernel_matrix,
     normalized_adjacency,
-    rescale_spectrum,
     scale_values,
     spmv_multi,
 )
@@ -252,34 +251,3 @@ class TestKernelMatrix:
             KernelSpec("gaussian", 0.0)
         with pytest.raises(ValueError):
             KernelSpec("sinc", 1.0)
-
-
-class TestRescaleSpectrum:
-    def test_already_normalized_is_identity(self):
-        rng = np.random.default_rng(7)
-        S = SparseMatrix.from_dense(random_symmetric(10, rng))
-        out, t = rescale_spectrum(S, -1.0, 1.0)
-        assert np.array_equal(out.values, S.values)
-        assert t(0.37) == 0.37
-
-    def test_diag_example(self):
-        S = SparseMatrix.from_dense(np.diag([0.0, 2.0]))
-        out, _ = rescale_spectrum(S, 0.0, 2.0)
-        assert np.allclose(out.to_dense(), np.diag([-1.0, 1.0]))
-
-    def test_affine_endpoints(self):
-        _, t = rescale_spectrum(SparseMatrix.identity(3), -0.3, 1.7)
-        assert np.isclose(t(1.0), 1.7) and np.isclose(t(-1.0), -0.3)
-
-    def test_eigenvalue_map(self):
-        rng = np.random.default_rng(8)
-        dense = random_symmetric(25, rng, spectral_norm=3.0)
-        lo, hi = -3.5, 4.0
-        out, _ = rescale_spectrum(SparseMatrix.from_dense(dense), lo, hi)
-        lam = np.linalg.eigvalsh(dense)
-        expected = (2 * lam - (hi + lo)) / (hi - lo)
-        assert np.abs(np.sort(np.linalg.eigvalsh(out.to_dense())) - np.sort(expected)).max() <= 1e-10
-
-    def test_degenerate_interval_rejected(self):
-        with pytest.raises(ValueError):
-            rescale_spectrum(SparseMatrix.identity(2), 1.0, 1.0)
