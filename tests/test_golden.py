@@ -56,27 +56,36 @@ def _embed(input_name, fmt, matrix, function, L, b, d, seed, extra=()):
     ]
 
 
-# name -> (input writer, input file, argv, {output file: sha256})
+def _norm(input_name, matrix, seed):
+    return [
+        "norm", "--input", input_name, "--format", "matrix-market", "--matrix", matrix,
+        "--seed", str(seed), "--output", "norm.json",
+    ]
+
+
+GRAPH_B1 = _embed("graph.txt", "edgelist", "normalized-adjacency", "indicator:0.3", 24, 1, 12, 42)
+
+# name -> (input writer, input file, [argv, ...], {output file: sha256})
 CASES = {
     "graph-b1": (
         _write_graph, "graph.txt",
-        _embed("graph.txt", "edgelist", "normalized-adjacency", "indicator:0.3", 24, 1, 12, 42),
+        [GRAPH_B1],
         {"out.bin": "602307110dfe664c3409e61e2660dcfa123dd53eaa239b6b9d3a8725cbb45120"},
     ),
     "graph-b2": (
         _write_graph, "graph.txt",
-        _embed("graph.txt", "edgelist", "normalized-adjacency", "indicator:0.3", 24, 2, 12, 42),
+        [_embed("graph.txt", "edgelist", "normalized-adjacency", "indicator:0.3", 24, 2, 12, 42)],
         {"out.bin": "349cca686e906d7093c84465ba0df93d854a5426d08f8694c9f9fa4b83082e53"},
     ),
     "raw": (
         _write_symmetric, "m.mtx",
-        _embed("m.mtx", "matrix-market", "raw", "indicator:0.5", 16, 1, 8, 1),
+        [_embed("m.mtx", "matrix-market", "raw", "indicator:0.5", 16, 1, 8, 1)],
         {"out.bin": "3964a99a49b34c37a6e412699f8660f2ab6cebf40236d8770b47e949a9eca2a4"},
     ),
     "dilation-b1": (
         _write_rectangular, "a.mtx",
-        _embed("a.mtx", "matrix-market", "dilation", "indicator:0.5", 16, 1, 6, 3,
-               ("--output-cols", "cols.bin")),
+        [_embed("a.mtx", "matrix-market", "dilation", "indicator:0.5", 16, 1, 6, 3,
+                ("--output-cols", "cols.bin"))],
         {
             "out.bin": "d617e796e227c470fdb505e26035b47eec3f13c7173dfdc4259ca2687b4aaccb",
             "cols.bin": "d4e350758784e1ab6ca7b53dc6139bf62b907eaa1ab0f7e33e33018e1f38ee92",
@@ -84,8 +93,8 @@ CASES = {
     ),
     "dilation-b2": (
         _write_rectangular, "a.mtx",
-        _embed("a.mtx", "matrix-market", "dilation", "indicator:0.5", 16, 2, 6, 3,
-               ("--output-cols", "cols.bin")),
+        [_embed("a.mtx", "matrix-market", "dilation", "indicator:0.5", 16, 2, 6, 3,
+                ("--output-cols", "cols.bin"))],
         {
             "out.bin": "366db4d1eef59c9ebfd2b825eb58a5ad6b6797cdeeaf6ffe89e7e8695988f6c1",
             "cols.bin": "66e1aed984b480103ca1c205191ff52166cf1a1de4e2cc119d61a562a85cdecc",
@@ -93,29 +102,50 @@ CASES = {
     ),
     "points": (
         _write_points, "pts.csv",
-        _embed("pts.csv", "points-csv", "raw", "indicator:0.2", 12, 1, 6, 4,
-               ("--kernel", "gaussian", "--bandwidth", "1.0")),
+        [_embed("pts.csv", "points-csv", "raw", "indicator:0.2", 12, 1, 6, 4,
+                ("--kernel", "gaussian", "--bandwidth", "1.0"))],
         {"out.bin": "3472962829b2f1fdb8362a6781b65ee5596233857c917cef5121c088215d0141"},
     ),
     "cluster": (
         _write_graph, "graph.txt",
-        ["cluster", "--input", "graph.txt", "--function", "indicator:0.3", "--L", "16",
-         "--b", "2", "--d", "10", "--seed", "5", "--k", "4", "--runs", "3",
-         "--labels-out", "labels.csv", "--summary-out", "summary.json"],
+        [["cluster", "--input", "graph.txt", "--function", "indicator:0.3", "--L", "16",
+          "--b", "2", "--d", "10", "--seed", "5", "--k", "4", "--runs", "3",
+          "--labels-out", "labels.csv", "--summary-out", "summary.json"]],
         {
             "labels.csv": "9063065d76ab60bbfb83546fce0ebfdc8a706557297de2f2cf2be6f70235981d",
             "summary.json": "a3d5cc51f4e3379dc74390a8819900ca37d8ccb9aa81eba1fda65d3ddd009a58",
         },
+    ),
+    # --pairs 1000 of the 3160 vertex pairs, so sample_pairs draws a random subset
+    "eval": (
+        _write_graph, "graph.txt",
+        [GRAPH_B1,
+         ["eval", "--approx", "out.bin", "--input", "graph.txt", "--format", "edgelist",
+          "--function", "indicator:0.3", "--pairs", "1000", "--output-prefix", "rep"]],
+        {
+            "rep_percentiles.csv": "88ea66be8835ba4d7e3a761e85b03c4deb721982c8c0faece45c42f39382f0c5",
+            "rep_calibration.csv": "e4fb14b708786afb63d0a38eb3074517bf4f1fdd70dfef36a3182d680fdf53ff",
+            "rep_report.json": "966a308adc2b6f19668f1a65204642f49176ac00e035c0c4a22c033f52e0edab",
+        },
+    ),
+    "norm-raw": (
+        _write_symmetric, "m.mtx", [_norm("m.mtx", "raw", 1)],
+        {"norm.json": "fa4a9d0f95739809ba782ddca74d035da00b74442683c56ccb90175bbec4be9a"},
+    ),
+    "norm-dilation": (
+        _write_rectangular, "a.mtx", [_norm("a.mtx", "dilation", 3)],
+        {"norm.json": "1066fc57a57e9a3bcaa4bbd3c09f1c20a9cf717ee4688cc1da679b9c449e15e9"},
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_digest(name, tmp_path, monkeypatch):
-    write_input, input_name, argv, expected = CASES[name]
+    write_input, input_name, steps, expected = CASES[name]
     write_input(tmp_path / input_name)
     monkeypatch.chdir(tmp_path)
-    assert main(argv) == 0
+    for argv in steps:
+        assert main(argv) == 0
     got = {
         out: hashlib.sha256((tmp_path / out).read_bytes()).hexdigest() for out in expected
     }
