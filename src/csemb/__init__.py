@@ -58,7 +58,6 @@ from .oracle import (
     distance_bound_audit,
     distortion_percentiles,
     exact_embedding,
-    normalized_correlation,
     sample_pairs,
 )
 from .sparse import (
@@ -114,7 +113,6 @@ __all__ = [
     "legendre_table",
     "modularity",
     "normalized_adjacency",
-    "normalized_correlation",
     "odd_extension",
     "parse_function",
     "root_function",

@@ -223,16 +223,13 @@ def cmd_eval(args, parser) -> int:
             parser.error("eval needs either --exact or --input/--format/--function")
         mat, kind, _ = _load_matrix(args, parser)
         exact = exact_embedding(mat.to_dense(), args.function)
-    dev = distortion_percentiles(exact, approx, n_pairs=args.pairs, seed=args.seed)
-    cal = distortion_percentiles(
-        exact, approx, n_pairs=args.pairs, seed=args.seed, mode="calibration"
-    )
-    write_percentiles_csv(dev, f"{args.output_prefix}_percentiles.csv")
-    write_calibration_csv(cal, f"{args.output_prefix}_calibration.csv")
-    write_report_json(dev, f"{args.output_prefix}_report.json")
+    report = distortion_percentiles(exact, approx, n_pairs=args.pairs, seed=args.seed)
+    write_percentiles_csv(report, f"{args.output_prefix}_percentiles.csv")
+    write_calibration_csv(report, f"{args.output_prefix}_calibration.csv")
+    write_report_json(report, f"{args.output_prefix}_report.json")
     print(
         "deviation percentiles: "
-        + ", ".join(f"p{p}={v:+.4f}" for p, v in dev.percentiles.items())
+        + ", ".join(f"p{p}={v:+.4f}" for p, v in report.percentiles.items())
     )
     return EXIT_OK
 

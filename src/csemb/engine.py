@@ -107,16 +107,13 @@ class EmbedConfig:
     """Parameters of one embedding run.
 
     ``L`` is the total polynomial order, split into ``b`` cascade stages of
-    order L/b each; ``d`` is the embedding dimension; ``epsilon`` is the
-    projection's distortion target, which :func:`csemb.distance_bound_audit`
-    checks.
+    order L/b each; ``d`` is the embedding dimension.
     """
 
     L: int
     d: int
     b: int = 1
     seed: int = 0
-    epsilon: float = 0.5
 
     def __post_init__(self):
         if self.L < 1:
@@ -125,8 +122,6 @@ class EmbedConfig:
             raise ValueError("b must be >= 1 and divide L")
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
 
     @property
     def stage_order(self) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,7 +41,8 @@ class ExactEmbedding:
         return self.embedding.shape[0]
 
 
-def _dense_symmetric(S, cap: int) -> np.ndarray:
+def exact_embedding(S, f, cap: int = ORACLE_CAP) -> ExactEmbedding:
+    """Exact embedding by full eigendecomposition of a dense symmetric matrix."""
     a = S.to_dense() if isinstance(S, SparseMatrix) else np.asarray(S, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
@@ -51,12 +52,6 @@ def _dense_symmetric(S, cap: int) -> np.ndarray:
         )
     if np.max(np.abs(a - a.T), initial=0.0) > 1e-10:
         raise ValueError("oracle requires a symmetric matrix")
-    return a
-
-
-def exact_embedding(S, f, cap: int = ORACLE_CAP) -> ExactEmbedding:
-    """Exact embedding by full eigendecomposition of a dense symmetric matrix."""
-    a = _dense_symmetric(S, cap)
     lam, vec = np.linalg.eigh(a)
     residual = float(np.max(np.abs(a @ vec - vec * lam), initial=0.0))
     if residual > EIG_RESIDUAL_TOL:
@@ -75,17 +70,9 @@ def _rows_of(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def normalized_correlation(X, i: int, j: int) -> float:
-    """Cosine similarity of rows i and j; zero rows correlate as 0."""
-    rows = _rows_of(X)
-    u, v = rows[i], rows[j]
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(u @ v / (nu * nv))
-
-
 def _pair_correlations(rows: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine similarity of each pair's rows, and a mask of the pairs that
+    touch a zero row, whose correlation is 0."""
     norms = np.linalg.norm(rows, axis=1)
     a, b = pairs[:, 0], pairs[:, 1]
     denom = norms[a] * norms[b]
@@ -129,87 +116,74 @@ class CalibrationBin:
 
 @dataclass
 class DistortionReport:
-    """Percentiles of correlation deviation, or per-bin calibration curves."""
+    """Correlation deviations over one pair sample, read two ways.
 
-    mode: str
+    ``percentiles`` are percentiles of (approx - exact) correlation; ``bins``
+    group the pairs by exact correlation and hold percentiles of the
+    approximate correlation per bin.
+    """
+
     pair_sample_size: int
-    zero_row_pairs: int = 0
-    percentiles: dict[int, float] | None = None
-    bins: list[CalibrationBin] = field(default_factory=list)
+    zero_row_pairs: int
+    percentiles: dict[int, float]
+    bins: list[CalibrationBin]
+
+
+def _percentiles(values: np.ndarray) -> dict[int, float]:
+    return dict(zip(PERCENTILE_LEVELS, map(float, np.percentile(values, PERCENTILE_LEVELS))))
 
 
 def distortion_percentiles(
-    exact,
-    approx,
-    n_pairs: int | None = None,
-    seed: int = 0,
-    mode: str = "deviation",
+    exact, approx, n_pairs: int | None = None, seed: int = 0
 ) -> DistortionReport:
-    """Compare normalized correlations of two embeddings over sampled pairs.
-
-    ``deviation`` mode reports percentiles of (approx - exact) correlation;
-    ``calibration`` mode bins pairs by exact correlation and reports
-    percentiles of the approximate correlation per bin.
-    """
+    """Compare normalized correlations of two embeddings over sampled pairs."""
     X, Y = _rows_of(exact), _rows_of(approx)
     if X.shape[0] != Y.shape[0]:
         raise ValueError("embeddings must have the same number of rows")
-    if mode not in ("deviation", "calibration"):
-        raise ValueError("mode must be 'deviation' or 'calibration'")
     pairs = sample_pairs(X.shape[0], n_pairs, seed)
     ex, ez = _pair_correlations(X, pairs)
     ap, az = _pair_correlations(Y, pairs)
-    zero_pairs = int(np.sum(ez | az))
-    if mode == "deviation":
-        dev = ap - ex
-        pct = {p: float(v) for p, v in zip(PERCENTILE_LEVELS, np.percentile(dev, PERCENTILE_LEVELS))}
-        return DistortionReport(
-            mode=mode, pair_sample_size=len(pairs), zero_row_pairs=zero_pairs, percentiles=pct
-        )
     centers = np.round(np.arange(-1.0, 1.0 + CALIBRATION_BIN_WIDTH / 2, CALIBRATION_BIN_WIDTH), 10)
-    bins = []
     idx = np.clip(np.round((ex + 1.0) / CALIBRATION_BIN_WIDTH).astype(int), 0, len(centers) - 1)
+    bins = []
     for k, c in enumerate(centers):
         sel = idx == k
         cnt = int(np.sum(sel))
-        if cnt == 0:
-            continue
-        vals = np.percentile(ap[sel], PERCENTILE_LEVELS)
-        bins.append(
-            CalibrationBin(
-                center=float(c),
-                count=cnt,
-                percentiles={p: float(v) for p, v in zip(PERCENTILE_LEVELS, vals)},
-            )
-        )
+        if cnt:
+            bins.append(CalibrationBin(float(c), cnt, _percentiles(ap[sel])))
     return DistortionReport(
-        mode=mode, pair_sample_size=len(pairs), zero_row_pairs=zero_pairs, bins=bins
+        pair_sample_size=len(pairs),
+        zero_row_pairs=int(np.sum(ez | az)),
+        percentiles=_percentiles(ap - ex),
+        bins=bins,
     )
 
 
 def distance_bound_audit(
-    S, f, cfg: EmbedConfig, trials: int, cap: int = ORACLE_CAP
+    S, f, cfg: EmbedConfig, trials: int, epsilon: float = 0.5
 ) -> float:
     """Fraction of (trial, pair) events violating the two-sided distance bound.
 
     For each of ``trials`` fresh projections the audit checks, for every
     vertex pair, that the compressive distance lies within
-    sqrt(1 -+ eps) * (exact distance -+ delta sqrt(2)), where delta is the
-    expansion's worst error at the true eigenvalues.
+    sqrt(1 -+ epsilon) * (exact distance -+ delta sqrt(2)), where delta is the
+    expansion's worst error at the true eigenvalues and ``epsilon`` is the
+    projection's distortion target.
     """
-    a = _dense_symmetric(S, cap)
-    lam, vec = np.linalg.eigh(a)
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    exact = exact_embedding(S, f)
+    lam = exact.eigenvalues
     weights = np.atleast_1d(np.asarray(f(lam), dtype=np.float64))
-    exact = vec * weights
     expansion = legendre_coefficients(f, cfg.L)
     delta = float(np.max(np.abs(weights - expansion_eval(expansion, lam)), initial=0.0))
 
-    d_exact = _pairwise_distances(exact)
+    d_exact = _pairwise_distances(exact.embedding)
     slack = delta * math.sqrt(2.0)
-    lower = math.sqrt(1.0 - cfg.epsilon) * (d_exact - slack)
-    upper = math.sqrt(1.0 + cfg.epsilon) * (d_exact + slack)
+    lower = math.sqrt(1.0 - epsilon) * (d_exact - slack)
+    upper = math.sqrt(1.0 + epsilon) * (d_exact + slack)
 
-    sp = SparseMatrix.from_dense(a)
+    sp = S if isinstance(S, SparseMatrix) else SparseMatrix.from_dense(S)
     violations = 0
     for t in range(trials):
         trial = replace(cfg, b=1, seed=fold_seed(cfg.seed, t))
@@ -226,29 +200,7 @@ def _pairwise_distances(rows: np.ndarray) -> np.ndarray:
 # -- report serialization ----------------------------------------------------
 
 
-def report_to_dict(report: DistortionReport) -> dict:
-    out = {
-        "mode": report.mode,
-        "pair_sample_size": report.pair_sample_size,
-        "zero_row_pairs": report.zero_row_pairs,
-    }
-    if report.percentiles is not None:
-        out["percentiles"] = {str(k): v for k, v in report.percentiles.items()}
-    if report.bins:
-        out["bins"] = [
-            {
-                "center": b.center,
-                "count": b.count,
-                "percentiles": {str(k): v for k, v in b.percentiles.items()},
-            }
-            for b in report.bins
-        ]
-    return out
-
-
 def write_percentiles_csv(report: DistortionReport, path) -> None:
-    if report.percentiles is None:
-        raise ValueError("report has no deviation percentiles")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["percentile", "value"])
@@ -257,8 +209,6 @@ def write_percentiles_csv(report: DistortionReport, path) -> None:
 
 
 def write_calibration_csv(report: DistortionReport, path) -> None:
-    if not report.bins:
-        raise ValueError("report has no calibration bins")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["bin_center"] + [f"p{p}" for p in PERCENTILE_LEVELS])
@@ -267,6 +217,14 @@ def write_calibration_csv(report: DistortionReport, path) -> None:
 
 
 def write_report_json(report: DistortionReport, path) -> None:
+    """Write the deviation summary as JSON; the bins are in the calibration
+    CSV. The ``mode`` key names the summary and is always ``"deviation"``."""
+    out = {
+        "mode": "deviation",
+        "pair_sample_size": report.pair_sample_size,
+        "zero_row_pairs": report.zero_row_pairs,
+        "percentiles": {str(k): v for k, v in report.percentiles.items()},
+    }
     with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
+        json.dump(out, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -68,8 +68,8 @@ def test_a2_distance_bound_audit():
     S = 0.5 * (S + S.T)
     S /= np.linalg.norm(S, 2) * 1.02
     c = float(np.median(np.linalg.eigvalsh(S)))
-    cfg = cs.EmbedConfig(L=200, d=2000, seed=0, epsilon=0.3)
-    rate = cs.distance_bound_audit(S, cs.indicator_above(c), cfg, trials=20)
+    cfg = cs.EmbedConfig(L=200, d=2000, seed=0)
+    rate = cs.distance_bound_audit(S, cs.indicator_above(c), cfg, trials=20, epsilon=0.3)
     ok = rate <= 0.02
     _report("A2 distance-bound audit", ok, f"violation rate {rate:.4f} <= 0.02")
     assert rate <= 0.02
@@ -211,7 +211,7 @@ def test_a4_cascading_benefit(sbm_instance):
     for b in (1, 2):
         cfg = cs.EmbedConfig(L=180, d=80, b=b, seed=99)
         emb = cs.fast_embed_cascaded(adj, f, cfg)
-        cal = cs.distortion_percentiles(exact, emb, seed=7, mode="calibration")
+        cal = cs.distortion_percentiles(exact, emb, seed=7)
         bin0 = next(bb for bb in cal.bins if abs(bb.center) < 1e-9)
         biases[b] = abs(bin0.percentiles[50] - 0.0)
     bias_ok = biases[2] < biases[1]

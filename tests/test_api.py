@@ -51,7 +51,6 @@ PUBLIC = [
     "legendre_table",
     "modularity",
     "normalized_adjacency",
-    "normalized_correlation",
     "odd_extension",
     "parse_function",
     "root_function",

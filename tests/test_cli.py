@@ -286,6 +286,28 @@ class TestEvalCommand:
         )
         assert code == 0
 
+    def test_one_distortion_pass(self, small_graph, tmp_path, monkeypatch):
+        import csemb.cli
+
+        calls = []
+        real = csemb.cli.distortion_percentiles
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(csemb.cli, "distortion_percentiles", counted)
+        out = tmp_path / "e.bin"
+        main(_embed_argv(small_graph, out))
+        code = main(
+            ["eval", "--approx", str(out), "--input", str(small_graph), "--format",
+             "edgelist", "--function", "indicator:0.3", "--output-prefix", str(tmp_path / "r")]
+        )
+        assert code == 0
+        assert len(calls) == 1
+        for suffix in ("_percentiles.csv", "_calibration.csv", "_report.json"):
+            assert (tmp_path / ("r" + suffix)).stat().st_size > 0
+
 
 class TestClusterCommand:
     def test_labels_and_summary(self, small_graph, tmp_path):

@@ -375,7 +375,7 @@ class TestGeneralMatrices:
         A /= np.linalg.norm(A, 2) * 1.02
         sv = np.linalg.svd(A, compute_uv=False)
         f = indicator_above((sv[1] + sv[2]) / 2)
-        cfg = EmbedConfig(L=60, d=3000, seed=17, epsilon=0.3)
+        cfg = EmbedConfig(L=60, d=3000, seed=17)
         rows_emb, _ = fast_embed_general(sparse_from(A), f, cfg)
 
         u, s, vt = np.linalg.svd(A)
@@ -390,7 +390,7 @@ class TestGeneralMatrices:
             np.asarray(fprime(dil_spectrum)) - expansion_eval(exp, dil_spectrum)
         ).max()
         slack = delta * math.sqrt(2)
-        eps = cfg.epsilon
+        eps = 0.3
         assert np.all(d_approx >= math.sqrt(1 - eps) * (d_exact - slack) - 1e-12)
         assert np.all(d_approx <= math.sqrt(1 + eps) * (d_exact + slack) + 1e-12)
 
@@ -403,8 +403,6 @@ class TestEmbedConfig:
             EmbedConfig(L=10, d=4, b=3)  # b does not divide L
         with pytest.raises(ValueError):
             EmbedConfig(L=10, d=0)
-        with pytest.raises(ValueError):
-            EmbedConfig(L=10, d=4, epsilon=1.0)
 
     def test_stage_order(self):
         assert EmbedConfig(L=180, d=80, b=2).stage_order == 90

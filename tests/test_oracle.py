@@ -6,15 +6,17 @@ import pytest
 from csemb import (
     EmbedConfig,
     OracleCapError,
+    OracleError,
+    SparseMatrix,
     distance_bound_audit,
     distortion_percentiles,
     exact_embedding,
     identity,
     indicator_above,
-    normalized_correlation,
     sample_pairs,
 )
 from csemb.oracle import (
+    _pair_correlations,
     _pairwise_distances,
     write_calibration_csv,
     write_percentiles_csv,
@@ -64,6 +66,12 @@ class TestExactEmbedding:
             exact_embedding(np.array([[0.0, 1.0], [0.0, 0.0]]), identity())
 
 
+def normalized_correlation(X, i, j):
+    """Cosine similarity of rows i and j through the oracle's pair formula."""
+    out, _ = _pair_correlations(np.asarray(X, dtype=np.float64), np.array([[i, j]]))
+    return float(out[0])
+
+
 class TestNormalizedCorrelation:
     def test_self(self):
         X = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -80,6 +88,8 @@ class TestNormalizedCorrelation:
     def test_zero_row(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         assert normalized_correlation(X, 0, 1) == 0.0
+        _, zero = _pair_correlations(X, np.array([[0, 1]]))
+        assert zero.tolist() == [True]
 
     def test_symmetry_and_scale_invariance(self):
         rng = np.random.default_rng(2)
@@ -140,7 +150,7 @@ class TestDistortionPercentiles:
         rng = np.random.default_rng(5)
         X = rng.standard_normal((80, 4))
         Y = X + 0.05 * rng.standard_normal((80, 4))
-        rep = distortion_percentiles(X, Y, mode="calibration")
+        rep = distortion_percentiles(X, Y)
         centers = [b.center for b in rep.bins]
         assert all(-1.0 <= c <= 1.0 for c in centers)
         assert sum(b.count for b in rep.bins) == rep.pair_sample_size
@@ -163,8 +173,10 @@ class TestDistanceBoundAudit:
     def test_polynomial_function_zero_violations(self):
         rng = np.random.default_rng(6)
         S = random_symmetric(40, rng)
-        cfg = EmbedConfig(L=3, d=1500, seed=0, epsilon=0.4)
-        rate = distance_bound_audit(S, lambda x: 0.2 + 0.5 * x**3, cfg, trials=5)
+        cfg = EmbedConfig(L=3, d=1500, seed=0)
+        rate = distance_bound_audit(
+            S, lambda x: 0.2 + 0.5 * x**3, cfg, trials=5, epsilon=0.4
+        )
         assert rate <= 40 ** -1.0
 
     def test_distances_match_formula(self):
@@ -179,9 +191,31 @@ class TestDistanceBoundAudit:
     def test_tiny_projection_violates(self):
         rng = np.random.default_rng(7)
         S = random_symmetric(40, rng)
-        cfg = EmbedConfig(L=3, d=2, seed=0, epsilon=0.05)
-        rate = distance_bound_audit(S, lambda x: x, cfg, trials=5)
+        cfg = EmbedConfig(L=3, d=2, seed=0)
+        rate = distance_bound_audit(S, lambda x: x, cfg, trials=5, epsilon=0.05)
         assert rate > 0.05
+        sparse = distance_bound_audit(
+            SparseMatrix.from_dense(S), lambda x: x, cfg, trials=5, epsilon=0.05
+        )
+        assert sparse == rate
+
+    def test_epsilon_validated(self):
+        cfg = EmbedConfig(L=2, d=2)
+        for eps in (0.0, 1.0):
+            with pytest.raises(ValueError, match="epsilon"):
+                distance_bound_audit(0.5 * np.eye(3), identity(), cfg, trials=1, epsilon=eps)
+
+    def test_eigensolver_residual_checked(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def off_by_a_little(a):
+            lam, vec = eigh(a)
+            return lam + 1e-6, vec
+
+        monkeypatch.setattr(np.linalg, "eigh", off_by_a_little)
+        S = random_symmetric(10, np.random.default_rng(3))
+        with pytest.raises(OracleError, match="residual"):
+            distance_bound_audit(S, identity(), EmbedConfig(L=2, d=2), trials=1)
 
 
 class TestReportWriters:
@@ -189,12 +223,11 @@ class TestReportWriters:
         rng = np.random.default_rng(8)
         X = rng.standard_normal((30, 4))
         Y = X + 0.1 * rng.standard_normal((30, 4))
-        dev = distortion_percentiles(X, Y)
-        cal = distortion_percentiles(X, Y, mode="calibration")
+        rep = distortion_percentiles(X, Y)
         p1, p2, p3 = tmp_path / "p.csv", tmp_path / "c.csv", tmp_path / "r.json"
-        write_percentiles_csv(dev, p1)
-        write_calibration_csv(cal, p2)
-        write_report_json(dev, p3)
+        write_percentiles_csv(rep, p1)
+        write_calibration_csv(rep, p2)
+        write_report_json(rep, p3)
         lines = p1.read_text().strip().splitlines()
         assert lines[0] == "percentile,value" and len(lines) == 8
         head = p2.read_text().splitlines()[0]
@@ -203,3 +236,4 @@ class TestReportWriters:
 
         blob = json.loads(p3.read_text())
         assert blob["mode"] == "deviation" and "percentiles" in blob
+        assert sorted(blob) == ["mode", "pair_sample_size", "percentiles", "zero_row_pairs"]
