@@ -44,11 +44,14 @@ EXIT_NUMERIC = 4
 EXIT_CAP = 5
 
 
-def _default_threads() -> int:
+def _worker_count(text: str) -> int:
     try:
-        return max(1, int(os.environ.get("CSEMB_THREADS", "1")))
+        value = int(text)
     except ValueError:
-        return 1
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _add_matrix_args(p: argparse.ArgumentParser) -> None:
@@ -81,8 +84,9 @@ def _add_embed_args(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="csemb", description=__doc__)
-    ap.add_argument("--threads", type=int, default=_default_threads(),
-                    help="worker cap (results are identical for any value)")
+    ap.add_argument("--threads", type=_worker_count, default=None,
+                    help="worker cap, default $CSEMB_THREADS or 1 "
+                         "(results are identical for any value)")
     ap.add_argument("--verbose", action="store_true", help="per-iteration audit log")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -125,32 +129,34 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_matrix(args, parser):
-    """Build the working matrix; returns (matrix, kind, extra) where extra
-    carries edge data for graph inputs."""
+def _read_graph(args):
+    """The edge list and vertex count of a graph input (``--n`` overrides)."""
+    edges, inferred = cio.read_edgelist(args.input)
+    n = args.n if args.n is not None else inferred
+    if n < 1:
+        raise InputFormatError(f"empty graph in {args.input}")
+    return edges, n
+
+
+def _load_matrix(args):
+    """The matrix that ``--format`` and ``--matrix`` describe, before any
+    dilation or norm scaling."""
     if args.format == "edgelist":
         if args.matrix != "normalized-adjacency":
-            parser.error("edge lists support only --matrix normalized-adjacency")
-        edges, inferred = cio.read_edgelist(args.input)
-        n = args.n if args.n is not None else inferred
-        if n < 1:
-            raise InputFormatError(f"empty graph in {args.input}")
-        return normalized_adjacency(edges, n), "normalized-adjacency", {"edges": edges, "n": n}
-    if args.format == "matrix-market":
-        mat = cio.read_matrix_market(args.input)
-        if args.matrix == "normalized-adjacency":
-            parser.error("--matrix normalized-adjacency requires --format edgelist")
-        if args.matrix == "raw" and mat.n_rows != mat.n_cols:
-            parser.error(
-                "--matrix raw requires a square matrix; embed and norm take a "
-                "rectangular one with --matrix dilation"
-            )
-        return mat, args.matrix, {}
-    pts = cio.read_points_csv(args.input)
+            raise ValueError("edge lists support only --matrix normalized-adjacency")
+        return normalized_adjacency(*_read_graph(args))
     if args.matrix == "normalized-adjacency":
-        parser.error("--matrix normalized-adjacency requires --format edgelist")
-    mat = kernel_matrix(pts, KernelSpec(args.kernel, args.bandwidth))
-    return mat, args.matrix, {}
+        raise ValueError("--matrix normalized-adjacency requires --format edgelist")
+    if args.format == "points-csv":
+        pts = cio.read_points_csv(args.input)
+        return kernel_matrix(pts, KernelSpec(args.kernel, args.bandwidth))
+    mat = cio.read_matrix_market(args.input)
+    if args.matrix == "raw" and not mat.is_symmetric():
+        raise ValueError(
+            "--matrix raw requires a square symmetric matrix; embed and norm take "
+            "a rectangular or asymmetric one with --matrix dilation"
+        )
+    return mat
 
 
 def _make_config(args, n: int) -> EmbedConfig:
@@ -158,25 +164,25 @@ def _make_config(args, n: int) -> EmbedConfig:
     return EmbedConfig(L=args.L, d=d, b=args.b, seed=args.seed)
 
 
-def cmd_embed(args, parser) -> int:
-    mat, kind, _ = _load_matrix(args, parser)
+def cmd_embed(args) -> int:
+    mat = _load_matrix(args)
     t0 = time.perf_counter()
     norm_estimate = None
     f = args.function
 
-    if kind == "dilation":
+    if args.matrix == "dilation":
         S = dilate(mat)
         f = odd_extension(f)
     else:
         S = mat
     cfg = _make_config(args, S.n_rows)
-    if kind != "normalized-adjacency":
-        norm_estimate = estimate_spectral_norm(S, cfg)
+    if args.matrix != "normalized-adjacency":
+        norm_estimate = estimate_spectral_norm(S, cfg.seed)
         if norm_estimate > 0:
             S = scale_values(S, 1.0 / norm_estimate)
     omega = sample_projection(S.n_rows, cfg.d, cfg.seed)
     emb = fast_embed_cascaded(S, f, cfg, omega, n_workers=args.threads)
-    if kind == "dilation":
+    if args.matrix == "dilation":
         emb, cols_emb = split_dilation(emb, mat.n_cols)
         if args.output_cols:
             cio.write_embedding(args.output_cols, cols_emb.values)
@@ -189,7 +195,7 @@ def cmd_embed(args, parser) -> int:
         "command": "embed",
         "input": args.input,
         "format": args.format,
-        "matrix": kind,
+        "matrix": args.matrix,
         "kernel": args.kernel if args.format == "points-csv" else None,
         "bandwidth": args.bandwidth if args.format == "points-csv" else None,
         "n_override": args.n,
@@ -214,15 +220,14 @@ def cmd_embed(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args, parser) -> int:
+def cmd_eval(args) -> int:
     approx = cio.read_embedding(args.approx)
     if args.exact:
         exact = cio.read_embedding(args.exact)
     else:
         if not (args.input and args.format and args.function):
-            parser.error("eval needs either --exact or --input/--format/--function")
-        mat, kind, _ = _load_matrix(args, parser)
-        exact = exact_embedding(mat.to_dense(), args.function)
+            raise ValueError("eval needs either --exact or --input/--format/--function")
+        exact = exact_embedding(_load_matrix(args).to_dense(), args.function)
     report = distortion_percentiles(exact, approx, n_pairs=args.pairs, seed=args.seed)
     write_percentiles_csv(report, f"{args.output_prefix}_percentiles.csv")
     write_calibration_csv(report, f"{args.output_prefix}_calibration.csv")
@@ -234,11 +239,8 @@ def cmd_eval(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_cluster(args, parser) -> int:
-    edges, inferred = cio.read_edgelist(args.input)
-    n = args.n if args.n is not None else inferred
-    if n < 1:
-        raise InputFormatError(f"empty graph in {args.input}")
+def cmd_cluster(args) -> int:
+    edges, n = _read_graph(args)
     cfg = _make_config(args, n)
     result = cluster_experiment(
         edges, n, args.function, cfg, K=args.k, runs=args.runs, n_workers=args.threads
@@ -267,15 +269,14 @@ def cmd_cluster(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_norm(args, parser) -> int:
-    mat, kind, _ = _load_matrix(args, parser)
-    if kind == "dilation":
+def cmd_norm(args) -> int:
+    mat = _load_matrix(args)
+    if args.matrix == "dilation":
         mat = dilate(mat)
-    cfg = EmbedConfig(L=1, d=1, seed=args.seed)
-    estimate = estimate_spectral_norm(mat, cfg)
+    estimate = estimate_spectral_norm(mat, args.seed)
     out = {
         "n": mat.n_rows,
-        "matrix": kind,
+        "matrix": args.matrix,
         "norm_estimate": estimate,
         "iterations": NORM_ITERS,
         "start_vectors_factor": NORM_VECTORS_FACTOR,
@@ -296,12 +297,17 @@ _HANDLERS = {"embed": cmd_embed, "eval": cmd_eval, "cluster": cmd_cluster, "norm
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threads is None:
+        try:
+            args.threads = _worker_count(os.environ.get("CSEMB_THREADS", "1"))
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"environment variable CSEMB_THREADS: {exc}")
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(name)s %(message)s",
     )
     try:
-        return _HANDLERS[args.command](args, parser)
+        return _HANDLERS[args.command](args)
     except ValueError as exc:
         parser.error(str(exc))
     except (InputFormatError, OSError) as exc:

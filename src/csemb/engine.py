@@ -144,7 +144,7 @@ class EmbeddingMatrix:
         return self.values.shape[1]
 
 
-def estimate_spectral_norm(S: SparseMatrix, cfg: EmbedConfig) -> float:
+def estimate_spectral_norm(S: SparseMatrix, seed: int) -> float:
     """Power-iteration estimate of ||S|| for symmetric S.
 
     Runs ``NORM_ITERS`` iterations on ceil(NORM_VECTORS_FACTOR * ln n) random
@@ -160,7 +160,7 @@ def estimate_spectral_norm(S: SparseMatrix, cfg: EmbedConfig) -> float:
         return 0.0
     n = S.n_rows
     k = max(1, math.ceil(NORM_VECTORS_FACTOR * math.log(max(n, 2))))
-    rng = np.random.default_rng(fold_seed(cfg.seed, _NORM_SEED_TAG))
+    rng = np.random.default_rng(fold_seed(seed, _NORM_SEED_TAG))
     start = rng.standard_normal((n, k))
     start /= np.linalg.norm(start, axis=0)
     # A one-column block would reduce its contiguous column pairwise and round

@@ -154,6 +154,18 @@ class SparseMatrix:
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
 
+    def is_symmetric(self) -> bool:
+        """Whether the matrix equals its transpose exactly, pattern and values.
+        The transpose's CSR comes out canonical, so one O(nnz) pass compares it."""
+        if self.n_rows != self.n_cols:
+            return False
+        t = self._csr.T.tocsr()
+        return (
+            np.array_equal(t.indptr, self.row_offsets)
+            and np.array_equal(t.indices, self.col_indices)
+            and np.array_equal(t.data, self.values)
+        )
+
 
 def spmv_multi(S: SparseMatrix, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Multiply ``S`` with a dense block of column vectors.

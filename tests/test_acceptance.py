@@ -375,8 +375,7 @@ def test_a9_norm_estimator():
         # relative spectral gap >= 0.15 (criterion requires >= 0.1)
         lam = np.concatenate([[1.0 if i % 2 else -1.0], rng.uniform(-0.85, 0.85, 199)])
         dense = symmetric_with_spectrum(lam, rng)
-        cfg = cs.EmbedConfig(L=1, d=1, seed=1000 + i)
-        est = cs.estimate_spectral_norm(cs.SparseMatrix.from_dense(dense), cfg)
+        est = cs.estimate_spectral_norm(cs.SparseMatrix.from_dense(dense), 1000 + i)
         ratios.append(est / np.abs(lam).max())
     in_band = all(0.99 <= r <= 1.01 + 1e-12 for r in ratios)
 
@@ -385,8 +384,7 @@ def test_a9_norm_estimator():
     for i in range(10):
         dense = rng.standard_normal((80, 80))
         dense = 0.5 * (dense + dense.T)
-        cfg = cs.EmbedConfig(L=1, d=1, seed=2000 + i)
-        est = cs.estimate_spectral_norm(cs.SparseMatrix.from_dense(dense), cfg)
+        est = cs.estimate_spectral_norm(cs.SparseMatrix.from_dense(dense), 2000 + i)
         upper_ok &= est <= 1.01 * np.linalg.norm(dense, 2) + 1e-12
 
     ok = in_band and upper_ok

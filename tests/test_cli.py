@@ -211,6 +211,51 @@ class TestErrors:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["embed", "norm", "eval"])
+    def test_asymmetric_raw_rejected(self, tmp_path, command, capsys):
+        # a directed 4-cycle: ||A|| = 0.9, but the symmetric engine reads it as
+        # something else entirely
+        mtx = tmp_path / "cycle.mtx"
+        cycle = scipy.sparse.coo_array((np.full(4, 0.9), ([0, 1, 2, 3], [1, 2, 3, 0])))
+        scipy.io.mmwrite(mtx, cycle)
+        source = ["--input", str(mtx), "--format", "matrix-market", "--matrix", "raw"]
+        if command == "embed":
+            argv = ["embed", *source, "--function", "indicator:0.5", "--L", "8", "--d", "4",
+                    "--output", str(tmp_path / "e.bin")]
+        elif command == "norm":
+            argv = ["norm", *source]
+        else:
+            emb = tmp_path / "e.bin"
+            from csemb.io import write_embedding
+
+            write_embedding(emb, np.ones((4, 2)))
+            argv = ["eval", "--approx", str(emb), *source, "--function", "indicator:0.5",
+                    "--output-prefix", str(tmp_path / "r")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--matrix dilation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "threads, env, named",
+        [("0", None, "--threads"), ("-3", None, "--threads"), (None, "abc", "CSEMB_THREADS")],
+        ids=["flag-zero", "flag-negative", "env-not-a-number"],
+    )
+    def test_bad_worker_count_usage_error(
+        self, small_graph, tmp_path, monkeypatch, capsys, threads, env, named
+    ):
+        if env is None:
+            monkeypatch.delenv("CSEMB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("CSEMB_THREADS", env)
+        argv = _embed_argv(small_graph, tmp_path / "e.bin")
+        if threads is not None:
+            argv = ["--threads", threads] + argv
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+
     def test_unparseable_input(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a graph\n")

@@ -65,26 +65,23 @@ class TestSampleProjection:
 
 class TestNormEstimate:
     def test_zero_matrix(self):
-        cfg = EmbedConfig(L=1, d=1)
-        assert estimate_spectral_norm(SparseMatrix.zeros(5, 5), cfg) == 0.0
+        assert estimate_spectral_norm(SparseMatrix.zeros(5, 5), 0) == 0.0
 
     def test_identity(self):
-        cfg = EmbedConfig(L=1, d=1, seed=0)
-        est = estimate_spectral_norm(SparseMatrix.identity(10), cfg)
+        est = estimate_spectral_norm(SparseMatrix.identity(10), 0)
         assert est == pytest.approx(1.01, abs=1e-12)
 
     def test_padded_diagonal(self):
         dense = np.zeros((50, 50))
         dense[0, 0], dense[1, 1] = 0.3, -0.9
-        cfg = EmbedConfig(L=1, d=1, seed=1)
-        est = estimate_spectral_norm(sparse_from(dense), cfg)
+        est = estimate_spectral_norm(sparse_from(dense), 1)
         assert 0.9 * (1 - 1e-6) <= est <= 0.909
 
     @pytest.mark.parametrize("seed", range(5))
     def test_never_exceeds_safety_times_norm(self, seed):
         rng = np.random.default_rng(seed)
         dense = random_symmetric(60, rng, spectral_norm=None)
-        est = estimate_spectral_norm(sparse_from(dense), EmbedConfig(L=1, d=1, seed=seed))
+        est = estimate_spectral_norm(sparse_from(dense), seed)
         assert est <= 1.01 * np.linalg.norm(dense, 2) + 1e-12
 
     @pytest.mark.parametrize("width", [8, 9, 10, 15, 16, 30])
@@ -98,12 +95,11 @@ class TestNormEstimate:
         edges = rng.integers(0, n, size=(900, 2))
         A = SparseMatrix.from_coo(edges[:, 0], edges[:, 1], rng.standard_normal(900), n, n)
         S = SparseMatrix.from_scipy(A._csr + A._csr.T)
-        cfg = EmbedConfig(L=1, d=1, seed=10)
         assert csemb.engine.block_width(n, 31) == 31
-        single = estimate_spectral_norm(S, cfg)
+        single = estimate_spectral_norm(S, 10)
         monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", 8 * n * width)
         assert csemb.engine.block_width(n, 31) == width
-        assert estimate_spectral_norm(S, cfg) == single
+        assert estimate_spectral_norm(S, 10) == single
 
 
 def _embed(S, f, L, om, **kw):
