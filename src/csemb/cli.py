@@ -227,7 +227,7 @@ def cmd_eval(args) -> int:
     else:
         if not (args.input and args.format and args.function):
             raise ValueError("eval needs either --exact or --input/--format/--function")
-        exact = exact_embedding(_load_matrix(args).to_dense(), args.function)
+        exact = exact_embedding(_load_matrix(args), args.function)
     report = distortion_percentiles(exact, approx, n_pairs=args.pairs, seed=args.seed)
     write_percentiles_csv(report, f"{args.output_prefix}_percentiles.csv")
     write_calibration_csv(report, f"{args.output_prefix}_calibration.csv")

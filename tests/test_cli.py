@@ -213,8 +213,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["embed", "norm", "eval"])
     def test_asymmetric_raw_rejected(self, tmp_path, command, capsys):
-        # a directed 4-cycle: ||A|| = 0.9, but the symmetric engine reads it as
-        # something else entirely
+        # a directed 4-cycle of weight 0.9: square, ||A|| = 0.9, not symmetric
         mtx = tmp_path / "cycle.mtx"
         cycle = scipy.sparse.coo_array((np.full(4, 0.9), ([0, 1, 2, 3], [1, 2, 3, 0])))
         scipy.io.mmwrite(mtx, cycle)
