@@ -124,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pn = sub.add_parser("norm", help="estimate the spectral norm of a matrix")
     _add_matrix_args(pn)
-    pn.add_argument("--seed", type=int, default=0)
     pn.add_argument("--output", default=None)
     return ap
 
@@ -138,25 +137,33 @@ def _read_graph(args):
     return edges, n
 
 
-def _load_matrix(args):
-    """The matrix that ``--format`` and ``--matrix`` describe, before any
-    dilation or norm scaling."""
+def _operator(args):
+    """The input matrix, the symmetric operator S that f is applied to, and
+    the norm estimate S was divided by: None for the normalized adjacency,
+    whose spectrum already lies in [-1, 1]. ``--matrix dilation`` makes S
+    the dilation [0 A^T; A 0] of the input."""
     if args.format == "edgelist":
         if args.matrix != "normalized-adjacency":
             raise ValueError("edge lists support only --matrix normalized-adjacency")
-        return normalized_adjacency(*_read_graph(args))
+        adj = normalized_adjacency(*_read_graph(args))
+        return adj, adj, None
     if args.matrix == "normalized-adjacency":
         raise ValueError("--matrix normalized-adjacency requires --format edgelist")
     if args.format == "points-csv":
         pts = cio.read_points_csv(args.input)
-        return kernel_matrix(pts, KernelSpec(args.kernel, args.bandwidth))
-    mat = cio.read_matrix_market(args.input)
-    if args.matrix == "raw" and not mat.is_symmetric():
-        raise ValueError(
-            "--matrix raw requires a square symmetric matrix; embed and norm take "
-            "a rectangular or asymmetric one with --matrix dilation"
-        )
-    return mat
+        mat = kernel_matrix(pts, KernelSpec(args.kernel, args.bandwidth))
+    else:
+        mat = cio.read_matrix_market(args.input)
+        if args.matrix == "raw" and not mat.is_symmetric():
+            raise ValueError(
+                "--matrix raw requires a square symmetric matrix; embed and norm take "
+                "a rectangular or asymmetric one with --matrix dilation"
+            )
+    S = dilate(mat) if args.matrix == "dilation" else mat
+    norm_estimate = estimate_spectral_norm(S)
+    if norm_estimate > 0:
+        S = scale_values(S, 1.0 / norm_estimate)
+    return mat, S, norm_estimate
 
 
 def _make_config(args, n: int) -> EmbedConfig:
@@ -165,21 +172,10 @@ def _make_config(args, n: int) -> EmbedConfig:
 
 
 def cmd_embed(args) -> int:
-    mat = _load_matrix(args)
     t0 = time.perf_counter()
-    norm_estimate = None
-    f = args.function
-
-    if args.matrix == "dilation":
-        S = dilate(mat)
-        f = odd_extension(f)
-    else:
-        S = mat
+    mat, S, norm_estimate = _operator(args)
+    f = odd_extension(args.function) if args.matrix == "dilation" else args.function
     cfg = _make_config(args, S.n_rows)
-    if args.matrix != "normalized-adjacency":
-        norm_estimate = estimate_spectral_norm(S, cfg.seed)
-        if norm_estimate > 0:
-            S = scale_values(S, 1.0 / norm_estimate)
     omega = sample_projection(S.n_rows, cfg.d, cfg.seed)
     emb = fast_embed_cascaded(S, f, cfg, omega, n_workers=args.threads)
     if args.matrix == "dilation":
@@ -227,7 +223,7 @@ def cmd_eval(args) -> int:
     else:
         if not (args.input and args.format and args.function):
             raise ValueError("eval needs either --exact or --input/--format/--function")
-        exact = exact_embedding(_load_matrix(args), args.function)
+        exact = exact_embedding(_operator(args)[1], args.function)
     report = distortion_percentiles(exact, approx, n_pairs=args.pairs, seed=args.seed)
     write_percentiles_csv(report, f"{args.output_prefix}_percentiles.csv")
     write_calibration_csv(report, f"{args.output_prefix}_calibration.csv")
@@ -270,18 +266,16 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    mat = _load_matrix(args)
-    if args.matrix == "dilation":
-        mat = dilate(mat)
-    estimate = estimate_spectral_norm(mat, args.seed)
+    _, S, estimate = _operator(args)
+    if estimate is None:
+        estimate = estimate_spectral_norm(S)
     out = {
-        "n": mat.n_rows,
+        "n": S.n_rows,
         "matrix": args.matrix,
         "norm_estimate": estimate,
         "iterations": NORM_ITERS,
         "start_vectors_factor": NORM_VECTORS_FACTOR,
         "safety": NORM_SAFETY,
-        "seed": args.seed,
     }
     text = json.dumps(out, indent=2, sort_keys=True)
     if args.output:

@@ -404,6 +404,6 @@ class TestNormCommand:
         scipy.io.mmwrite(p, scipy.sparse.coo_array(dense))
         out = tmp_path / "norm.json"
         main(["norm", "--input", str(p), "--format", "matrix-market",
-              "--matrix", "raw", "--seed", "1", "--output", str(out)])
+              "--matrix", "raw", "--output", str(out)])
         est = json.loads(out.read_text())["norm_estimate"]
         assert 0.9 * (1 - 1e-6) <= est <= 0.909

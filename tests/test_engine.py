@@ -65,41 +65,40 @@ class TestSampleProjection:
 
 class TestNormEstimate:
     def test_zero_matrix(self):
-        assert estimate_spectral_norm(SparseMatrix.zeros(5, 5), 0) == 0.0
+        assert estimate_spectral_norm(SparseMatrix.zeros(5, 5)) == 0.0
 
     def test_identity(self):
-        est = estimate_spectral_norm(SparseMatrix.identity(10), 0)
+        est = estimate_spectral_norm(SparseMatrix.identity(10))
         assert est == pytest.approx(1.01, abs=1e-12)
 
     def test_padded_diagonal(self):
         dense = np.zeros((50, 50))
         dense[0, 0], dense[1, 1] = 0.3, -0.9
-        est = estimate_spectral_norm(sparse_from(dense), 1)
+        est = estimate_spectral_norm(sparse_from(dense))
         assert 0.9 * (1 - 1e-6) <= est <= 0.909
 
     @pytest.mark.parametrize("seed", range(5))
     def test_never_exceeds_safety_times_norm(self, seed):
         rng = np.random.default_rng(seed)
         dense = random_symmetric(60, rng, spectral_norm=None)
-        est = estimate_spectral_norm(sparse_from(dense), seed)
+        est = estimate_spectral_norm(sparse_from(dense))
         assert est <= 1.01 * np.linalg.norm(dense, 2) + 1e-12
 
     @pytest.mark.parametrize("width", [8, 9, 10, 15, 16, 30])
     def test_column_blocks_bit_exact(self, monkeypatch, width):
         # n = 150 gives k = 31 vectors. Widths 10, 15 and 30 would leave a
-        # one-column tail; on this input (seed 10) such a tail changes the
-        # estimate, because the largest Rayleigh quotient lies in the last
-        # column.
-        rng = np.random.default_rng(10)
+        # one-column tail; on this input (seed 3) such a tail changes the
+        # estimate, because the largest ||S v|| lies in the last column.
+        rng = np.random.default_rng(3)
         n = 150
         edges = rng.integers(0, n, size=(900, 2))
         A = SparseMatrix.from_coo(edges[:, 0], edges[:, 1], rng.standard_normal(900), n, n)
         S = SparseMatrix.from_scipy(A._csr + A._csr.T)
         assert csemb.engine.block_width(n, 31) == 31
-        single = estimate_spectral_norm(S, 10)
+        single = estimate_spectral_norm(S)
         monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", 8 * n * width)
         assert csemb.engine.block_width(n, 31) == width
-        assert estimate_spectral_norm(S, 10) == single
+        assert estimate_spectral_norm(S) == single
 
 
 def _embed(S, f, L, om, **kw):

@@ -56,10 +56,10 @@ def _embed(input_name, fmt, matrix, function, L, b, d, seed, extra=()):
     ]
 
 
-def _norm(input_name, matrix, seed):
+def _norm(input_name, matrix):
     return [
         "norm", "--input", input_name, "--format", "matrix-market", "--matrix", matrix,
-        "--seed", str(seed), "--output", "norm.json",
+        "--output", "norm.json",
     ]
 
 
@@ -80,15 +80,15 @@ CASES = {
     "raw": (
         _write_symmetric, "m.mtx",
         [_embed("m.mtx", "matrix-market", "raw", "indicator:0.5", 16, 1, 8, 1)],
-        {"out.bin": "3964a99a49b34c37a6e412699f8660f2ab6cebf40236d8770b47e949a9eca2a4"},
+        {"out.bin": "660476dd890062a6cf00cf132f9909a07de60a923479f10993cbfcb48e0de6d2"},
     ),
     "dilation-b1": (
         _write_rectangular, "a.mtx",
         [_embed("a.mtx", "matrix-market", "dilation", "indicator:0.5", 16, 1, 6, 3,
                 ("--output-cols", "cols.bin"))],
         {
-            "out.bin": "d617e796e227c470fdb505e26035b47eec3f13c7173dfdc4259ca2687b4aaccb",
-            "cols.bin": "d4e350758784e1ab6ca7b53dc6139bf62b907eaa1ab0f7e33e33018e1f38ee92",
+            "out.bin": "b2d3f1cc5c925afd3b55f8331c7975e97da839df4c5763e5785c14f0ae0bc754",
+            "cols.bin": "fcb216820ada50c82b7c842d7cb8fdc57801104864ef29a9bd06da179bfdc31b",
         },
     ),
     "dilation-b2": (
@@ -96,8 +96,8 @@ CASES = {
         [_embed("a.mtx", "matrix-market", "dilation", "indicator:0.5", 16, 2, 6, 3,
                 ("--output-cols", "cols.bin"))],
         {
-            "out.bin": "366db4d1eef59c9ebfd2b825eb58a5ad6b6797cdeeaf6ffe89e7e8695988f6c1",
-            "cols.bin": "66e1aed984b480103ca1c205191ff52166cf1a1de4e2cc119d61a562a85cdecc",
+            "out.bin": "39de7863d1eedf16c757251e5d2cce3a498345752c2ddd5a1f79915b95932df4",
+            "cols.bin": "2e038c78fba5651666b20fbbd80ca312c9ee2f3e2415cb2d44453b7d1be8fed4",
         },
     ),
     "points": (
@@ -129,12 +129,12 @@ CASES = {
         },
     ),
     "norm-raw": (
-        _write_symmetric, "m.mtx", [_norm("m.mtx", "raw", 1)],
-        {"norm.json": "fa4a9d0f95739809ba782ddca74d035da00b74442683c56ccb90175bbec4be9a"},
+        _write_symmetric, "m.mtx", [_norm("m.mtx", "raw")],
+        {"norm.json": "f5de38290a412cddf1a49a481a78b6a33aba54839062044fae5b97a9e698bcfb"},
     ),
     "norm-dilation": (
-        _write_rectangular, "a.mtx", [_norm("a.mtx", "dilation", 3)],
-        {"norm.json": "1066fc57a57e9a3bcaa4bbd3c09f1c20a9cf717ee4688cc1da679b9c449e15e9"},
+        _write_rectangular, "a.mtx", [_norm("a.mtx", "dilation")],
+        {"norm.json": "3ede09bfde6c2015b08d5fa720907db9e7066a5e014a145a31f0c5800be5bcce"},
     ),
 }
 
