@@ -142,6 +142,8 @@ def _operator(args):
     the norm estimate S was divided by: None for the normalized adjacency,
     whose spectrum already lies in [-1, 1]. ``--matrix dilation`` makes S
     the dilation [0 A^T; A 0] of the input."""
+    if args.n is not None and args.format != "edgelist":
+        raise ValueError("--n applies only to --format edgelist")
     if args.format == "edgelist":
         if args.matrix != "normalized-adjacency":
             raise ValueError("edge lists support only --matrix normalized-adjacency")
@@ -172,6 +174,8 @@ def _make_config(args, n: int) -> EmbedConfig:
 
 
 def cmd_embed(args) -> int:
+    if args.output_cols and args.matrix != "dilation":
+        raise ValueError("--output-cols requires --matrix dilation")
     t0 = time.perf_counter()
     mat, S, norm_estimate = _operator(args)
     f = odd_extension(args.function) if args.matrix == "dilation" else args.function

@@ -236,6 +236,38 @@ class TestErrors:
         assert "--matrix dilation" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command, fmt, extra, named",
+        [
+            ("embed", "matrix-market", ("--output-cols", "cols.bin"), "--output-cols"),
+            ("embed", "matrix-market", ("--n", "30"), "--n"),
+            ("embed", "points-csv", ("--n", "25"), "--n"),
+            ("norm", "matrix-market", ("--n", "30"), "--n"),
+        ],
+        ids=["output-cols-without-dilation", "n-with-matrix-market", "n-with-points-csv",
+             "norm-n-with-matrix-market"],
+    )
+    def test_ignored_option_usage_error(self, tmp_path, capsys, command, fmt, extra, named):
+        # options that the input or matrix kind has no use for are refused,
+        # not silently dropped
+        rng = np.random.default_rng(1)
+        if fmt == "matrix-market":
+            p = tmp_path / "m.mtx"
+            dense = rng.standard_normal((30, 30))
+            scipy.io.mmwrite(p, scipy.sparse.coo_array(dense + dense.T))
+        else:
+            p = tmp_path / "pts.csv"
+            np.savetxt(p, rng.standard_normal((25, 2)), delimiter=",")
+        argv = [command, "--input", str(p), "--format", fmt, "--matrix", "raw", *extra]
+        if command == "embed":
+            argv += ["--function", "indicator:0.5", "--L", "8", "--d", "4",
+                     "--output", str(tmp_path / "e.bin")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "e.bin").exists()
+
+    @pytest.mark.parametrize(
         "threads, env, named",
         [("0", None, "--threads"), ("-3", None, "--threads"), (None, "abc", "CSEMB_THREADS")],
         ids=["flag-zero", "flag-negative", "env-not-a-number"],
@@ -351,6 +383,63 @@ class TestEvalCommand:
         assert len(calls) == 1
         for suffix in ("_percentiles.csv", "_calibration.csv", "_report.json"):
             assert (tmp_path / ("r" + suffix)).stat().st_size > 0
+
+
+def _write_clusters(path):
+    """300 points in three well-separated Gaussian clusters of 100."""
+    rng = np.random.default_rng(0)
+    centers = np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]])
+    np.savetxt(path, np.concatenate([c + rng.standard_normal((100, 2)) for c in centers]),
+               delimiter=",")
+
+
+class TestOperator:
+    def test_eval_raw_compares_scaled_operator(self, tmp_path):
+        # embed applies f_L to S / nu; eval must compare with f(S / nu), not
+        # f(S), or most pairs deviate by more than 1
+        pts = tmp_path / "pts.csv"
+        _write_clusters(pts)
+        source = ["--input", str(pts), "--format", "points-csv", "--matrix", "raw"]
+        out = tmp_path / "e.bin"
+        assert main(["embed", *source, "--function", "indicator:0.5", "--L", "120",
+                     "--b", "2", "--d", "80", "--output", str(out)]) == 0
+        assert main(["eval", "--approx", str(out), *source, "--function", "indicator:0.5",
+                     "--output-prefix", str(tmp_path / "r")]) == 0
+        report = json.loads((tmp_path / "r_report.json").read_text())
+        assert all(abs(v) <= 0.15 for v in report["percentiles"].values())
+
+    @pytest.mark.parametrize("command", ["embed-dilation", "eval-raw"])
+    def test_one_call_per_benchmark_span(self, tmp_path, monkeypatch, command):
+        # the benchmark times these names in csemb.cli; each runs once
+        import csemb.cli
+
+        calls = []
+        for name in ("estimate_spectral_norm", "sample_projection", "fast_embed_cascaded"):
+            def counted(*args, _real=getattr(csemb.cli, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(csemb.cli, name, counted)
+        if command == "embed-dilation":
+            mtx = tmp_path / "a.mtx"
+            dense = np.random.default_rng(2).standard_normal((7, 4))
+            scipy.io.mmwrite(mtx, scipy.sparse.coo_array(dense))
+            assert main(["embed", "--input", str(mtx), "--format", "matrix-market",
+                         "--matrix", "dilation", "--function", "indicator:0.5", "--L", "16",
+                         "--d", "6", "--output", str(tmp_path / "rows.bin"),
+                         "--output-cols", str(tmp_path / "cols.bin")]) == 0
+            assert calls == ["estimate_spectral_norm", "sample_projection", "fast_embed_cascaded"]
+        else:
+            pts = tmp_path / "pts.csv"
+            np.savetxt(pts, np.random.default_rng(3).standard_normal((25, 2)), delimiter=",")
+            emb = tmp_path / "e.bin"
+            from csemb.io import write_embedding
+
+            write_embedding(emb, np.ones((25, 2)))
+            assert main(["eval", "--approx", str(emb), "--input", str(pts),
+                         "--format", "points-csv", "--matrix", "raw", "--function",
+                         "indicator:0.5", "--output-prefix", str(tmp_path / "r")]) == 0
+            assert calls == ["estimate_spectral_norm"]
 
 
 class TestClusterCommand:

@@ -12,6 +12,7 @@ from csemb import (
     SparseMatrix,
     constant,
     default_dimension,
+    dilate,
     estimate_spectral_norm,
     fast_embed_cascaded,
     fast_embed_general,
@@ -83,6 +84,16 @@ class TestNormEstimate:
         dense = random_symmetric(60, rng, spectral_norm=None)
         est = estimate_spectral_norm(sparse_from(dense))
         assert est <= 1.01 * np.linalg.norm(dense, 2) + 1e-12
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_dilation_within_one_percent(self, seed):
+        # A dilation's spectrum is +-sigma: an iterate holding both top
+        # eigenvectors has a Rayleigh quotient near 0 but ||S v|| near sigma.
+        rng = np.random.default_rng(seed)
+        dense = rng.standard_normal((400, 200)) * (rng.random((400, 200)) < 0.05)
+        sigma = np.linalg.norm(dense, 2)
+        est = estimate_spectral_norm(dilate(sparse_from(dense)))
+        assert sigma <= est <= 1.01 * sigma
 
     @pytest.mark.parametrize("width", [8, 9, 10, 15, 16, 30])
     def test_column_blocks_bit_exact(self, monkeypatch, width):
