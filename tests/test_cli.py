@@ -385,20 +385,16 @@ class TestEvalCommand:
             assert (tmp_path / ("r" + suffix)).stat().st_size > 0
 
 
-def _write_clusters(path):
-    """300 points in three well-separated Gaussian clusters of 100."""
-    rng = np.random.default_rng(0)
-    centers = np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]])
-    np.savetxt(path, np.concatenate([c + rng.standard_normal((100, 2)) for c in centers]),
-               delimiter=",")
-
-
 class TestOperator:
     def test_eval_raw_compares_scaled_operator(self, tmp_path):
         # embed applies f_L to S / nu; eval must compare with f(S / nu), not
-        # f(S), or most pairs deviate by more than 1
+        # f(S), or most pairs deviate by more than 1. 300 points in three
+        # well-separated clusters.
+        rng = np.random.default_rng(0)
+        centers = np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]])
         pts = tmp_path / "pts.csv"
-        _write_clusters(pts)
+        np.savetxt(pts, np.concatenate([c + rng.standard_normal((100, 2)) for c in centers]),
+                   delimiter=",")
         source = ["--input", str(pts), "--format", "points-csv", "--matrix", "raw"]
         out = tmp_path / "e.bin"
         assert main(["embed", *source, "--function", "indicator:0.5", "--L", "120",
