@@ -21,7 +21,6 @@ from .engine import (
     default_dimension,
     estimate_spectral_norm,
     fast_embed_cascaded,
-    fast_embed_general,
     fold_seed,
     sample_projection,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "exact_embedding",
     "expansion_eval",
     "fast_embed_cascaded",
-    "fast_embed_general",
     "fold_seed",
     "identity",
     "indicator_above",

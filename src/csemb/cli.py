@@ -24,7 +24,6 @@ from .engine import (
     estimate_spectral_norm,
     fast_embed_cascaded,
     sample_projection,
-    split_dilation,
 )
 from .errors import DivergenceError, InputFormatError, OracleCapError, OracleError
 from .functions import odd_extension, parse_function
@@ -182,14 +181,16 @@ def cmd_embed(args) -> int:
     cfg = _make_config(args, S.n_rows)
     omega = sample_projection(S.n_rows, cfg.d, cfg.seed)
     emb = fast_embed_cascaded(S, f, cfg, omega, n_workers=args.threads)
+    rows = emb.values
     if args.matrix == "dilation":
-        emb, cols_emb = split_dilation(emb, mat.n_cols)
+        # the dilation's first n rows embed the columns, the rest the rows
+        rows = emb.values[mat.n_cols:]
         if args.output_cols:
-            cio.write_embedding(args.output_cols, cols_emb.values)
+            cio.write_embedding(args.output_cols, emb.values[:mat.n_cols])
 
-    cio.write_embedding(args.output, emb.values)
+    cio.write_embedding(args.output, rows)
     if args.output_csv:
-        cio.write_embedding_csv(args.output_csv, emb.values)
+        cio.write_embedding_csv(args.output_csv, rows)
 
     meta = {
         "command": "embed",
@@ -208,7 +209,7 @@ def cmd_embed(args) -> int:
         "norm_estimate": norm_estimate,
         "spmv_products": emb.provenance["spmv_products"],
         "coeffs_sha256": emb.provenance.get("coeffs_sha256"),
-        "n_rows": emb.n_rows,
+        "n_rows": rows.shape[0],
         "wall_time_s": time.perf_counter() - t0,
         "output": args.output,
     }
@@ -216,7 +217,7 @@ def cmd_embed(args) -> int:
     with open(meta_path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"embedded {emb.n_rows} rows into {cfg.d} dimensions -> {args.output}")
+    print(f"embedded {rows.shape[0]} rows into {cfg.d} dimensions -> {args.output}")
     return EXIT_OK
 
 

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError
-from .functions import describe, odd_extension, root_function
+from .functions import describe, root_function
 from .legendre import LegendreExpansion, legendre_coefficients, legendre_terms
-from .sparse import SparseMatrix, dilate, spmv_multi
+from .sparse import SparseMatrix, spmv_multi
 
 logger = logging.getLogger("csemb.engine")
 
@@ -135,14 +135,6 @@ class EmbeddingMatrix:
     values: np.ndarray
     provenance: dict = field(default_factory=dict)
 
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
 
 def estimate_spectral_norm(S: SparseMatrix) -> float:
     """Power-iteration estimate of ||S|| for symmetric S.
@@ -184,16 +176,6 @@ def estimate_spectral_norm(S: SparseMatrix) -> float:
             norms[~alive] = np.inf  # a vanished column stays zero
             np.divide(W, norms, out=V)
     return best * NORM_SAFETY
-
-
-def _resolve_expansion(f, order: int) -> LegendreExpansion:
-    if isinstance(f, LegendreExpansion):
-        if f.order != order:
-            raise ValueError(
-                f"expansion order {f.order} does not match requested order {order}"
-            )
-        return f
-    return legendre_coefficients(f, order)
 
 
 def block_width(n: int, d: int) -> int:
@@ -299,8 +281,7 @@ def fast_embed_cascaded(
     """Embed the rows of a symmetric S (||S|| <= 1) as f_L(S) @ omega, by b
     cascade stages of order L/b applied to the b-th root of f.
 
-    ``f`` may be a SpectralFunction, a plain callable on [-1, 1], or (with
-    b = 1) a precomputed :class:`LegendreExpansion` of order L. ``omega``
+    ``f`` may be a SpectralFunction or a plain callable on [-1, 1]. ``omega``
     defaults to :func:`sample_projection` of ``cfg.d`` columns. Stage i's
     output block is stage i+1's input block; exactly L/b multi-vector
     products are performed per stage, L in total. Each column block counts
@@ -314,13 +295,7 @@ def fast_embed_cascaded(
     omega = np.asarray(omega, dtype=np.float64)
     if omega.ndim != 2 or omega.shape[0] != S.n_rows:
         raise ValueError("projection block must be 2-d with one row per vertex")
-    if cfg.b == 1:
-        g = f
-    else:
-        if isinstance(f, LegendreExpansion):
-            raise ValueError("cascading needs the function itself, not an expansion")
-        g = root_function(f, cfg.b)
-    expansion = _resolve_expansion(g, cfg.stage_order)
+    expansion = legendre_coefficients(root_function(f, cfg.b), cfg.stage_order)
     width = block_width(S.n_rows, omega.shape[1])
     values, products = _apply_cascade(
         S, expansion, omega, stages=cfg.b, width=width, n_workers=n_workers
@@ -340,32 +315,3 @@ def fast_embed_cascaded(
         },
     )
 
-
-def fast_embed_general(
-    A: SparseMatrix,
-    f,
-    cfg: EmbedConfig,
-    *,
-    n_workers: int = 1,
-) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
-    """Row and column embeddings of a general m x n matrix with ||A|| <= 1.
-
-    Runs the cascaded engine on the symmetric dilation [0 A^T; A 0] with the
-    odd extension of ``f``, then splits the output with
-    :func:`split_dilation`. Returns ``(row_embedding, column_embedding)``.
-    """
-    emb = fast_embed_cascaded(dilate(A), odd_extension(f), cfg, n_workers=n_workers)
-    return split_dilation(emb, A.n_cols)
-
-
-def split_dilation(
-    emb: EmbeddingMatrix, n_cols: int
-) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
-    """Split an embedding of the dilation of an m x n matrix into
-    ``(row_embedding, column_embedding)``: the first n rows embed the
-    columns of the matrix, the last m rows embed its rows."""
-
-    def side(values, name):
-        return EmbeddingMatrix(values=values, provenance={**emb.provenance, "side": name})
-
-    return side(emb.values[n_cols:], "rows"), side(emb.values[:n_cols], "columns")

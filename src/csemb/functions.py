@@ -211,7 +211,7 @@ def root_function(f, b: int):
 
 
 def describe(f) -> str:
-    """A short text form of a weighting function or expansion, for provenance."""
+    """A short text form of a weighting function, for provenance."""
     d = getattr(f, "describe", None)
     if callable(d):
         return d()

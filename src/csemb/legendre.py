@@ -94,9 +94,6 @@ class LegendreExpansion:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def describe(self) -> str:
-        return f"expansion[{self.order}]"
-
     def digest(self) -> str:
         import hashlib
 

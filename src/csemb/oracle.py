@@ -187,7 +187,7 @@ def distance_bound_audit(
     violations = 0
     for t in range(trials):
         trial = replace(cfg, b=1, seed=fold_seed(cfg.seed, t))
-        emb = fast_embed_cascaded(sp, expansion, trial).values
+        emb = fast_embed_cascaded(sp, f, trial).values
         d_approx = _pairwise_distances(emb)
         violations += int(np.sum((d_approx < lower) | (d_approx > upper)))
     return violations / (trials * len(d_exact))

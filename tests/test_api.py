@@ -41,7 +41,6 @@ PUBLIC = [
     "exact_embedding",
     "expansion_eval",
     "fast_embed_cascaded",
-    "fast_embed_general",
     "fold_seed",
     "identity",
     "indicator_above",
