@@ -1,7 +1,7 @@
 """Command-line driver: embed / eval / cluster / norm.
 
-Exit codes: 0 success, 2 usage, 3 input parse, 4 numeric failure (iteration
-blow-up), 5 dense-oracle cap exceeded.
+Exit codes: 0 success, 2 usage, 3 input parse, 4 numeric failure (a cascade
+stage outgrew the ||S|| <= 1 bound), 5 dense-oracle cap exceeded.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ class InputFormatError(CsembError):
 
 
 class DivergenceError(CsembError):
-    """A matrix iteration produced non-finite values.
+    """A matrix iteration grew a column beyond what ||S|| <= 1 allows.
 
     Almost always means the operand's spectral norm exceeds 1; rescale the
     matrix (divide it by ``estimate_spectral_norm``) and retry.

@@ -86,9 +86,13 @@ def _pair_correlations(rows: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray,
 def sample_pairs(n: int, n_pairs: int | None, seed: int) -> np.ndarray:
     """Uniform vertex pairs (i < j) without replacement, deterministic per seed."""
     total = n * (n - 1) // 2
-    if n_pairs is None:
-        n_pairs = min(DEFAULT_MAX_PAIRS, total)
-    n_pairs = min(n_pairs, total)
+    asked = DEFAULT_MAX_PAIRS if n_pairs is None else n_pairs
+    n_pairs = min(asked, total)
+    if n_pairs < 1:
+        raise ValueError(
+            "a pair sample needs at least one vertex pair; "
+            f"asked for {asked} of the {total} pairs among {n} rows"
+        )
     if n_pairs == total:
         iu = np.triu_indices(n, k=1)
         return np.stack(iu, axis=1).astype(np.int64)

@@ -218,7 +218,12 @@ def spmv_multi(S: SparseMatrix, X: np.ndarray, out: np.ndarray | None = None) ->
 def dilate(A: SparseMatrix) -> SparseMatrix:
     """Symmetric (m+n) x (m+n) matrix with A^T in the top-right block and A in
     the bottom-left; the first n indices correspond to columns of ``A``, the
-    last m to its rows."""
+    last m to its rows.
+
+    This is how a rectangular A is embedded: estimate nu on the dilation,
+    divide it by nu (:func:`scale_values`), and embed it with
+    ``odd_extension(f)``. The first n rows of the embedding embed the
+    columns of A, the last m its rows."""
     if A.n_rows < 1 or A.n_cols < 1:
         raise ValueError("cannot dilate an empty matrix")
     at = A._csr.T.tocsr()

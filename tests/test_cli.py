@@ -287,6 +287,43 @@ class TestErrors:
         assert exc.value.code == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["pairs-zero", "pairs-negative", "one-vertex"])
+    def test_empty_pair_sample_usage_error(self, tmp_path, capsys, case):
+        from csemb.io import write_embedding
+
+        rows = 1 if case == "one-vertex" else 5
+        emb = tmp_path / "e.bin"
+        write_embedding(emb, np.ones((rows, 2)))
+        argv = ["eval", "--approx", str(emb), "--exact", str(emb),
+                "--output-prefix", str(tmp_path / "r")]
+        if case != "one-vertex":
+            argv += ["--pairs", "0" if case == "pairs-zero" else "-5"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "at least one vertex pair" in capsys.readouterr().err
+
+    def test_norm_short_of_sigma_max_exit_code(self, tmp_path, capsys):
+        # 5%-dense 2000 x 1000: the top of the spectrum is dense, so 20 power
+        # iterations stop just short of sigma_max and ||S / nu|| > 1. At
+        # L = 120 the output grows ~1e5-fold past the bound; at L = 40 the
+        # stray spectrum stays within it.
+        rng = np.random.default_rng(1)
+        mask = rng.random((2000, 1000)) < 0.05
+        i, j = np.nonzero(mask)
+        mtx = tmp_path / "a.mtx"
+        scipy.io.mmwrite(mtx, scipy.sparse.coo_array((rng.standard_normal(len(i)), (i, j))))
+        out = tmp_path / "e.bin"
+        argv = ["embed", "--input", str(mtx), "--format", "matrix-market",
+                "--matrix", "dilation", "--function", "indicator:0.5", "--d", "16",
+                "--output", str(out)]
+        assert main(argv + ["--L", "40"]) == 0
+        assert np.abs(read_embedding(out)).max() < 2.0
+        out.unlink()
+        assert main(argv + ["--L", "120"]) == 4
+        assert "spectral norm > 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unparseable_input(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a graph\n")
@@ -403,6 +440,36 @@ class TestOperator:
                      "--output-prefix", str(tmp_path / "r")]) == 0
         report = json.loads((tmp_path / "r_report.json").read_text())
         assert all(abs(v) <= 0.15 for v in report["percentiles"].values())
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_library_recipe_matches_cli(self, tmp_path, b):
+        # a rectangular input is an operator, not a second entry point: its
+        # dilation over the norm estimate, embedded with the odd extension of
+        # f; the first n rows embed the columns
+        import csemb as cs
+        from csemb.io import read_matrix_market, write_embedding
+
+        mtx = tmp_path / "a.mtx"
+        scipy.io.mmwrite(mtx, scipy.sparse.coo_array(
+            np.random.default_rng(4).standard_normal((9, 5))))
+        assert main(["embed", "--input", str(mtx), "--format", "matrix-market",
+                     "--matrix", "dilation", "--function", "indicator:0.5",
+                     "--L", "16", "--b", str(b), "--d", "6", "--seed", "7",
+                     "--output", str(tmp_path / "rows.bin"),
+                     "--output-cols", str(tmp_path / "cols.bin")]) == 0
+
+        A = read_matrix_market(mtx)
+        S = cs.dilate(A)
+        S = cs.scale_values(S, 1.0 / cs.estimate_spectral_norm(S))
+        cfg = cs.EmbedConfig(L=16, d=6, b=b, seed=7)
+        omega = cs.sample_projection(S.n_rows, cfg.d, cfg.seed)
+        f = cs.odd_extension(cs.indicator_above(0.5))
+        values = cs.fast_embed_cascaded(S, f, cfg, omega).values
+        write_embedding(tmp_path / "lib_rows.bin", values[A.n_cols:])
+        write_embedding(tmp_path / "lib_cols.bin", values[:A.n_cols])
+        for side in ("rows", "cols"):
+            expected = (tmp_path / f"{side}.bin").read_bytes()
+            assert (tmp_path / f"lib_{side}.bin").read_bytes() == expected
 
     @pytest.mark.parametrize("command", ["embed-dilation", "eval-raw"])
     def test_one_call_per_benchmark_span(self, tmp_path, monkeypatch, command):

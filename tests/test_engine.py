@@ -18,12 +18,14 @@ from csemb import (
     identity,
     indicator_above,
     legendre_coefficients,
+    normalized_adjacency,
     odd_extension,
     root_function,
     sample_projection,
+    scale_values,
 )
 from csemb.legendre import expansion_eval
-from helpers import dense_weighted, pairwise_distances, random_symmetric, sparse_from
+from helpers import dense_weighted, pairwise_distances, random_symmetric, ring_graph, sparse_from
 
 
 class TestDefaultDimension:
@@ -204,6 +206,26 @@ class TestFastEmbed:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             _embed(SparseMatrix.identity(4), identity(), 1, np.zeros((3, 2)))
+
+
+class TestGrowthGuard:
+    def test_norm_above_one_raises_before_overflow(self):
+        # ||S|| = 1.06: p_180(1.06) ~ 1e27, so the output stays finite but a
+        # column outgrows the bound sum|a_r| = 8.45 by about 1e23
+        adj = normalized_adjacency(ring_graph(2000), 2000)
+        cfg = EmbedConfig(L=180, d=16, seed=0)
+        f = indicator_above(0.9)
+        assert np.all(np.isfinite(fast_embed_cascaded(adj, f, cfg).values))
+        with pytest.raises(DivergenceError, match=r"stage 1 grew columns .*by up to "
+                           r".*sum\|a_r\| = 8\.45.*spectral norm > 1"):
+            fast_embed_cascaded(scale_values(adj, 1.06), f, cfg)
+
+    def test_non_finite_column_named(self):
+        S = sparse_from(random_symmetric(12, np.random.default_rng(23)))
+        om = sample_projection(12, 5, seed=23)
+        om[4, 2] = np.nan
+        with pytest.raises(DivergenceError, match=r"stage 1 grew columns \[2\] by up to nanx"):
+            fast_embed_cascaded(S, constant(1.0), EmbedConfig(L=4, d=5, b=2), om)
 
 
 class TestColumnBlocks:
