@@ -305,9 +305,9 @@ class TestErrors:
 
     def test_norm_short_of_sigma_max_exit_code(self, tmp_path, capsys):
         # 5%-dense 2000 x 1000: the top of the spectrum is dense, so 20 power
-        # iterations stop just short of sigma_max and ||S / nu|| > 1. At
-        # L = 120 the output grows ~1e5-fold past the bound; at L = 40 the
-        # stray spectrum stays within it.
+        # iterations stop short of sigma_max (nu = 0.990 sigma_max, safety
+        # factor included) and ||S / nu|| > 1. At L = 120 a column grows ~1e3
+        # times past the bound; at L = 40 the stray spectrum stays within it.
         rng = np.random.default_rng(1)
         mask = rng.random((2000, 1000)) < 0.05
         i, j = np.nonzero(mask)
