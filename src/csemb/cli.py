@@ -179,8 +179,9 @@ def cmd_embed(args) -> int:
     mat, S, norm_estimate = _operator(args)
     f = odd_extension(args.function) if args.matrix == "dilation" else args.function
     cfg = _make_config(args, S.n_rows)
-    omega = sample_projection(S.n_rows, cfg.d, cfg.seed)
-    emb = fast_embed_cascaded(S, f, cfg, omega, n_workers=args.threads)
+    emb = fast_embed_cascaded(
+        S, f, cfg, sample_projection(S.n_rows, cfg.d, cfg.seed), n_workers=args.threads
+    )
     rows = emb.values
     if args.matrix == "dilation":
         # the dilation's first n rows embed the columns, the rest the rows

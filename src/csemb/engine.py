@@ -2,22 +2,30 @@
 
 Given a symmetric sparse S with spectral norm at most 1, the embedding of
 its rows is E = f_L(S) Omega: an order-L Legendre matrix polynomial applied
-to a random sign projection block. The iteration mirrors the scalar
-recursion exactly,
+to a random sign projection block. The iteration is the scalar recursion of
+:func:`~csemb.legendre.legendre_terms`, run on column blocks. It keeps the
+monic terms R(r) = Q(r) / gamma(r) of
 
     Q(0) = Omega,  Q(r) = (2 - 1/r) S Q(r-1) - (1 - 1/r) Q(r-2),
-    E = sum_r a(r) Q(r),
 
-costing one multi-vector product per order and nothing else superlinear.
-Cascading applies a shorter expansion of the b-th root of f, b times, which
-deepens the nulls the plain expansion leaves shallow.
+so each order scales the buffer holding R(r-2) by -mu(r), lets the
+multi-vector product add S R(r-1) into it, and adds a(r) gamma(r) R(r) to
+the result: one product and three dense passes per order, and nothing else
+superlinear. gamma(r) is a scalar, renormalised by an exact power of two
+before it overflows near order 1024. Cascading applies a shorter expansion
+of the b-th root of f, b times, which deepens the nulls the plain expansion
+leaves shallow.
 
 The work unit is a block of columns sized from n so that one n x w operand
 fits in ``BLOCK_BYTES``, about half a core's L2 cache (:func:`block_width`).
-Each block runs every cascade stage in a fixed set of preallocated buffers,
-and blocks are spread over the worker threads. Columns never mix, and every
-random entry is a pure function of (seed, position), so results are
-bit-identical for any block width, any worker count and any column subset.
+Blocks are spread over the worker threads. Each worker owns one workspace
+of four n x w buffers, allocated once per run by the calling thread: the
+stage input, which doubles as one of the recursion's two terms, the other
+term, the stage output and a scratch buffer. Every block and stage of that
+worker reuses them, so a run allocates no n x w array in its workers and
+never writes the caller's Omega. Columns never mix, and every random entry
+is a pure function of (seed, position), so results are bit-identical for any
+block width, any worker count and any column subset.
 """
 
 from __future__ import annotations
@@ -169,7 +177,7 @@ def estimate_spectral_norm(S: SparseMatrix) -> float:
         W = np.empty_like(V)
         for _ in range(NORM_ITERS):
             spmv_multi(S, V, out=W)
-            norms = np.linalg.norm(W, axis=0)
+            norms = np.sqrt(np.einsum("ij,ij->j", W, W))
             best = max(best, float(np.max(norms)))
             alive = norms > 0.0
             if not np.any(alive):
@@ -188,32 +196,34 @@ def block_width(n: int, d: int) -> int:
 
 
 def _run_stage(
-    S: SparseMatrix, coeffs: np.ndarray, block: np.ndarray, stage: int, col0: int
-) -> tuple[np.ndarray, int]:
-    """Apply one expansion to one contiguous column block; returns the result
-    and the number of products the recursion made. A term that overflows is
-    left to the growth guard (:func:`_check_growth`)."""
+    S: SparseMatrix, coeffs: np.ndarray, bufs: tuple[np.ndarray, ...], stage: int, col0: int
+) -> int:
+    """Apply one expansion to a column block; ``bufs`` is (q, spare, acc,
+    tmp). The block in ``q`` is overwritten: q and spare carry the
+    recursion's two terms, tmp each weighted term, and the result is left
+    in acc. Returns the number of products the recursion made. A term that
+    overflows is left to the growth guard (:func:`_check_growth`)."""
+    q, spare, acc, tmp = bufs
     products = 0
 
-    def step(c, q, out):
+    def step(x, out):
         nonlocal products
         products += 1
-        spmv_multi(S, q, out=out)
-        out *= c
+        spmv_multi(S, x, out=out, accumulate=True)
 
     debug = logger.isEnabledFor(logging.DEBUG)
-    terms = legendre_terms(step, block, len(coeffs) - 1)
-    acc = coeffs[0] * next(terms)
-    tmp = np.empty_like(acc)
-    for r, q in enumerate(terms, start=1):
+    for r, (gamma, term) in enumerate(legendre_terms(step, q, spare, len(coeffs) - 1)):
         if debug:
             logger.debug(
                 "stage=%d cols=%d+%d r=%d max_abs=%.6e",
-                stage, col0, block.shape[1], r, np.max(np.abs(q), initial=0.0),
+                stage, col0, q.shape[1], r, gamma * np.max(np.abs(term), initial=0.0),
             )
-        np.multiply(q, coeffs[r], out=tmp)
-        acc += tmp
-    return acc, products
+        if r == 0:
+            np.multiply(term, coeffs[0], out=acc)
+        else:
+            np.multiply(term, coeffs[r] * gamma, out=tmp)
+            acc += tmp
+    return products
 
 
 def _check_growth(sq: np.ndarray, bound: float) -> None:
@@ -256,36 +266,43 @@ def _apply_cascade(
     make exactly ``stages * expansion.order`` of them (the paper's L), or
     ``RuntimeError`` is raised; then every stage must pass
     :func:`_check_growth`. The recursion runs to the end without
-    floating-point warnings.
+    floating-point warnings. Each block copies its columns of ``omega`` into
+    its worker's workspace, and each stage's output becomes the next
+    stage's input by swapping the two buffers.
     """
-    d = omega.shape[1]
-    out = np.empty_like(omega)
+    n, d = omega.shape
+    out = np.empty((n, d))
     spans = [(lo, min(lo + width, d)) for lo in range(0, d, width)]
+    workers = max(1, min(n_workers, len(spans)))
     coeffs = expansion.coeffs
     sq = np.empty((stages + 1, d))  # squared column norms of omega and each stage
+    # One workspace per worker, allocated here and reused by all its blocks
+    # and stages: the stage input, the recursion's spare term, acc and tmp.
+    # A narrower last block takes a contiguous prefix of each buffer.
+    spaces = np.empty((workers, 4, n * width))
 
-    def run(span):
+    def run(span, space):
         lo, hi = span
-        piece = np.ascontiguousarray(omega[:, lo:hi])
+        piece, spare, acc, tmp = (buf[: n * (hi - lo)].reshape(n, hi - lo) for buf in space)
+        np.copyto(piece, omega[:, lo:hi])
         products = 0
-        # np.square's n x w temporary, freed at the top of the worker's heap,
-        # lets that heap shrink after each stage; an in-place reduction
-        # (einsum) kept both workers' block buffers resident to the end and
-        # raised peak RSS by ~10 MB at n = 20,000 with two workers.
         with np.errstate(over="ignore", invalid="ignore"):
-            np.square(piece).sum(axis=0, out=sq[0, lo:hi])
+            np.einsum("ij,ij->j", piece, piece, out=sq[0, lo:hi])
             for stage in range(1, stages + 1):
-                piece, made = _run_stage(S, coeffs, piece, stage, lo)
-                np.square(piece).sum(axis=0, out=sq[stage, lo:hi])
-                products += made
+                products += _run_stage(S, coeffs, (piece, spare, acc, tmp), stage, lo)
+                np.einsum("ij,ij->j", acc, acc, out=sq[stage, lo:hi])
+                piece, acc = acc, piece
         out[:, lo:hi] = piece
         return products
 
-    if n_workers <= 1 or len(spans) == 1:
-        counts = [run(span) for span in spans]
+    def work(k):
+        return [run(span, spaces[k]) for span in spans[k::workers]]
+
+    if workers == 1:
+        counts = work(0)
     else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            counts = list(pool.map(run, spans))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            counts = [c for part in pool.map(work, range(workers)) for c in part]
     expected = stages * expansion.order
     if any(c != expected for c in counts):
         raise RuntimeError(

@@ -64,7 +64,7 @@ def write_embedding(path, values: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(EMBEDDING_MAGIC)
         fh.write(_HEADER.pack(values.shape[0], values.shape[1]))
-        fh.write(values.astype("<f8", copy=False).tobytes())
+        fh.write(values.astype("<f8", copy=False).data)
 
 
 def read_embedding(path) -> np.ndarray:

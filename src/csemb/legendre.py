@@ -2,16 +2,23 @@
 
 The expansion f_L(x) = sum_r a(r) p(r, x) minimizes the integrated squared
 error over [-1, 1]; coefficients are a(r) = (r + 1/2) * integral of
-p(r, x) f(x). All evaluation goes through the same three-term recursion
+p(r, x) f(x). All evaluation goes through the same recursion,
+:func:`legendre_terms`, that the matrix-level iteration uses, so scalar and
+matrix results agree. It runs the three-term recursion
 
     p(r, x) = (2 - 1/r) x p(r-1, x) - (1 - 1/r) p(r-2, x),
     p(0, x) = 1,  p(1, x) = x,
 
-that the matrix-level iteration uses, so scalar and matrix results agree.
+in its monic form (Gautschi, Orthogonal Polynomials, 2004): p(r) =
+gamma(r) R(r) with R(r) = x R(r-1) - mu(r) R(r-2), so the product with x
+adds into the buffer that held R(r-2) and each order needs only two live
+terms. gamma(r) is kept as a scalar and renormalised by an exact power of
+two before it can overflow.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +27,8 @@ QUAD_NODES = 64  # Gauss-Legendre nodes per quadrature panel
 QUAD_REFINE_DEGREE = 48  # polynomial degrees resolved by one sub-panel
 REPORT_GRID_SIZE = 10001
 _EDGE_OFFSET = 1e-9  # report grid samples this close to each breakpoint
+_RESCALE_EXP = 512  # legendre_terms moves 2**512 from gamma into the terms
+_RESCALE_AT = 2.0**_RESCALE_EXP
 
 
 def _check_domain(x: np.ndarray) -> None:
@@ -27,39 +36,50 @@ def _check_domain(x: np.ndarray) -> None:
         raise ValueError("argument outside [-1, 1]")
 
 
-def legendre_terms(step, q0, order: int):
-    """Yield Q(0..order) of the three-term recursion started at ``q0``.
+def legendre_terms(step, q, spare, order: int):
+    """Yield (gamma(r), R(r)) for r = 0..order, the terms Q(r) = gamma(r) R(r)
+    of the three-term recursion started at Q(0) = ``q``.
 
-    ``step(c, q, out)`` writes c times the operator applied to q into
-    ``out``: ``np.multiply(x, c, out); out *= q`` for scalars (the bits of
-    ``c * x * q``), a product into ``out`` scaled by c for a matrix. Every
-    evaluation of the expansion, scalar or matrix, runs through this one loop.
+    R is the monic form of the recursion, R(0) = Q(0) and
 
-    ``q0`` is yielded first and never written. The later terms rotate
-    through three buffers allocated once, plus one scratch buffer for
-    (1 - 1/r) Q(r-2), so a yielded term is valid only until the next one is
-    requested; copy it to keep it.
+        R(r) = x R(r-1) - mu(r) R(r-2),  mu(r) = (1 - 1/r) / (c(r) c(r-1)),
+
+    with c(r) = 2 - 1/r and gamma(r) = c(1) ... c(r). ``step(t, out)`` adds
+    the operator applied to t into ``out``: ``out += x * t`` for scalars, one
+    accumulating product for a matrix. Each order scales the buffer holding
+    R(r-2) by -mu(r) in place and lets ``step`` add x R(r-1) into it. Every
+    evaluation of the expansion, scalar or matrix, runs through this loop.
+
+    The terms rotate through ``q``, overwritten from R(2) on, and ``spare``,
+    a buffer of q's shape, so a yielded term is valid only until the next
+    one is requested. gamma about doubles per order; once it passes 2**512,
+    gamma and both live terms are rescaled by that exact power of two, which
+    leaves gamma(r) R(r) unchanged. Without it gamma overflows and R
+    underflows near order 1024.
     """
-    yield q0
-    bufs = [np.empty_like(q0) for _ in range(min(order, 3))]
-    scratch = np.empty_like(q0) if order > 1 else None
-    q_prev, q = None, q0
+    yield 1.0, q
+    gamma, c, bufs = 1.0, 1.0, (q, spare)
     for r in range(1, order + 1):
-        q_new = bufs[(r - 1) % 3]
-        step(2.0 - 1.0 / r, q, q_new)
-        if r > 1:
-            np.multiply(q_prev, 1.0 - 1.0 / r, out=scratch)
-            q_new -= scratch
-        yield q_new
-        q_prev, q = q, q_new
+        c_prev, c = c, 2.0 - 1.0 / r
+        new, old = bufs[r % 2], bufs[(r - 1) % 2]
+        if r == 1:
+            new.fill(0.0)
+        else:
+            new *= -(1.0 - 1.0 / r) / (c * c_prev)
+        step(old, new)
+        gamma *= c
+        if gamma > _RESCALE_AT:
+            gamma = math.ldexp(gamma, -_RESCALE_EXP)
+            np.ldexp(new, _RESCALE_EXP, out=new)
+            np.ldexp(old, _RESCALE_EXP, out=old)
+        yield gamma, new
 
 
 def _scalar_terms(x: np.ndarray, order: int):
-    def step(c, q, out):
-        np.multiply(x, c, out=out)
-        out *= q
+    def step(q, out):
+        out += x * q
 
-    return legendre_terms(step, np.ones_like(x), order)
+    return legendre_terms(step, np.ones_like(x), np.empty_like(x), order)
 
 
 def legendre_table(order: int, x) -> np.ndarray:
@@ -69,8 +89,8 @@ def legendre_table(order: int, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     _check_domain(x)
     P = np.empty((order + 1, x.shape[0]))
-    for r, p in enumerate(_scalar_terms(x, order)):
-        P[r] = p
+    for r, (gamma, p) in enumerate(_scalar_terms(x, order)):
+        np.multiply(p, gamma, out=P[r])
     return P
 
 
@@ -151,9 +171,9 @@ def expansion_eval(expansion: LegendreExpansion, x):
     _check_domain(xv)
     a = expansion.coeffs
     terms = _scalar_terms(xv, expansion.order)
-    acc = a[0] * next(terms)
-    for r, q in enumerate(terms, start=1):
-        acc += a[r] * q
+    acc = a[0] * next(terms)[1]
+    for r, (gamma, q) in enumerate(terms, start=1):
+        acc += (a[r] * gamma) * q
     return float(acc[0]) if scalar else acc
 
 

@@ -167,14 +167,18 @@ class SparseMatrix:
         )
 
 
-def spmv_multi(S: SparseMatrix, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def spmv_multi(
+    S: SparseMatrix, X: np.ndarray, out: np.ndarray | None = None, *, accumulate: bool = False
+) -> np.ndarray:
     """Multiply ``S`` with a dense block of column vectors.
 
     Each output entry is accumulated over the row's stored entries in column
     order, so results are deterministic and each output column depends only
     on the matching input column. With ``out`` (a C-contiguous float64 array
     of the result's shape, not overlapping ``X``) the product is written
-    there and ``out`` is returned, so a caller can reuse one buffer.
+    there and ``out`` is returned, so a caller can reuse one buffer. With
+    ``accumulate=True`` the product is added to what ``out`` holds instead,
+    ``out += S @ X`` without a temporary.
     """
     X = np.asarray(X, dtype=np.float64)
     squeeze = X.ndim == 1
@@ -187,6 +191,8 @@ def spmv_multi(S: SparseMatrix, X: np.ndarray, out: np.ndarray | None = None) ->
         )
     shape = (S.n_rows,) if squeeze else (S.n_rows, X.shape[1])
     if out is None:
+        if accumulate:
+            raise ValueError("accumulate=True needs an out buffer to add into")
         out = np.zeros(shape)
     elif not (
         isinstance(out, np.ndarray)
@@ -198,10 +204,10 @@ def spmv_multi(S: SparseMatrix, X: np.ndarray, out: np.ndarray | None = None) ->
         raise ValueError(f"out must be a writable C-contiguous float64 array of shape {shape}")
     elif np.may_share_memory(out, X):
         raise ValueError("out must not overlap the input block")
-    else:
+    elif not accumulate:
         out.fill(0.0)
     # scipy's compiled CSR kernels, chosen as ``S._csr @ X`` chooses them
-    # (one column takes the vector kernel); both add into the zeroed ``out``
+    # (one column takes the vector kernel); both add into ``out``
     csr = S._csr
     k = X.shape[1]
     if k == 1:

@@ -195,6 +195,31 @@ class TestFastEmbed:
         ]
         assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
 
+    @pytest.mark.parametrize("several_blocks", [False, True])
+    def test_omega_not_written(self, monkeypatch, several_blocks):
+        rng = np.random.default_rng(24)
+        n, d = 30, 20
+        S = sparse_from(random_symmetric(n, rng))
+        om = sample_projection(n, d, seed=24)
+        keep = om.copy()
+        if several_blocks:
+            monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", 8 * n * 8)
+        cfg = EmbedConfig(L=10, d=d, b=2, seed=24)
+        emb = fast_embed_cascaded(S, indicator_above(0.1), cfg, om, n_workers=2)
+        assert emb.provenance["block_width"] == (8 if several_blocks else d)
+        assert np.array_equal(om, keep)
+
+    def test_order_above_1024(self):
+        # the monic terms' scale factor passes 2**1024 near this order, so
+        # the run depends on its renormalisation to stay finite
+        x = np.linspace(-1.0, 1.0, 41)
+        om = sample_projection(41, 3, seed=25)
+        f = indicator_above(0.3)
+        emb = _embed(sparse_from(np.diag(x)), f, 1200, om)
+        assert np.all(np.isfinite(emb.values))
+        expected = expansion_eval(legendre_coefficients(f, 1200), x)[:, None] * om
+        assert np.allclose(emb.values, expected, rtol=0.0, atol=5e-12)
+
     def test_divergence_detected(self):
         S = sparse_from(10.0 * np.eye(4))
         om = sample_projection(4, 2, seed=0)
@@ -323,8 +348,8 @@ class TestProductCount:
     def test_short_recursion_raises(self, monkeypatch):
         real = csemb.engine.legendre_terms
 
-        def one_term_short(step, q0, order):
-            return itertools.islice(real(step, q0, order), order)
+        def one_term_short(step, q, spare, order):
+            return itertools.islice(real(step, q, spare, order), order)
 
         monkeypatch.setattr(csemb.engine, "legendre_terms", one_term_short)
         rng = np.random.default_rng(22)

@@ -70,25 +70,25 @@ CASES = {
     "graph-b1": (
         _write_graph, "graph.txt",
         [GRAPH_B1],
-        {"out.bin": "602307110dfe664c3409e61e2660dcfa123dd53eaa239b6b9d3a8725cbb45120"},
+        {"out.bin": "9132c0d8bc8feece2ee21e221fea97cc64a401ab56b203f6e1f7166dad8b5d80"},
     ),
     "graph-b2": (
         _write_graph, "graph.txt",
         [_embed("graph.txt", "edgelist", "normalized-adjacency", "indicator:0.3", 24, 2, 12, 42)],
-        {"out.bin": "349cca686e906d7093c84465ba0df93d854a5426d08f8694c9f9fa4b83082e53"},
+        {"out.bin": "694d988d762ad1ee418d174ad90fffc20ce1a6b7c164b65a4215e8bb7cd67cb6"},
     ),
     "raw": (
         _write_symmetric, "m.mtx",
         [_embed("m.mtx", "matrix-market", "raw", "indicator:0.5", 16, 1, 8, 1)],
-        {"out.bin": "660476dd890062a6cf00cf132f9909a07de60a923479f10993cbfcb48e0de6d2"},
+        {"out.bin": "f96e95ff5960f3486f48fca8b4070dcad69f46cee0b23a9804125fce901962c1"},
     ),
     "dilation-b1": (
         _write_rectangular, "a.mtx",
         [_embed("a.mtx", "matrix-market", "dilation", "indicator:0.5", 16, 1, 6, 3,
                 ("--output-cols", "cols.bin"))],
         {
-            "out.bin": "b2d3f1cc5c925afd3b55f8331c7975e97da839df4c5763e5785c14f0ae0bc754",
-            "cols.bin": "fcb216820ada50c82b7c842d7cb8fdc57801104864ef29a9bd06da179bfdc31b",
+            "out.bin": "90be4cce6c5e357810e47afa61f42693b6f7951db5fc0d3864710ae3f055e0a2",
+            "cols.bin": "a3639f45bbfd2b68f50f4d8b228d0e1bf855f70f904fe45e6d2644d83a336438",
         },
     ),
     "dilation-b2": (
@@ -96,15 +96,15 @@ CASES = {
         [_embed("a.mtx", "matrix-market", "dilation", "indicator:0.5", 16, 2, 6, 3,
                 ("--output-cols", "cols.bin"))],
         {
-            "out.bin": "39de7863d1eedf16c757251e5d2cce3a498345752c2ddd5a1f79915b95932df4",
-            "cols.bin": "2e038c78fba5651666b20fbbd80ca312c9ee2f3e2415cb2d44453b7d1be8fed4",
+            "out.bin": "23780dcb92518ef9c80e7b5e233bf50ee6edfdcbd1c7ed21ee289e26b43e4507",
+            "cols.bin": "eba2bb2513036945feaccbc45fa9e7e1481667fe7238290a2520fd20eccb2a71",
         },
     ),
     "points": (
         _write_points, "pts.csv",
         [_embed("pts.csv", "points-csv", "raw", "indicator:0.2", 12, 1, 6, 4,
                 ("--kernel", "gaussian", "--bandwidth", "1.0"))],
-        {"out.bin": "3472962829b2f1fdb8362a6781b65ee5596233857c917cef5121c088215d0141"},
+        {"out.bin": "e2a51aa7a379ff3331165252f20b86ed08dc2eeeca909f05b3978484016501a5"},
     ),
     "cluster": (
         _write_graph, "graph.txt",
@@ -123,9 +123,9 @@ CASES = {
          ["eval", "--approx", "out.bin", "--input", "graph.txt", "--format", "edgelist",
           "--function", "indicator:0.3", "--pairs", "1000", "--output-prefix", "rep"]],
         {
-            "rep_percentiles.csv": "88ea66be8835ba4d7e3a761e85b03c4deb721982c8c0faece45c42f39382f0c5",
-            "rep_calibration.csv": "e4fb14b708786afb63d0a38eb3074517bf4f1fdd70dfef36a3182d680fdf53ff",
-            "rep_report.json": "966a308adc2b6f19668f1a65204642f49176ac00e035c0c4a22c033f52e0edab",
+            "rep_percentiles.csv": "93b89c439ad8a5c8edfa33d175e06a7a2d54d75b44f6a351e3a84c294441bcfe",
+            "rep_calibration.csv": "1ed9815ba8fb1cb7086e1f1acbb94cf05c6de0ddce579b6ed529347849b03f0d",
+            "rep_report.json": "b8b2abe7b781b3388927f08a4bba0e1a4f7a1462b5989a469b8966649ab4c09f",
         },
     ),
     "norm-raw": (

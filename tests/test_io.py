@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.io
@@ -102,6 +104,19 @@ class TestEmbeddingFile:
         assert int.from_bytes(blob[8:16], "little") == 2
         assert int.from_bytes(blob[16:24], "little") == 3
         assert len(blob) == 24 + 6 * 8
+
+    def test_written_without_a_copy(self, tmp_path):
+        # the payload is the array's own buffer, not a bytes copy of it
+        values = np.random.default_rng(2).standard_normal((20_000, 10))
+        p = tmp_path / "e.bin"
+        tracemalloc.start()
+        try:
+            write_embedding(p, values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes / 2
+        assert p.read_bytes()[24:] == values.astype("<f8").tobytes()
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "e.bin"

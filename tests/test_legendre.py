@@ -57,6 +57,24 @@ class TestLegendreEval:
             legendre_table(3, np.array([0.0, -2.0]))
 
 
+class TestHighOrder:
+    def test_table_past_order_1024(self):
+        # the monic terms' scale factor passes 2**1024 near this order; the
+        # renormalisation keeps every value finite and exact in scale
+        x = np.linspace(-1.0, 1.0, 41)
+        P = legendre_table(1200, x)
+        assert np.all(np.isfinite(P))
+        assert np.allclose(P[:, -1], 1.0, rtol=0.0, atol=1e-11)
+        assert np.allclose(P[:, 0], (-1.0) ** np.arange(1201), rtol=0.0, atol=1e-11)
+        for r in (1023, 1024, 1100, 1200):
+            unit = np.zeros(r + 1)
+            unit[r] = 1.0
+            assert np.allclose(P[r], np.polynomial.legendre.legval(x, unit), rtol=0.0, atol=1e-11)
+        coeffs = np.random.default_rng(2).standard_normal(1201)
+        assert np.allclose(expansion_eval(LegendreExpansion(coeffs), x), coeffs @ P,
+                           rtol=0.0, atol=1e-10)
+
+
 class TestOrthogonality:
     def test_inner_products(self):
         x, w = np.polynomial.legendre.leggauss(64)

@@ -90,6 +90,27 @@ class TestSpmv:
         vec = np.full(40, np.nan)
         assert np.array_equal(spmv_multi(S, X[:, 0], out=vec), S._csr @ X[:, 0])
 
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_accumulate_adds_into_out(self, k):
+        rng = np.random.default_rng(5)
+        S = SparseMatrix.from_dense(random_symmetric(40, rng, density=0.2))
+        X, Y = rng.standard_normal((40, k)), rng.standard_normal((40, k))
+        out = Y.copy()
+        assert spmv_multi(S, X, out=out, accumulate=True) is out
+        assert np.allclose(out, Y + S._csr @ X, rtol=0.0, atol=1e-13)
+        vec = Y[:, 0].copy()
+        spmv_multi(S, X[:, 0], out=vec, accumulate=True)
+        assert np.allclose(vec, Y[:, 0] + S._csr @ X[:, 0], rtol=0.0, atol=1e-13)
+
+    def test_accumulate_checks_out(self):
+        S = SparseMatrix.identity(3)
+        X = np.ones((3, 2))
+        with pytest.raises(ValueError, match="needs an out buffer"):
+            spmv_multi(S, X, accumulate=True)
+        for bad in (np.empty((3, 3)), np.empty((2, 3)).T, X, X[:, :1]):
+            with pytest.raises(ValueError):
+                spmv_multi(S, X, out=bad, accumulate=True)
+
     def test_out_buffer_rejected(self):
         S = SparseMatrix.identity(3)
         X = np.ones((3, 2))
