@@ -16,9 +16,8 @@ import time
 from . import io as cio
 from .cluster import cluster_experiment
 from .engine import (
-    NORM_ITERS,
     NORM_SAFETY,
-    NORM_VECTORS_FACTOR,
+    NORM_STEPS,
     EmbedConfig,
     default_dimension,
     estimate_spectral_norm,
@@ -279,9 +278,8 @@ def cmd_norm(args) -> int:
         "n": S.n_rows,
         "matrix": args.matrix,
         "norm_estimate": estimate,
-        "iterations": NORM_ITERS,
-        "start_vectors_factor": NORM_VECTORS_FACTOR,
         "safety": NORM_SAFETY,
+        "steps": NORM_STEPS,
     }
     text = json.dumps(out, indent=2, sort_keys=True)
     if args.output:

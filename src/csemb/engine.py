@@ -16,6 +16,11 @@ before it overflows near order 1024. Cascading applies a shorter expansion
 of the b-th root of f, b times, which deepens the nulls the plain expansion
 leaves shallow.
 
+Callers divide S by :func:`estimate_spectral_norm`, NORM_SAFETY times the
+largest |Ritz value| of a short Lanczos run. A Ritz value is a Rayleigh
+quotient of S on an orthonormal basis, so it never exceeds ||S||. An S that
+is not exactly symmetric is refused; a norm above 1 trips the growth guard.
+
 The work unit is a block of columns sized from n so that one n x w operand
 fits in ``BLOCK_BYTES``, about half a core's L2 cache (:func:`block_width`).
 Blocks are spread over the worker threads. Each worker owns one workspace
@@ -24,8 +29,8 @@ stage input, which doubles as one of the recursion's two terms, the other
 term, the stage output and a scratch buffer. Every block and stage of that
 worker reuses them, so a run allocates no n x w array in its workers and
 never writes the caller's Omega. Columns never mix, and every random entry
-is a pure function of (seed, position), so results are bit-identical for any
-block width, any worker count and any column subset.
+(the norm's start vector too) is a pure function of (seed, position), so
+results are bit-identical for any block width, worker count and column subset.
 """
 
 from __future__ import annotations
@@ -45,8 +50,7 @@ from .sparse import SparseMatrix, spmv_multi
 logger = logging.getLogger("csemb.engine")
 
 BLOCK_BYTES = 1 << 20  # operand bytes per column block; see block_width
-NORM_ITERS = 20
-NORM_VECTORS_FACTOR = 6.0
+NORM_STEPS = 40  # Lanczos steps of estimate_spectral_norm
 NORM_SAFETY = 1.01
 GROWTH_SLACK = 1e-9  # relative rounding allowance of the per-stage growth guard
 _NORM_SEED_TAG = 0x6E6F726D  # "norm"
@@ -146,45 +150,42 @@ class EmbeddingMatrix:
 
 
 def estimate_spectral_norm(S: SparseMatrix) -> float:
-    """Power-iteration estimate of ||S|| for symmetric S.
+    """Lanczos estimate of ||S|| for symmetric S: ``NORM_SAFETY`` times the
+    largest |theta| over the Ritz values of k = min(NORM_STEPS, n) steps.
 
-    Runs ``NORM_ITERS`` iterations on ceil(NORM_VECTORS_FACTOR * ln n) unit
-    vectors from one fixed stream, so the estimate depends on the matrix
-    alone. It is the largest ||S v|| over the unit iterates v, times
-    ``NORM_SAFETY``, so it never exceeds NORM_SAFETY * ||S||. The vectors
-    run in column blocks of :func:`block_width`, each in two reused buffers;
-    columns never mix, so the estimate does not depend on the blocks.
+    The start vector is column 0 of a fixed :func:`sample_projection`, so the
+    estimate depends on the matrix alone. Each new vector is orthogonalised
+    twice against the whole basis; once it falls to rounding level (n * eps
+    times ||S v_j||) the Krylov space is invariant, its Ritz values are
+    eigenvalues of S, and the steps stop. Every reduction is a fixed-order
+    ``np.einsum``, not threaded BLAS, so the bits ignore the BLAS threads.
     """
     if S.n_rows != S.n_cols:
         raise ValueError("spectral norm estimation requires a square matrix")
     if S.nnz == 0:
         return 0.0
     n = S.n_rows
-    k = max(1, math.ceil(NORM_VECTORS_FACTOR * math.log(max(n, 2))))
-    rng = np.random.default_rng(fold_seed(0, _NORM_SEED_TAG))
-    start = rng.standard_normal((n, k))
-    start /= np.linalg.norm(start, axis=0)
-    # A one-column block would reduce its contiguous column pairwise and round
-    # differently from the wider blocks, so a one-column tail joins the block
-    # before it.
-    width = block_width(n, k)
-    bounds = list(range(0, k, width)) + [k]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    best = 0.0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        V = np.ascontiguousarray(start[:, lo:hi])
-        W = np.empty_like(V)
-        for _ in range(NORM_ITERS):
-            spmv_multi(S, V, out=W)
-            norms = np.sqrt(np.einsum("ij,ij->j", W, W))
-            best = max(best, float(np.max(norms)))
-            alive = norms > 0.0
-            if not np.any(alive):
-                break
-            norms[~alive] = np.inf  # a vanished column stays zero
-            np.divide(W, norms, out=V)
-    return best * NORM_SAFETY
+    k = min(NORM_STEPS, n)
+    V = np.empty((k + 1, n))  # the Krylov basis; row j + 1 is built in place
+    V[0] = sample_projection(n, 1, fold_seed(0, _NORM_SEED_TAG))[:, 0] / math.sqrt(n)
+    tol = n * np.finfo(np.float64).eps
+    alpha, beta = [], []
+    for j in range(k):
+        basis = V[: j + 1]
+        w = spmv_multi(S, V[j], out=V[j + 1])
+        sv_norm = math.sqrt(np.einsum("i,i->", w, w))
+        c = np.einsum("ij,j->i", basis, w)
+        alpha.append(float(c[j]))  # v_j . S v_j
+        w -= np.einsum("ij,i->j", basis, c)
+        c = np.einsum("ij,j->i", basis, w)  # the second Gram-Schmidt pass
+        w -= np.einsum("ij,i->j", basis, c)
+        b = math.sqrt(np.einsum("i,i->", w, w))
+        if j + 1 == k or b <= tol * sv_norm:
+            break
+        beta.append(b)
+        w /= b
+    T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    return NORM_SAFETY * float(np.max(np.abs(np.linalg.eigvalsh(T))))
 
 
 def block_width(n: int, d: int) -> int:
@@ -330,8 +331,9 @@ def fast_embed_cascaded(
     its own products and the run fails unless every block made L;
     ``provenance["spmv_products"]`` is that count.
     """
-    if S.n_rows != S.n_cols:
-        raise ValueError("fast_embed_cascaded requires a square (symmetric) matrix")
+    if not S.is_symmetric():
+        raise ValueError("fast_embed_cascaded requires a square symmetric matrix; embed a "
+                         "rectangular or asymmetric one as its dilation (dilate)")
     if omega is None:
         omega = sample_projection(S.n_rows, cfg.d, cfg.seed)
     omega = np.asarray(omega, dtype=np.float64)

@@ -64,3 +64,16 @@ def pairwise_distances(rows: np.ndarray) -> np.ndarray:
     d2 = sq[:, None] + sq[None, :] - 2.0 * (rows @ rows.T)
     iu = np.triu_indices(rows.shape[0], k=1)
     return np.sqrt(np.maximum(d2[iu], 0.0))
+
+
+def norm_input(kind: str) -> SparseMatrix:
+    """A fixed operator for norm-estimate determinism checks: the dilation of
+    a random sparse 6000 x 3000 matrix, or the normalized adjacency of a
+    random graph on 20,000 vertices."""
+    from csemb import dilate, normalized_adjacency
+
+    rng = np.random.default_rng(31)
+    if kind == "dilation":
+        rows, cols = rng.integers(0, 6000, 60_000), rng.integers(0, 3000, 60_000)
+        return dilate(SparseMatrix.from_coo(rows, cols, rng.standard_normal(60_000), 6000, 3000))
+    return normalized_adjacency(rng.integers(0, 20_000, size=(100_000, 2)), 20_000)

@@ -5,6 +5,7 @@ import pytest
 import scipy.io
 import scipy.sparse
 
+import csemb.cli
 from csemb.cli import main
 from csemb.io import read_embedding
 from helpers import sbm
@@ -303,24 +304,29 @@ class TestErrors:
         assert exc.value.code == 2
         assert "at least one vertex pair" in capsys.readouterr().err
 
-    def test_norm_short_of_sigma_max_exit_code(self, tmp_path, capsys):
-        # 5%-dense 2000 x 1000: the top of the spectrum is dense, so 20 power
-        # iterations stop short of sigma_max (nu = 0.990 sigma_max, safety
-        # factor included) and ||S / nu|| > 1. At L = 120 a column grows ~1e3
-        # times past the bound; at L = 40 the stray spectrum stays within it.
+    def test_norm_short_of_sigma_max_exit_code(self, tmp_path, monkeypatch, capsys):
+        # 5%-dense 2000 x 1000: the top of the spectrum is dense. The Lanczos
+        # estimate reaches sigma_max, so even L = 120 stays within the growth
+        # bound. An estimate 2% lower leaves ||S / nu|| > 1, and at L = 120 a
+        # column grows past the bound: exit 4, no output.
         rng = np.random.default_rng(1)
         mask = rng.random((2000, 1000)) < 0.05
         i, j = np.nonzero(mask)
+        A = scipy.sparse.coo_array((rng.standard_normal(len(i)), (i, j)), shape=(2000, 1000))
         mtx = tmp_path / "a.mtx"
-        scipy.io.mmwrite(mtx, scipy.sparse.coo_array((rng.standard_normal(len(i)), (i, j))))
+        scipy.io.mmwrite(mtx, A)
         out = tmp_path / "e.bin"
         argv = ["embed", "--input", str(mtx), "--format", "matrix-market",
                 "--matrix", "dilation", "--function", "indicator:0.5", "--d", "16",
-                "--output", str(out)]
-        assert main(argv + ["--L", "40"]) == 0
+                "--L", "120", "--output", str(out)]
+        assert main(argv) == 0
+        meta = json.loads((tmp_path / "e.bin.meta.json").read_text())
+        assert meta["norm_estimate"] >= np.linalg.norm(A.toarray(), 2)
         assert np.abs(read_embedding(out)).max() < 2.0
         out.unlink()
-        assert main(argv + ["--L", "120"]) == 4
+        real = csemb.cli.estimate_spectral_norm
+        monkeypatch.setattr(csemb.cli, "estimate_spectral_norm", lambda S: 0.98 * real(S))
+        assert main(argv) == 4
         assert "spectral norm > 1" in capsys.readouterr().err
         assert not out.exists()
 

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -25,7 +28,14 @@ from csemb import (
     scale_values,
 )
 from csemb.legendre import expansion_eval
-from helpers import dense_weighted, pairwise_distances, random_symmetric, ring_graph, sparse_from
+from helpers import (
+    dense_weighted,
+    norm_input,
+    pairwise_distances,
+    random_symmetric,
+    ring_graph,
+    sparse_from,
+)
 
 
 class TestDefaultDimension:
@@ -88,29 +98,69 @@ class TestNormEstimate:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_dilation_within_one_percent(self, seed):
-        # A dilation's spectrum is +-sigma: an iterate holding both top
-        # eigenvectors has a Rayleigh quotient near 0 but ||S v|| near sigma.
+        # A dilation's spectrum is +-sigma, so the largest |theta| counts the
+        # negative end of the spectrum as well as the positive one.
         rng = np.random.default_rng(seed)
         dense = rng.standard_normal((400, 200)) * (rng.random((400, 200)) < 0.05)
         sigma = np.linalg.norm(dense, 2)
         est = estimate_spectral_norm(dilate(sparse_from(dense)))
         assert sigma <= est <= 1.01 * sigma
 
-    @pytest.mark.parametrize("width", [8, 9, 10, 15, 16, 30])
-    def test_column_blocks_bit_exact(self, monkeypatch, width):
-        # n = 150 gives k = 31 vectors. Widths 10, 15 and 30 would leave a
-        # one-column tail; on this input (seed 3) such a tail changes the
-        # estimate, because the largest ||S v|| lies in the last column.
-        rng = np.random.default_rng(3)
-        n = 150
-        edges = rng.integers(0, n, size=(900, 2))
-        A = SparseMatrix.from_coo(edges[:, 0], edges[:, 1], rng.standard_normal(900), n, n)
-        S = SparseMatrix.from_scipy(A._csr + A._csr.T)
-        assert csemb.engine.block_width(n, 31) == 31
-        single = estimate_spectral_norm(S)
-        monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", 8 * n * width)
-        assert csemb.engine.block_width(n, 31) == width
-        assert estimate_spectral_norm(S) == single
+    @pytest.mark.parametrize("kind", ["dilation", "adjacency"])
+    def test_bits_repeat_across_calls_and_blas_threads(self, kind):
+        # Every reduction is a fixed-order einsum, so neither a second call nor
+        # the BLAS thread count moves a bit. With BLAS gemv in the
+        # orthogonalisation, the adjacency estimate differs between 1 and 2
+        # threads.
+        S = norm_input(kind)
+        nu = float.hex(estimate_spectral_norm(S))
+        assert float.hex(estimate_spectral_norm(S)) == nu
+        code = (
+            "from helpers import norm_input; from csemb import estimate_spectral_norm; "
+            f"print(float.hex(estimate_spectral_norm(norm_input({kind!r}))))"
+        )
+        tests = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join([os.path.dirname(csemb.__path__[0]), tests])
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            run = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            assert run.stdout.strip() == nu
+
+    @pytest.mark.parametrize(
+        "dense", [[[-0.5]], [[0.2, 0.5], [0.5, -0.3]]], ids=["1x1", "2x2"]
+    )
+    def test_fewer_rows_than_steps(self, dense):
+        # k = n steps span the whole space, so the Ritz values are the eigenvalues
+        dense = np.array(dense)
+        top = np.max(np.abs(np.linalg.eigvalsh(dense)))  # 0.5 for the 1 x 1
+        assert estimate_spectral_norm(sparse_from(dense)) == pytest.approx(1.01 * top, rel=1e-14)
+
+    def test_rank_one(self, monkeypatch):
+        # S v lies in span(v0, u) from the first step on, so the second step's
+        # new vector vanishes and the loop stops after two products
+        u = np.random.default_rng(30).standard_normal(40)
+        calls = []
+        real = csemb.engine.spmv_multi
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(csemb.engine, "spmv_multi", counted)
+        est = estimate_spectral_norm(sparse_from(np.outer(u, u)))
+        assert est == pytest.approx(1.01 * (u @ u), rel=1e-14)
+        assert len(calls) == 2
+
+    def test_dilation_with_exact_plus_minus_sigma(self):
+        # singular values 2 (x 40) give the dilation eigenvalues +-2 and 0, an
+        # invariant Krylov space after three steps
+        A = np.zeros((60, 40))
+        A[np.arange(40), np.arange(40)] = 2.0
+        est = estimate_spectral_norm(dilate(sparse_from(A)))
+        assert est >= 2.0
+        assert est == pytest.approx(2.02, rel=1e-14)
 
 
 def _embed(S, f, L, om, **kw):
@@ -231,6 +281,22 @@ class TestFastEmbed:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             _embed(SparseMatrix.identity(4), identity(), 1, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("case", ["asymmetric", "rounding", "rectangular"])
+    def test_asymmetric_rejected_with_dilation_hint(self, case):
+        # the check is exact, so a matrix symmetric only to rounding is refused too
+        rng = np.random.default_rng(25)
+        if case == "asymmetric":
+            dense = random_symmetric(6, rng)
+            dense[0, 1] += 0.1
+        elif case == "rounding":
+            q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+            dense = (q * np.linspace(-0.9, 0.9, 6)) @ q.T
+            assert not np.array_equal(dense, dense.T)
+        else:
+            dense = rng.standard_normal((6, 4)) / 8.0
+        with pytest.raises(ValueError, match=r"symmetric.*\(dilate\)"):
+            fast_embed_cascaded(sparse_from(dense), identity(), EmbedConfig(L=4, d=2))
 
 
 class TestGrowthGuard:

@@ -80,15 +80,15 @@ CASES = {
     "raw": (
         _write_symmetric, "m.mtx",
         [_embed("m.mtx", "matrix-market", "raw", "indicator:0.5", 16, 1, 8, 1)],
-        {"out.bin": "f96e95ff5960f3486f48fca8b4070dcad69f46cee0b23a9804125fce901962c1"},
+        {"out.bin": "1a1bfc542df0be1c76551000ae505058fcadffb17645eb8d6448285482547583"},
     ),
     "dilation-b1": (
         _write_rectangular, "a.mtx",
         [_embed("a.mtx", "matrix-market", "dilation", "indicator:0.5", 16, 1, 6, 3,
                 ("--output-cols", "cols.bin"))],
         {
-            "out.bin": "90be4cce6c5e357810e47afa61f42693b6f7951db5fc0d3864710ae3f055e0a2",
-            "cols.bin": "a3639f45bbfd2b68f50f4d8b228d0e1bf855f70f904fe45e6d2644d83a336438",
+            "out.bin": "5894e895dc97aa099c3e2eb0ebb73d555520529b4a15891aa31aad6b50690054",
+            "cols.bin": "4ede1f61be93c34250323dce41ae2697c9df7b53dafeb2bfcf0ef9785d2d1f31",
         },
     ),
     "dilation-b2": (
@@ -96,15 +96,15 @@ CASES = {
         [_embed("a.mtx", "matrix-market", "dilation", "indicator:0.5", 16, 2, 6, 3,
                 ("--output-cols", "cols.bin"))],
         {
-            "out.bin": "23780dcb92518ef9c80e7b5e233bf50ee6edfdcbd1c7ed21ee289e26b43e4507",
-            "cols.bin": "eba2bb2513036945feaccbc45fa9e7e1481667fe7238290a2520fd20eccb2a71",
+            "out.bin": "2bf7dbbcb58672a3f4332282a1b2a3c85ae7050d15ec5f957622f5e492839b78",
+            "cols.bin": "80da03ed22fda1b8bad95b3182f3a0a026d12e9697ec9b5fca7946ab43f831a8",
         },
     ),
     "points": (
         _write_points, "pts.csv",
         [_embed("pts.csv", "points-csv", "raw", "indicator:0.2", 12, 1, 6, 4,
                 ("--kernel", "gaussian", "--bandwidth", "1.0"))],
-        {"out.bin": "e2a51aa7a379ff3331165252f20b86ed08dc2eeeca909f05b3978484016501a5"},
+        {"out.bin": "707c4db1832cb934fce73f0edfd2c41f70b0fcaee06645e3f568bb934eea5682"},
     ),
     "cluster": (
         _write_graph, "graph.txt",
@@ -130,11 +130,11 @@ CASES = {
     ),
     "norm-raw": (
         _write_symmetric, "m.mtx", [_norm("m.mtx", "raw")],
-        {"norm.json": "f5de38290a412cddf1a49a481a78b6a33aba54839062044fae5b97a9e698bcfb"},
+        {"norm.json": "890d096e01c119efecc40e0deeccff73652e62ff74a4fe3200b88151facec080"},
     ),
     "norm-dilation": (
         _write_rectangular, "a.mtx", [_norm("a.mtx", "dilation")],
-        {"norm.json": "3ede09bfde6c2015b08d5fa720907db9e7066a5e014a145a31f0c5800be5bcce"},
+        {"norm.json": "b078aea00c773a0dced50cb8057b9ccecc798f3541ba63ec32691488f58e3e29"},
     ),
 }
 
