@@ -153,12 +153,11 @@ def estimate_spectral_norm(S: SparseMatrix) -> float:
     """Lanczos estimate of ||S|| for symmetric S: ``NORM_SAFETY`` times the
     largest |theta| over the Ritz values of k = min(NORM_STEPS, n) steps.
 
-    The start vector is column 0 of a fixed :func:`sample_projection`, so the
-    estimate depends on the matrix alone. Each new vector is orthogonalised
-    twice against the whole basis; once it falls to rounding level (n * eps
-    times ||S v_j||) the Krylov space is invariant, its Ritz values are
-    eigenvalues of S, and the steps stop. Every reduction is a fixed-order
-    ``np.einsum``, not threaded BLAS, so the bits ignore the BLAS threads.
+    The fixed start vector is uniform on [-1, 1) by position hash, so unlike
+    balanced +-1 signs it is not orthogonal to a constant top eigenvector.
+    Each new vector is orthogonalised twice against the whole basis; at
+    rounding level (n * eps ||S v_j||) the Krylov space is invariant and the
+    steps stop. Fixed-order ``np.einsum`` reductions ignore the BLAS threads.
     """
     if S.n_rows != S.n_cols:
         raise ValueError("spectral norm estimation requires a square matrix")
@@ -167,8 +166,9 @@ def estimate_spectral_norm(S: SparseMatrix) -> float:
     n = S.n_rows
     k = min(NORM_STEPS, n)
     V = np.empty((k + 1, n))  # the Krylov basis; row j + 1 is built in place
-    V[0] = sample_projection(n, 1, fold_seed(0, _NORM_SEED_TAG))[:, 0] / math.sqrt(n)
-    tol = n * np.finfo(np.float64).eps
+    h = _mix64(np.arange(n, dtype=np.uint64) ^ np.uint64(fold_seed(0, _NORM_SEED_TAG)))
+    v = (h >> np.uint64(11)) * 2.0**-52 - 1.0  # 53 high bits, uniform on [-1, 1)
+    V[0] = v / math.sqrt(np.einsum("i,i->", v, v))
     alpha, beta = [], []
     for j in range(k):
         basis = V[: j + 1]
@@ -180,7 +180,7 @@ def estimate_spectral_norm(S: SparseMatrix) -> float:
         c = np.einsum("ij,j->i", basis, w)  # the second Gram-Schmidt pass
         w -= np.einsum("ij,i->j", basis, c)
         b = math.sqrt(np.einsum("i,i->", w, w))
-        if j + 1 == k or b <= tol * sv_norm:
+        if j + 1 == k or b <= n * np.finfo(np.float64).eps * sv_norm:
             break
         beta.append(b)
         w /= b

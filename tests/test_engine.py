@@ -162,6 +162,21 @@ class TestNormEstimate:
         assert est >= 2.0
         assert est == pytest.approx(2.02, rel=1e-14)
 
+    @pytest.mark.parametrize("kind", ["complete-52", "complete-52-normalized", "ones-2x2"])
+    def test_constant_top_eigenvector(self, kind):
+        # The top eigenvector is constant. At n = 2 and 52 a start of balanced
+        # +-1 signs is orthogonal to it and never sees the top eigenvalue
+        # (giving 1.01 for K_52, 1.01/51 for its normalized adjacency and 0 for
+        # the 2 x 2); a start with continuous entries is not.
+        if kind == "ones-2x2":
+            S, top = sparse_from(np.ones((2, 2))), 2.0
+        elif kind == "complete-52":
+            S, top = sparse_from(np.ones((52, 52)) - np.eye(52)), 51.0
+        else:
+            edges = np.array(list(itertools.combinations(range(52), 2)))
+            S, top = normalized_adjacency(edges, 52), 1.0
+        assert estimate_spectral_norm(S) == pytest.approx(1.01 * top, rel=1e-12)
+
 
 def _embed(S, f, L, om, **kw):
     """The single-stage (b = 1) engine on a given projection block."""

@@ -80,15 +80,15 @@ CASES = {
     "raw": (
         _write_symmetric, "m.mtx",
         [_embed("m.mtx", "matrix-market", "raw", "indicator:0.5", 16, 1, 8, 1)],
-        {"out.bin": "1a1bfc542df0be1c76551000ae505058fcadffb17645eb8d6448285482547583"},
+        {"out.bin": "a62e95797c93feba86f66504595015462ff3589c771fdcce16d5080351aeaf07"},
     ),
     "dilation-b1": (
         _write_rectangular, "a.mtx",
         [_embed("a.mtx", "matrix-market", "dilation", "indicator:0.5", 16, 1, 6, 3,
                 ("--output-cols", "cols.bin"))],
         {
-            "out.bin": "5894e895dc97aa099c3e2eb0ebb73d555520529b4a15891aa31aad6b50690054",
-            "cols.bin": "4ede1f61be93c34250323dce41ae2697c9df7b53dafeb2bfcf0ef9785d2d1f31",
+            "out.bin": "09850bdaed14a92f96272bf04d5d2754679b979c701777e54ddad6515384f07e",
+            "cols.bin": "ab9f61f7912955b4b406891eaf916fa0b92a6e757337c7cd9264037161b845b8",
         },
     ),
     "dilation-b2": (
@@ -96,15 +96,15 @@ CASES = {
         [_embed("a.mtx", "matrix-market", "dilation", "indicator:0.5", 16, 2, 6, 3,
                 ("--output-cols", "cols.bin"))],
         {
-            "out.bin": "2bf7dbbcb58672a3f4332282a1b2a3c85ae7050d15ec5f957622f5e492839b78",
-            "cols.bin": "80da03ed22fda1b8bad95b3182f3a0a026d12e9697ec9b5fca7946ab43f831a8",
+            "out.bin": "d99943c8644bc49c94b4d37eec11461acb8b20ed0bbbb6b2d431a8d113a17ecf",
+            "cols.bin": "17744547034b60a2197a7297a572f752cd7e58c73b2bf2a24e444732944e972f",
         },
     ),
     "points": (
         _write_points, "pts.csv",
         [_embed("pts.csv", "points-csv", "raw", "indicator:0.2", 12, 1, 6, 4,
                 ("--kernel", "gaussian", "--bandwidth", "1.0"))],
-        {"out.bin": "707c4db1832cb934fce73f0edfd2c41f70b0fcaee06645e3f568bb934eea5682"},
+        {"out.bin": "b62fe77a590447d8e8215c136b9f53a77ad7bc2a4edbc8248788b3c9dcb9b968"},
     ),
     "cluster": (
         _write_graph, "graph.txt",
@@ -130,11 +130,11 @@ CASES = {
     ),
     "norm-raw": (
         _write_symmetric, "m.mtx", [_norm("m.mtx", "raw")],
-        {"norm.json": "890d096e01c119efecc40e0deeccff73652e62ff74a4fe3200b88151facec080"},
+        {"norm.json": "141c77b9ac9ddb3f930148b465cb868cd280285316c3f7be63f9c62254aec5a8"},
     ),
     "norm-dilation": (
         _write_rectangular, "a.mtx", [_norm("a.mtx", "dilation")],
-        {"norm.json": "b078aea00c773a0dced50cb8057b9ccecc798f3541ba63ec32691488f58e3e29"},
+        {"norm.json": "690dfbf37d8ed25325c65b06c566e990fecb241008d968f5205118030c6cc15e"},
     ),
 }
 
