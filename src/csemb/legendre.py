@@ -18,10 +18,12 @@ two before it can overflow.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 QUAD_NODES = 64  # Gauss-Legendre nodes per quadrature panel
 QUAD_REFINE_DEGREE = 48  # polynomial degrees resolved by one sub-panel
@@ -115,8 +117,6 @@ class LegendreExpansion:
         return len(self.coeffs) - 1
 
     def digest(self) -> str:
-        import hashlib
-
         return hashlib.sha256(self.coeffs.tobytes()).hexdigest()
 
 
@@ -124,8 +124,9 @@ def _panel_nodes(breaks: tuple[float, ...], degree: int) -> tuple[np.ndarray, np
     """Composite Gauss-Legendre nodes and weights on [-1, 1]: panels split at
     ``breaks``, and every smooth piece subdivided into one sub-panel of
     ``QUAD_NODES`` nodes per ``QUAD_REFINE_DEGREE`` degrees of the integrand."""
-    xs, ws = np.polynomial.legendre.leggauss(QUAD_NODES)
-    edges = np.unique(
+    xs, ws = leggauss(QUAD_NODES)
+    # sorted, not np.unique: the loop skips equal edges, and np.unique imports numpy.ma
+    edges = np.sort(
         np.concatenate([[-1.0, 1.0], np.clip(np.asarray(breaks, dtype=np.float64), -1.0, 1.0)])
     )
     refine = max(1, -(-(degree + 1) // QUAD_REFINE_DEGREE))

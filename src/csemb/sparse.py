@@ -1,22 +1,50 @@
 """CSR sparse matrices and the derived constructions used by the embedding pipeline.
 
-The matrix type is a thin immutable CSR container with 64-bit indices; the
-multi-vector product delegates to scipy's compiled kernel, which accumulates
-each row in stored column order and therefore gives deterministic,
-column-subset-consistent output.
+The matrix type is a thin immutable CSR container with 64-bit indices.
+Canonical CSR from (row, column, value) triplets, the transpose, the dense
+form and the multi-vector product run the compiled CSR routines of scipy's
+``_sparsetools`` extension, in the order ``scipy.sparse`` calls them, so
+results carry scipy's bits. The product accumulates each row in stored
+column order and therefore gives deterministic, column-subset-consistent
+output.
+
+The extension is loaded from its file, which does not run the ``scipy.sparse``
+package: that package's import costs about 0.3 s of CPU in every process.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-import scipy.sparse as _sp
-from scipy.sparse import _sparsetools
 
 GAUSSIAN_DROP_TOL = 1e-12  # kernel entries below this are not stored
 MAX_PAIR_ENDPOINT = 3_037_000_498  # largest vertex id whose pair codes fit in int64
+
+
+def _load_sparsetools(scipy_dir: str | None = None):
+    """scipy's ``sparse/_sparsetools`` extension, loaded from its file under
+    ``scipy_dir`` (by default where scipy is installed, found without running
+    the package). Without that file, the normal import is used."""
+    if scipy_dir is None:
+        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    name = "scipy.sparse._sparsetools"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(scipy_dir, "sparse", "_sparsetools" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            return module
+    from scipy.sparse import _sparsetools
+
+    return _sparsetools
+
+
+_sparsetools = _load_sparsetools()
 
 
 def _frozen(a: np.ndarray, dtype) -> np.ndarray:
@@ -96,27 +124,45 @@ class SparseMatrix:
     @classmethod
     def from_scipy(cls, m) -> "SparseMatrix":
         """Canonicalize any scipy sparse matrix (duplicates summed, zeros dropped)."""
-        csr = _sp.csr_array(m)
-        csr.sum_duplicates()
-        csr.sort_indices()
-        csr.eliminate_zeros()
-        return cls(csr.shape[0], csr.shape[1], csr.indptr, csr.indices, csr.data)
+        coo = m.tocoo()
+        return cls.from_coo(coo.row, coo.col, coo.data, coo.shape[0], coo.shape[1])
 
     @classmethod
     def from_coo(cls, rows, cols, vals, n_rows: int, n_cols: int) -> "SparseMatrix":
-        coo = _sp.coo_array(
-            (np.asarray(vals, dtype=np.float64), (np.asarray(rows), np.asarray(cols))),
-            shape=(n_rows, n_cols),
-        )
-        return cls.from_scipy(coo)
+        """Canonicalize (row, column, value) triplets: duplicates summed, zeros
+        dropped. The steps are scipy's COO-to-CSR conversion: ``coo_tocsr``
+        keeps each row's entries in input order, ``csr_sort_indices`` (not a
+        stable sort) runs only when some row is out of order, and duplicates
+        are summed in the order that leaves."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=np.float64)
+        if not rows.ndim == cols.ndim == vals.ndim == 1 or not len(rows) == len(cols) == len(vals):
+            raise ValueError("rows, cols and vals must be 1-d arrays of equal length")
+        nnz = len(vals)
+        if nnz == 0:
+            return cls.zeros(n_rows, n_cols)
+        if rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols:
+            raise ValueError("coordinate index out of range")
+        offs = np.empty(n_rows + 1, dtype=np.int64)
+        idx = np.empty(nnz, dtype=np.int64)
+        data = np.empty(nnz)
+        _sparsetools.coo_tocsr(n_rows, n_cols, nnz, rows, cols, vals, offs, idx, data)
+        if not _sparsetools.csr_has_sorted_indices(n_rows, offs, idx):
+            _sparsetools.csr_sort_indices(n_rows, offs, idx, data)
+        _sparsetools.csr_sum_duplicates(n_rows, n_cols, offs, idx, data)
+        _sparsetools.csr_eliminate_zeros(n_rows, n_cols, offs, idx, data)
+        nnz = offs[-1]
+        return cls(n_rows, n_cols, offs, idx[:nnz], data[:nnz])
 
     @classmethod
     def from_dense(cls, a, tol: float = 0.0) -> "SparseMatrix":
+        """Entries with ``|a_ij| > tol`` become stored values. Non-finite
+        entries are kept too, so that the constructor refuses them."""
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2:
             raise ValueError("expected a 2-d array")
-        mask = np.abs(a) > tol
-        rows, cols = np.nonzero(mask)
+        rows, cols = np.nonzero(~(np.abs(a) <= tol))
         return cls.from_coo(rows, cols, a[rows, cols], a.shape[0], a.shape[1])
 
     @classmethod
@@ -144,27 +190,36 @@ class SparseMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.n_cols)
 
-    @cached_property
-    def _csr(self) -> _sp.csr_array:
-        return _sp.csr_array(
-            (self.values, self.col_indices, self.row_offsets),
-            shape=(self.n_rows, self.n_cols),
-        )
-
     def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
+        out = np.zeros(self.shape)
+        _sparsetools.csr_todense(
+            self.n_rows, self.n_cols, self.row_offsets, self.col_indices, self.values, out
+        )
+        return out
 
     def is_symmetric(self) -> bool:
         """Whether the matrix equals its transpose exactly, pattern and values.
         The transpose's CSR comes out canonical, so one O(nnz) pass compares it."""
         if self.n_rows != self.n_cols:
             return False
-        t = self._csr.T.tocsr()
+        offs, cols, vals = _transpose(self)
         return (
-            np.array_equal(t.indptr, self.row_offsets)
-            and np.array_equal(t.indices, self.col_indices)
-            and np.array_equal(t.data, self.values)
+            np.array_equal(offs, self.row_offsets)
+            and np.array_equal(cols, self.col_indices)
+            and np.array_equal(vals, self.values)
         )
+
+
+def _transpose(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR arrays (offsets, columns, values) of ``A``'s transpose. ``csr_tocsc``
+    visits the rows of ``A`` in order, so each row of the result is sorted."""
+    offs = np.empty(A.n_cols + 1, dtype=np.int64)
+    cols = np.empty(A.nnz, dtype=np.int64)
+    vals = np.empty(A.nnz)
+    _sparsetools.csr_tocsc(
+        A.n_rows, A.n_cols, A.row_offsets, A.col_indices, A.values, offs, cols, vals
+    )
+    return offs, cols, vals
 
 
 def spmv_multi(
@@ -206,18 +261,14 @@ def spmv_multi(
         raise ValueError("out must not overlap the input block")
     elif not accumulate:
         out.fill(0.0)
-    # scipy's compiled CSR kernels, chosen as ``S._csr @ X`` chooses them
+    # scipy's compiled CSR kernels, chosen as scipy's ``csr @ X`` chooses them
     # (one column takes the vector kernel); both add into ``out``
-    csr = S._csr
+    csr = (S.row_offsets, S.col_indices, S.values)
     k = X.shape[1]
     if k == 1:
-        _sparsetools.csr_matvec(
-            S.n_rows, S.n_cols, csr.indptr, csr.indices, csr.data, X.ravel(), out.ravel()
-        )
+        _sparsetools.csr_matvec(S.n_rows, S.n_cols, *csr, X.ravel(), out.ravel())
     elif k > 1:
-        _sparsetools.csr_matvecs(
-            S.n_rows, S.n_cols, k, csr.indptr, csr.indices, csr.data, X.ravel(), out.ravel()
-        )
+        _sparsetools.csr_matvecs(S.n_rows, S.n_cols, k, *csr, X.ravel(), out.ravel())
     return out
 
 
@@ -232,9 +283,16 @@ def dilate(A: SparseMatrix) -> SparseMatrix:
     columns of A, the last m its rows."""
     if A.n_rows < 1 or A.n_cols < 1:
         raise ValueError("cannot dilate an empty matrix")
-    at = A._csr.T.tocsr()
-    s = _sp.bmat([[None, at], [A._csr, None]], format="csr")
-    return SparseMatrix.from_scipy(s)
+    # the first n rows are those of A^T shifted right by n, the last m those of A
+    at_offs, at_cols, at_vals = _transpose(A)
+    m, n = A.shape
+    return SparseMatrix(
+        m + n,
+        m + n,
+        np.concatenate([at_offs, A.row_offsets[1:] + A.nnz]),
+        np.concatenate([at_cols + n, A.col_indices]),
+        np.concatenate([at_vals, A.values]),
+    )
 
 
 def normalized_adjacency(edges, n: int) -> SparseMatrix:

@@ -3,7 +3,11 @@
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import csemb
 
@@ -103,3 +107,45 @@ def test_benchmark_untraced_names_resolve():
         if getattr(importlib.import_module(module_name), attr, None) is None
     ]
     assert unresolved == ["csemb.cli.fast_embed_general"]
+
+
+def test_cli_commands_import_neither_scipy_sparse_nor_scipy_io(tmp_path):
+    # Start-up cost: each command runs in a fresh process, and importing
+    # scipy.sparse and scipy.io costs about 0.3 s of CPU there.
+    graph = tmp_path / "g.txt"
+    graph.write_text("".join(f"{i} {(i + 1) % 12}\n{i} {(i + 5) % 12}\n" for i in range(12)))
+    mtx = tmp_path / "a.mtx"
+    mtx.write_text(
+        "%%MatrixMarket matrix coordinate real general\n% a comment\n5 3 6\n"
+        "1 1 0.5\n2 2 -1.25\n3 3 2.0\n4 1 1.0\n5 2 0.75\n5 3 -0.5\n"
+    )
+    emb = tmp_path / "e.bin"
+    graph_args = ["--input", str(graph), "--function", "indicator:0.3", "--L", "12", "--d", "6"]
+    commands = [
+        ["embed", *graph_args, "--format", "edgelist", "--output", str(emb)],
+        ["embed", "--input", str(mtx), "--format", "matrix-market", "--matrix", "dilation",
+         "--function", "indicator:0.5", "--L", "12", "--d", "4",
+         "--output", str(tmp_path / "rows.bin"), "--output-cols", str(tmp_path / "cols.bin")],
+        ["cluster", *graph_args, "--k", "2", "--runs", "2",
+         "--labels-out", str(tmp_path / "l.csv"), "--summary-out", str(tmp_path / "s.json")],
+        ["norm", "--input", str(mtx), "--format", "matrix-market", "--matrix", "dilation",
+         "--output", str(tmp_path / "n.json")],
+        ["eval", "--approx", str(emb), "--input", str(graph), "--format", "edgelist",
+         "--function", "indicator:0.3", "--output-prefix", str(tmp_path / "r")],
+    ]
+    code = (
+        "import json, sys\n"
+        "from csemb.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "loaded = [m for m in ('scipy.sparse', 'scipy.io') if m in sys.modules]\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    run = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    codes, loaded = json.loads(run.stdout.strip().splitlines()[-1])
+    assert codes == [0] * len(commands)
+    assert loaded == []

@@ -335,6 +335,15 @@ class TestErrors:
         bad.write_text("not a graph\n")
         assert main(_embed_argv(bad, tmp_path / "e.bin")) == 3
 
+    def test_non_finite_point_input_error(self, tmp_path, capsys):
+        # a NaN point used to be left isolated, and norm exited 0
+        p = tmp_path / "pts.csv"
+        p.write_text("0.0,0.0\n0.5,0.1\nnan,1.0\n1.0,0.3\n")
+        code = main(["norm", "--input", str(p), "--format", "points-csv", "--matrix", "raw",
+                     "--output", str(tmp_path / "n.json")])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         assert main(_embed_argv(tmp_path / "absent.txt", tmp_path / "e.bin")) == 3
 

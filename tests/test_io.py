@@ -71,6 +71,108 @@ class TestMatrixMarket:
             read_matrix_market(p)
 
 
+def _mmread_reference(path):
+    """What the reader returned when it called scipy: ``scipy.io.mmread``, a
+    dense result taken through its nonzeros, then canonical CSR by
+    ``sum_duplicates``, ``sort_indices`` and ``eliminate_zeros``."""
+    m = scipy.io.mmread(path)
+    csr = scipy.sparse.csr_array(scipy.sparse.coo_array(m) if isinstance(m, np.ndarray) else m)
+    csr.sum_duplicates()
+    csr.sort_indices()
+    csr.eliminate_zeros()
+    return csr
+
+
+def _assert_same_bits(S, csr):
+    assert S.shape == csr.shape
+    assert np.array_equal(S.row_offsets, csr.indptr)
+    assert np.array_equal(S.col_indices, csr.indices)
+    assert S.values.tobytes() == csr.data.astype(np.float64).tobytes()
+
+
+_REAL_GENERAL = "%%MatrixMarket matrix coordinate real general\n"
+
+
+# every format, field and symmetry the reader supports; the Matrix Market
+# format has no skew-symmetric pattern matrix
+_MM_KINDS = [
+    (fmt, field, symmetry)
+    for fmt, field in [("coordinate", "real"), ("coordinate", "integer"),
+                       ("coordinate", "pattern"), ("array", "real"), ("array", "integer")]
+    for symmetry in ["general", "symmetric", "skew-symmetric"]
+    if (field, symmetry) != ("pattern", "skew-symmetric")
+]
+
+
+class TestMatrixMarketAgainstScipy:
+    @pytest.mark.parametrize("fmt, field, symmetry", _MM_KINDS)
+    def test_written_by_mmwrite(self, tmp_path, fmt, field, symmetry):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((9, 9)) * (rng.random((9, 9)) < 0.4)
+        a = {"general": a, "symmetric": a + a.T, "skew-symmetric": a - a.T}[symmetry]
+        if field == "integer":
+            a = np.round(4 * a)
+        elif field == "pattern":
+            a = (a != 0).astype(np.float64)
+        p = tmp_path / "m.mtx"
+        scipy.io.mmwrite(
+            p, scipy.sparse.coo_array(a) if fmt == "coordinate" else a,
+            field=field, symmetry=symmetry,
+        )
+        assert p.read_text().split("\n")[0].split()[2:] == [fmt, field, symmetry]
+        _assert_same_bits(read_matrix_market(p), _mmread_reference(p))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "%%MatrixMarket matrix coordinate real general\n% first comment\n%\n\n"
+            "% after a blank line\n3 2 2\n1 2 0.25\n3 1 -1e-3\n",
+            _REAL_GENERAL + "4 4 0\n",
+            # duplicates are summed in file order, and a sum of zero is dropped
+            _REAL_GENERAL + "2 3 7\n1 2 0.1\n1 2 0.2\n1 2 0.7\n2 3 1.5\n2 3 -1.5\n"
+            "1 1 3\n1 2 1e-17\n",
+            "%%MatrixMarket matrix coordinate real symmetric\n3 3 5\n2 1 0.1\n2 1 0.2\n"
+            "2 1 0.7\n3 3 1\n3 3 2\n",
+            "%%MatrixMarket matrix coordinate integer general\n2 2 3\n1 1 4\n1 1 -4\n2 1 7\n",
+        ],
+        ids=["comments", "empty-4x4", "duplicates", "symmetric-duplicates", "integer-cancel"],
+    )
+    def test_hand_written(self, tmp_path, text):
+        p = tmp_path / "m.mtx"
+        p.write_text(text)
+        _assert_same_bits(read_matrix_market(p), _mmread_reference(p))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 1 1.0 2.0\n",
+            "%%MatrixMarket matrix coordinate real hermitian\n2 2 1\n2 1 1.0\n",
+            "%%MatrixMarket matrix array complex general\n1 1\n1.0 0.0\n",
+            _REAL_GENERAL + "2 2 3\n1 1 1.0\n2 2 2.0\n",
+            _REAL_GENERAL + "2 2 1\n1 1 1.0\n2 2 2.0\n",
+            _REAL_GENERAL + "2 2 0\n1 1 1.0\n",
+            "%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n",
+            _REAL_GENERAL + "2 2 1\n0 1 1.0\n",
+            _REAL_GENERAL + "2 2 1\n3 1 1.0\n",
+            _REAL_GENERAL + "2 2 1\n1 3 1.0\n",
+            _REAL_GENERAL + "2 2 1\n1.5 1 1.0\n",
+            _REAL_GENERAL + "2 2 1\n1 1 nan\n",
+            "%%MatrixMarket matrix array real general\n1 2\n1.0\ninf\n",
+            "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 1 1.0\n",
+            _REAL_GENERAL + "2 2 1\n1 1\n",
+        ],
+        ids=["complex", "hermitian", "complex-array", "fewer-entries", "more-entries",
+             "entries-after-zero", "short-array", "zero-based", "row-out-of-range",
+             "column-out-of-range", "fractional-index", "nan", "inf-array",
+             "symmetric-not-square", "missing-value"],
+    )
+    def test_rejected(self, tmp_path, text):
+        p = tmp_path / "m.mtx"
+        p.write_text(text)
+        with pytest.raises(InputFormatError):
+            read_matrix_market(p)
+
+
 class TestPointsCsv:
     def test_read(self, tmp_path):
         p = tmp_path / "pts.csv"
@@ -82,6 +184,13 @@ class TestPointsCsv:
         p = tmp_path / "pts.csv"
         p.write_text("a,b\n")
         with pytest.raises(InputFormatError):
+            read_points_csv(p)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, tmp_path, bad):
+        p = tmp_path / "pts.csv"
+        p.write_text(f"0.0,1.0\n{bad},1.0\n")
+        with pytest.raises(InputFormatError, match="non-finite"):
             read_points_csv(p)
 
 

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse
+
+import csemb.sparse
 
 from csemb import (
     KernelSpec,
@@ -12,6 +19,11 @@ from csemb import (
 )
 from csemb.sparse import MAX_PAIR_ENDPOINT, simple_edges
 from helpers import random_symmetric
+
+
+def _scipy_csr(S: SparseMatrix) -> scipy.sparse.csr_array:
+    """scipy's CSR view of ``S``'s own arrays, the reference for the kernel calls."""
+    return scipy.sparse.csr_array((S.values, S.col_indices, S.row_offsets), shape=S.shape)
 
 
 class TestSparseMatrix:
@@ -48,6 +60,87 @@ class TestSparseMatrix:
         m = SparseMatrix.from_coo([0, 0], [1, 1], [2.0, 3.0], 2, 2)
         assert m.nnz == 1
         assert m.to_dense()[0, 1] == 5.0
+
+    @pytest.mark.parametrize("presorted", [False, True], ids=["unsorted", "presorted"])
+    def test_from_coo_same_bits_as_scipy(self, presorted):
+        # rows of about 400 entries over 30 columns: the row sort is then not an
+        # insertion sort, and the sum of each run of duplicates depends on
+        # the order it is added in
+        rng = np.random.default_rng(11)
+        rows, cols = rng.integers(0, 2, 800), rng.integers(0, 30, 800)
+        vals = rng.standard_normal(800)
+        if presorted:
+            order = np.lexsort((cols, rows))
+            rows, cols, vals = rows[order], cols[order], vals[order]
+        S = SparseMatrix.from_coo(rows, cols, vals, 2, 30)
+        ref = scipy.sparse.csr_array(scipy.sparse.coo_array((vals, (rows, cols)), shape=(2, 30)))
+        ref.sum_duplicates()
+        ref.sort_indices()
+        ref.eliminate_zeros()
+        assert np.array_equal(S.row_offsets, ref.indptr)
+        assert np.array_equal(S.col_indices, ref.indices)
+        assert S.values.tobytes() == ref.data.tobytes()
+
+    @pytest.mark.parametrize("rows, cols", [([2], [0]), ([0], [2]), ([-1], [0]), ([0], [-1])])
+    def test_from_coo_index_out_of_range(self, rows, cols):
+        with pytest.raises(ValueError, match="out of range"):
+            SparseMatrix.from_coo(rows, cols, [1.0], 2, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_dense_refuses_non_finite(self, bad):
+        # |nan| > tol is False, so a mask on it would drop a NaN silently
+        with pytest.raises(ValueError, match="finite"):
+            SparseMatrix.from_dense(np.array([[bad, 1.0], [1.0, 0.0]]))
+
+
+def _run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this checkout's csemb."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(csemb.__path__[0]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.strip()
+
+
+# a 50 x 50 dilation and a block of four columns, built in a subprocess
+_OPERAND = """
+import sys
+import numpy as np
+from csemb import SparseMatrix, dilate, spmv_multi
+rng = np.random.default_rng(7)
+S = dilate(SparseMatrix.from_dense(rng.standard_normal((30, 20)) * (rng.random((30, 20)) < 0.3)))
+X = rng.standard_normal((50, 4))
+"""
+
+
+class TestSparsetoolsLoader:
+    def test_forced_fallback_same_bits(self, tmp_path):
+        # no extension file under tmp_path, so the loader imports scipy.sparse
+        code = _OPERAND + f"""
+import csemb.sparse
+assert "scipy.sparse" not in sys.modules
+by_file = spmv_multi(S, X), spmv_multi(S, X[:, 0])
+csemb.sparse._sparsetools = csemb.sparse._load_sparsetools({str(tmp_path)!r})
+assert "scipy.sparse" in sys.modules
+assert np.array_equal(spmv_multi(S, X), by_file[0])
+assert np.array_equal(spmv_multi(S, X[:, 0]), by_file[1])
+print("ok")
+"""
+        assert _run_python(code) == "ok"
+
+    @pytest.mark.parametrize("scipy_first", [True, False], ids=["scipy-first", "csemb-first"])
+    def test_scipy_sparse_imported_in_either_order(self, scipy_first):
+        first = "import scipy.sparse\n" if scipy_first else ""
+        code = first + _OPERAND + f"""
+assert ("scipy.sparse" in sys.modules) == {scipy_first}
+import scipy.sparse as sp
+ref = sp.csr_array((S.values, S.col_indices, S.row_offsets), shape=S.shape)
+assert np.array_equal(spmv_multi(S, X), ref @ X)
+assert np.array_equal(S.to_dense(), ref.T.tocsr().toarray())
+print("ok")
+"""
+        assert _run_python(code) == "ok"
 
 
 class TestSpmv:
@@ -86,9 +179,10 @@ class TestSpmv:
         X = rng.standard_normal((40, k))
         out = np.full((40, k), np.nan)  # stale contents must not leak through
         assert spmv_multi(S, X, out=out) is out
-        assert np.array_equal(out, S._csr @ X)
+        ref = _scipy_csr(S)
+        assert np.array_equal(out, ref @ X)
         vec = np.full(40, np.nan)
-        assert np.array_equal(spmv_multi(S, X[:, 0], out=vec), S._csr @ X[:, 0])
+        assert np.array_equal(spmv_multi(S, X[:, 0], out=vec), ref @ X[:, 0])
 
     @pytest.mark.parametrize("k", [1, 5])
     def test_accumulate_adds_into_out(self, k):
@@ -97,10 +191,11 @@ class TestSpmv:
         X, Y = rng.standard_normal((40, k)), rng.standard_normal((40, k))
         out = Y.copy()
         assert spmv_multi(S, X, out=out, accumulate=True) is out
-        assert np.allclose(out, Y + S._csr @ X, rtol=0.0, atol=1e-13)
+        ref = _scipy_csr(S)
+        assert np.allclose(out, Y + ref @ X, rtol=0.0, atol=1e-13)
         vec = Y[:, 0].copy()
         spmv_multi(S, X[:, 0], out=vec, accumulate=True)
-        assert np.allclose(vec, Y[:, 0] + S._csr @ X[:, 0], rtol=0.0, atol=1e-13)
+        assert np.allclose(vec, Y[:, 0] + ref @ X[:, 0], rtol=0.0, atol=1e-13)
 
     def test_accumulate_checks_out(self):
         S = SparseMatrix.identity(3)
