@@ -160,17 +160,75 @@ class TestMatrixMarketAgainstScipy:
             "%%MatrixMarket matrix array real general\n1 2\n1.0\ninf\n",
             "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 1 1.0\n",
             _REAL_GENERAL + "2 2 1\n1 1\n",
+            _REAL_GENERAL + "2 2 1\n1 1.5 1.0\n",
+            _REAL_GENERAL + "2 2 1\n1 1 1.0abc\n",
+            _REAL_GENERAL + "2 2 1\n1 1 0x1p-3\n",
+            _REAL_GENERAL + "2 2 1\n1 1 1-2\n",
+            _REAL_GENERAL + "2 2 1\n1 1 1.2.3\n",
+            _REAL_GENERAL + "2 2 1\n1 1 1e\n",
+            _REAL_GENERAL + "2 2 1\n1 1 1e5.2\n",
+            _REAL_GENERAL + "2 2 1\n1 1 1.0 7\n",
+            _REAL_GENERAL + "2 2 2\n1 1 1.0\n% a comment in the body\n2 2 2.0\n",
+            _REAL_GENERAL + "2 2 2\n1 1 1.0 2 2 2.0\n",
+            _REAL_GENERAL + "2 2 2\n1 1\n1.0 2 2 2.0\n",
+            _REAL_GENERAL + "2 2 1\n1 1 -\n",
+            _REAL_GENERAL + "2 2 1\n1 1 .\n",
+            _REAL_GENERAL + "2 2 1\n1 1 --1\n",
+            _REAL_GENERAL + "2 2 1\n1 1 1e+-5\n",
+            _REAL_GENERAL + "2 2 1\n1 1 .e5\n",
+            _REAL_GENERAL + "2 2 1\n1 1 1e5e5\n",
+            _REAL_GENERAL + "2 2 1\n1 1 1e400\n",
+            "%%MatrixMarket matrix array real general\n1 2\n1.0\n2.0 3.0\n",
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1 1\n",
         ],
         ids=["complex", "hermitian", "complex-array", "fewer-entries", "more-entries",
              "entries-after-zero", "short-array", "zero-based", "row-out-of-range",
              "column-out-of-range", "fractional-index", "nan", "inf-array",
-             "symmetric-not-square", "missing-value"],
+             "symmetric-not-square", "missing-value", "fractional-column",
+             "trailing-letters", "hex-float", "inner-sign", "two-dots", "bare-exponent",
+             "fractional-exponent", "extra-column", "comment-in-body", "two-entries-a-line",
+             "entry-split-over-lines", "bare-sign", "bare-dot", "double-sign",
+             "double-exponent-sign", "no-mantissa-digit", "two-exponents", "overflow",
+             "two-values-a-line", "pattern-with-value"],
     )
     def test_rejected(self, tmp_path, text):
         p = tmp_path / "m.mtx"
         p.write_text(text)
         with pytest.raises(InputFormatError):
             read_matrix_market(p)
+
+
+    @pytest.mark.parametrize(
+        "text, entries",
+        [
+            ("%%MatrixMarket matrix coordinate real general\r\n% a comment\r\n"
+             "2 2 2\r\n1 1 1.5\r\n2 2 -2\r\n", {(0, 0): 1.5, (1, 1): -2.0}),
+            ("%%MatrixMarket matrix coordinate real general\r2 2 2\r1 1 1.5\r2 2 -2\r",
+             {(0, 0): 1.5, (1, 1): -2.0}),
+            (_REAL_GENERAL + "2 2 2\n1 1 1.5\n2 2 -2", {(0, 0): 1.5, (1, 1): -2.0}),
+            (_REAL_GENERAL + "2 2 2\n\n1 1 1.5\n \t\n\n2 2 -2\n\n", {(0, 0): 1.5, (1, 1): -2.0}),
+            (_REAL_GENERAL + "2 2 2\n1\t1\t+1.5E+2\n  2 2  -2.5e-1  \n",
+             {(0, 0): 150.0, (1, 1): -0.25}),
+            (_REAL_GENERAL + "2 2 1\n+1 2 3\n", {(0, 1): 3.0}),
+            ("%%MATRIXMARKET MATRIX COORDINATE REAL GENERAL\n2 2 1\n2 1 7\n", {(1, 0): 7.0}),
+            (_REAL_GENERAL + "2 2 3\n1 1 .5\n2 2 5.\n1 2 -.5e-1\n",
+             {(0, 0): 0.5, (1, 1): 5.0, (0, 1): -0.05}),
+            (_REAL_GENERAL + "2 2 1\n0001 02 00012\n", {(0, 1): 12.0}),
+            ("%%MatrixMarket matrix array real general\n2 1\n+.25\n\n-4E0", {(0, 0): 0.25, (1, 0): -4.0}),
+            ("%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n2 +1\n",
+             {(1, 0): 1.0, (0, 1): 1.0}),
+        ],
+        ids=["crlf", "cr", "no-final-newline", "blank-lines", "plus-signs", "plus-index",
+             "upper-case-banner", "bare-dots", "leading-zeros", "array-signs",
+             "pattern-plus-index"],
+    )
+    def test_accepted_grammar(self, tmp_path, text, entries):
+        p = tmp_path / "m.mtx"
+        p.write_bytes(text.encode())
+        expected = np.zeros((2, 2) if "array" not in text else (2, 1))
+        for ij, value in entries.items():
+            expected[ij] = value
+        assert np.array_equal(read_matrix_market(p).to_dense(), expected)
 
 
 class TestPointsCsv:
