@@ -6,18 +6,30 @@ two uint64 header words (n_rows, d), then n_rows*d float64 values row-major.
 
 from __future__ import annotations
 
+import functools
+import io as stdio
+import re
 import struct
 
 import numpy as np
 
 from .errors import InputFormatError
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, load_scipy_extension
 
 EMBEDDING_MAGIC = b"CSEMB001"
 _HEADER = struct.Struct("<QQ")
 # the Matrix Market fields each format is read with, and the symmetries
 _MM_FIELDS = {"coordinate": ("real", "integer", "pattern"), "array": ("real", "integer")}
 _MM_SYMMETRIES = ("general", "symmetric", "skew-symmetric")
+# the banner line, then comment and blank lines, then the size line
+_MM_HEADER = re.compile(rb"(.*)\n?(?:(?:%.*|[^\S\n]*)\n)*(.*)\n?")
+
+
+@functools.cache
+def _fmm_core():
+    """The C++ Matrix Market parser behind ``scipy.io.mmread``, loaded by the
+    first Matrix Market read, so that other commands do not pay for it."""
+    return load_scipy_extension("io._fast_matrix_market._fmm_core")
 
 
 def read_edgelist(path) -> tuple[np.ndarray, int]:
@@ -38,77 +50,139 @@ def read_edgelist(path) -> tuple[np.ndarray, int]:
 
 
 def read_matrix_market(path) -> SparseMatrix:
-    """Matrix Market file: the coordinate format with a real, integer or
+    r"""Matrix Market file: the coordinate format with a real, integer or
     pattern field, or the array format with a real or integer field; each
     general, symmetric or skew-symmetric.
 
+    The header is read here: a banner in any case, then comment (``%``) and
+    blank lines, then the size line. Each entry is on a line of its own, with
+    blank lines allowed between. Each number is a whole decimal token,
+    ``[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?``, and an index is ``[+-]?\d+``.
+    Numbers are separated by spaces and tabs, and lines end in LF, CRLF or CR. The checked body is parsed by the C++
+    core of ``scipy.io.mmread`` (fast_matrix_market), so values carry its
+    bits; an integer field is read as real.
+
     Symmetric files hold one triangle, and each off-diagonal entry is
     mirrored, negated for skew-symmetric, as ``scipy.io.mmread`` does.
-    Complex and hermitian files, an entry count other than the header's, an
-    index outside [1, rows] or [1, cols] and a non-finite value raise
-    :class:`InputFormatError`.
+    Complex and hermitian files, any other token or layout, an entry count
+    other than the header's, an index outside [1, rows] or [1, cols] and a
+    non-finite value raise :class:`InputFormatError`.
     """
     try:
-        with open(path) as fh:
-            banner = fh.readline().lower().split()
-            if banner[:2] != ["%%matrixmarket", "matrix"] or len(banner) != 5:
-                raise InputFormatError(f"{path} has no Matrix Market banner")
-            fmt, field, symmetry = banner[2:]
-            if field not in _MM_FIELDS.get(fmt, ()) or symmetry not in _MM_SYMMETRIES:
-                raise InputFormatError(f"{path}: unsupported Matrix Market {' '.join(banner[2:])}")
-            line = fh.readline()
-            while line.startswith("%") or (line and not line.strip()):
-                line = fh.readline()
-            size = [int(x) for x in line.split()]
-            if len(size) != (3 if fmt == "coordinate" else 2) or min(size) < 0:
-                raise InputFormatError(f"{path}: bad size line {line.strip()!r}")
-            m, n = size[:2]
-            if symmetry != "general" and m != n:
-                raise InputFormatError(f"{path}: a {symmetry} matrix must be square")
-            if fmt == "coordinate":
-                count, width = size[2], 2 if field == "pattern" else 3
-            else:
-                triangle = n * (n + 1) // 2  # values of a symmetric array file
-                count = {"general": m * n, "symmetric": triangle}.get(symmetry, triangle - n)
-                width = 1
-            if count:
-                entries = np.loadtxt(fh, comments=None, ndmin=2)
-            elif fh.read().strip():
-                raise InputFormatError(f"{path}: entries follow a header that declares none")
-            else:
-                entries = np.empty((0, width))
-    except (ValueError, OSError) as exc:
-        raise InputFormatError(f"cannot parse Matrix Market file {path}: {exc}") from exc
-    if entries.shape != (count, width):
-        raise InputFormatError(
-            f"{path}: the header declares {count} entries of {width} numbers each, "
-            f"the file holds {entries.shape[0]} lines of {entries.shape[1]}"
-        )
-    if not np.all(np.isfinite(entries)):
-        raise InputFormatError(f"{path}: non-finite value")
-    sign = -1.0 if symmetry == "skew-symmetric" else 1.0
-    if fmt == "array":
-        a = np.zeros((m, n))
-        if symmetry == "general":
-            a[...] = entries.reshape(n, m).T
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if b"\r" in data:  # the core crashes on a lone CR
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        header = _MM_HEADER.match(data)
+        banner = header[1].decode("latin-1").lower().split()
+        if banner[:2] != ["%%matrixmarket", "matrix"] or len(banner) != 5:
+            raise InputFormatError(f"{path} has no Matrix Market banner")
+        fmt, field, symmetry = banner[2:]
+        if field not in _MM_FIELDS.get(fmt, ()) or symmetry not in _MM_SYMMETRIES:
+            raise InputFormatError(f"{path}: unsupported Matrix Market {' '.join(banner[2:])}")
+        size = [int(x) for x in header[2].split()]
+        if len(size) != (3 if fmt == "coordinate" else 2) or min(size) < 0:
+            raise InputFormatError(f"{path}: bad size line {header[2].decode('latin-1')!r}")
+        m, n = size[:2]
+        if symmetry != "general" and m != n:
+            raise InputFormatError(f"{path}: a {symmetry} matrix must be square")
+        if fmt == "coordinate":
+            count, width = size[2], 2 if field == "pattern" else 3
         else:
-            # the lower triangle column by column, strictly lower for skew-symmetric
-            j, i = np.triu_indices(n, 0 if symmetry == "symmetric" else 1)
-            a[i, j] = entries[:, 0]
-            a[j, i] = sign * entries[:, 0]
-        return SparseMatrix.from_dense(a)
-    rows, cols = entries[:, 0] - 1, entries[:, 1] - 1
-    vals = entries[:, 2] if field != "pattern" else np.ones(count)
-    if count and (
-        np.any(rows % 1 != 0) or np.any(cols % 1 != 0)
-        or rows.min() < 0 or rows.max() >= m or cols.min() < 0 or cols.max() >= n
-    ):
-        raise InputFormatError(f"{path}: entry index outside the 1-based {m}x{n} range")
+            triangle = n * (n + 1) // 2  # values of a symmetric array file
+            count = {"general": m * n, "symmetric": triangle}.get(symmetry, triangle - n)
+            width = 1
+        # the core reads a canonical header, then the body framed by line ends
+        canonical = ["%%MatrixMarket matrix", fmt, field.replace("integer", "real"), symmetry]
+        head = f"{' '.join(canonical)}\n{' '.join(map(str, size))}\n".encode()
+        text = b"".join([head, memoryview(data)[header.end():], b"\n"])
+        del data
+        _check_body(np.frombuffer(text, np.uint8, offset=len(head) - 1), count, width, fmt)
+        if b"+" in text:  # the core refuses a plus sign, and each one is checked
+            text = text.replace(b"+", b"")
+        core = _fmm_core()
+        cursor = core.open_read_stream(stdio.BytesIO(text), 1)  # one thread
+        if fmt == "array":
+            vals = np.zeros((m, n))  # the core fills both triangles of a symmetric file
+            core.read_body_array(cursor, vals)
+        else:
+            rows, cols = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
+            vals = np.ones(count)
+            core.read_body_coo(cursor, rows, cols, vals)
+    except (ValueError, OverflowError, OSError) as exc:
+        raise InputFormatError(f"cannot parse Matrix Market file {path}: {exc}") from exc
+    if not np.all(np.isfinite(vals)):
+        raise InputFormatError(f"{path}: non-finite value")
+    if fmt == "array":
+        return SparseMatrix.from_dense(vals)
     if symmetry != "general":
         off = rows != cols
+        sign = -1.0 if symmetry == "skew-symmetric" else 1.0
         rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
         vals = np.concatenate([vals, sign * vals[off]])
     return SparseMatrix.from_coo(rows, cols, vals, m, n)
+
+
+# the classes of the bytes of a Matrix Market body
+_SPACE, _DIGIT, _SIGN, _DOT, _EXP, _OTHER = range(6)
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[list(b" \t\n")] = _SPACE
+_BYTE_CLASS[list(b"0123456789")] = _DIGIT
+_BYTE_CLASS[list(b"+-")] = _SIGN
+_BYTE_CLASS[list(b".")] = _DOT
+_BYTE_CLASS[list(b"eE")] = _EXP
+
+
+def _check_body(body: np.ndarray, count: int, width: int, fmt: str) -> None:
+    """Raise ``ValueError`` unless ``body`` (bytes that start and end with a
+    LF) holds ``count * width`` whole decimal tokens, with integer indices in
+    a coordinate file. The core reads the longest numeric prefix of a token
+    and ignores the rest of its line, so this is what rejects ``1.0abc``,
+    ``1-2`` or an extra column. The core reads ``count`` non-blank lines and
+    refuses a line of fewer than ``width`` numbers, a missing line and an
+    extra one, so with this count every line holds ``width`` numbers.
+
+    Whole-body passes find the token starts and the marks, the bytes that are
+    neither digits nor spaces. Only the marks are then looked at one by one:
+    a sign starts a token or follows its exponent mark, and is followed by a
+    digit (or a dot, at the start); a dot has a digit beside it; an exponent
+    mark follows a digit or dot and is followed by a digit or sign; a token
+    holds at most one dot and then at most one exponent mark; and any other
+    byte is refused."""
+    # two masks of the body's length serve every whole-body pass
+    space, mask = np.equal(body, ord(" ")), np.zeros(len(body), dtype=bool)
+    space |= np.equal(body, ord("\t"), out=mask)
+    space |= np.equal(body, ord("\n"), out=mask)
+    # a token starts where a space is followed by a non-space; the first byte is a LF
+    mask[0] = False
+    np.greater(space[:-1], space[1:], out=mask[1:])
+    starts = np.flatnonzero(mask)
+    if len(starts) != count * width:
+        raise ValueError(
+            f"the header declares {count} entries of {width} numbers each, "
+            f"the file holds {len(starts)} numbers"
+        )
+    np.subtract(body, ord("0"), out=mask.view(np.uint8))  # a digit becomes 0-9
+    np.greater(mask.view(np.uint8), 9, out=mask)
+    marks = np.flatnonzero(np.greater(mask, space, out=mask))
+    del space, mask
+    kind, before, after = (_BYTE_CLASS[body[at]] for at in (marks, marks - 1, marks + 1))
+    sign, dot, exp = kind == _SIGN, kind == _DOT, kind == _EXP
+    bad = kind == _OTHER
+    bad |= sign & ~(
+        ((before == _SPACE) | (before == _EXP))
+        & ((after == _DIGIT) | ((after == _DOT) & (before == _SPACE)))
+    )
+    bad |= dot & (before != _DIGIT) & (after != _DIGIT)
+    bad |= exp & ~(((before == _DIGIT) | (before == _DOT)) & ((after == _DIGIT) | (after == _SIGN)))
+    # of two dots or exponent marks in one token, only a dot, then a mark, may be
+    token = np.searchsorted(starts, marks[~sign], side="right") - 1
+    kind = kind[~sign]
+    bad_pair = (token[1:] == token[:-1]) & ((kind[:-1] != _DOT) | (kind[1:] != _EXP))
+    if np.any(bad) or np.any(bad_pair):
+        raise ValueError("a token that is not a whole decimal number")
+    if fmt == "coordinate" and np.any(token % width < 2):
+        raise ValueError("an index that is not an integer")
 
 
 def read_points_csv(path) -> np.ndarray:

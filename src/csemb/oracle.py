@@ -18,12 +18,13 @@ from .cluster import sq_distances
 from .engine import EmbedConfig, EmbeddingMatrix, fast_embed_cascaded, fold_seed
 from .errors import OracleCapError, OracleError
 from .legendre import expansion_eval, legendre_coefficients
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, spmv_multi
 
 ORACLE_CAP = 3000
 EIG_RESIDUAL_TOL = 1e-8
 PERCENTILE_LEVELS = (1, 5, 25, 50, 75, 95, 99)
 DEFAULT_MAX_PAIRS = 100_000
+PAIR_CHUNK = 4096  # pairs whose rows are gathered at once
 CALIBRATION_BIN_WIDTH = 0.1  # bins centered on -1.0, -0.9, ..., 1.0
 
 
@@ -53,7 +54,8 @@ def exact_embedding(S, f, cap: int = ORACLE_CAP) -> ExactEmbedding:
     if np.max(np.abs(a - a.T), initial=0.0) > 1e-10:
         raise ValueError("oracle requires a symmetric matrix")
     lam, vec = np.linalg.eigh(a)
-    residual = float(np.max(np.abs(a @ vec - vec * lam), initial=0.0))
+    sp = S if isinstance(S, SparseMatrix) else SparseMatrix.from_dense(a)
+    residual = float(np.max(np.abs(spmv_multi(sp, vec) - vec * lam), initial=0.0))
     if residual > EIG_RESIDUAL_TOL:
         raise OracleError(f"eigensolver residual {residual:.3e} above {EIG_RESIDUAL_TOL}")
     weights = np.atleast_1d(np.asarray(f(lam), dtype=np.float64))
@@ -77,7 +79,11 @@ def _pair_correlations(rows: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray,
     a, b = pairs[:, 0], pairs[:, 1]
     denom = norms[a] * norms[b]
     zero = denom == 0.0
-    dots = np.einsum("ij,ij->i", rows[a], rows[b])
+    # the rows are gathered a chunk of pairs at a time; each dot is its own sum
+    dots = np.empty(len(pairs))
+    for i in range(0, len(pairs), PAIR_CHUNK):
+        at = slice(i, i + PAIR_CHUNK)
+        dots[at] = np.einsum("ij,ij->i", rows[a[at]], rows[b[at]])
     out = np.zeros(len(pairs))
     np.divide(dots, denom, out=out, where=~zero)
     return out, zero

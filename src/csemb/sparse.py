@@ -8,8 +8,9 @@ results carry scipy's bits. The product accumulates each row in stored
 column order and therefore gives deterministic, column-subset-consistent
 output.
 
-The extension is loaded from its file, which does not run the ``scipy.sparse``
-package: that package's import costs about 0.3 s of CPU in every process.
+The extension is loaded from its file (:func:`load_scipy_extension`), which
+does not run the ``scipy.sparse`` package: that package's import costs about
+0.3 s of CPU in every process.
 """
 
 from __future__ import annotations
@@ -25,26 +26,36 @@ GAUSSIAN_DROP_TOL = 1e-12  # kernel entries below this are not stored
 MAX_PAIR_ENDPOINT = 3_037_000_498  # largest vertex id whose pair codes fit in int64
 
 
-def _load_sparsetools(scipy_dir: str | None = None):
-    """scipy's ``sparse/_sparsetools`` extension, loaded from its file under
+def load_scipy_extension(module: str, scipy_dir: str | None = None):
+    """scipy's compiled extension ``scipy.<module>`` (``module`` is dotted,
+    such as ``"sparse._sparsetools"``), loaded from its file under
     ``scipy_dir`` (by default where scipy is installed, found without running
-    the package). Without that file, the normal import is used."""
+    the package), so that no package above it runs. Without that file, the
+    normal import is used."""
     if scipy_dir is None:
         scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    name = "scipy.sparse._sparsetools"
+    name = "scipy." + module
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(scipy_dir, "sparse", "_sparsetools" + suffix)
+        path = os.path.join(scipy_dir, *module.split(".")) + suffix
         if os.path.isfile(path):
             loader = importlib.machinery.ExtensionFileLoader(name, path)
-            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
-            loader.exec_module(module)
-            return module
-    from scipy.sparse import _sparsetools
+            ext = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(ext)
+            return ext
+    package, _, leaf = name.rpartition(".")
+    importlib.import_module(package)  # as ``from <package> import <leaf>``, which runs it
+    return importlib.import_module(name)
 
-    return _sparsetools
+
+_sparsetools = load_scipy_extension("sparse._sparsetools")
 
 
-_sparsetools = _load_sparsetools()
+def _handed_over(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark arrays that nothing else holds read-only, so the constructor keeps
+    them uncopied."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _frozen(a: np.ndarray, dtype) -> np.ndarray:
@@ -110,11 +121,10 @@ class SparseMatrix:
                 raise ValueError("column index out of range")
             # strictly increasing within rows: every adjacent pair not split
             # by a row boundary must increase
-            interior = np.ones(nnz - 1, dtype=bool)
+            increasing = cols[1:] > cols[:-1]
             bounds = offs[1:-1]
-            bounds = bounds[(bounds > 0) & (bounds < nnz)]
-            interior[bounds - 1] = False
-            if np.any(cols[1:][interior] <= cols[:-1][interior]):
+            increasing[bounds[(bounds > 0) & (bounds < nnz)] - 1] = True
+            if not increasing.all():
                 raise ValueError("column indices must be strictly increasing per row")
             if np.any(vals == 0.0) or not np.all(np.isfinite(vals)):
                 raise ValueError("stored values must be finite and nonzero")
@@ -152,8 +162,9 @@ class SparseMatrix:
             _sparsetools.csr_sort_indices(n_rows, offs, idx, data)
         _sparsetools.csr_sum_duplicates(n_rows, n_cols, offs, idx, data)
         _sparsetools.csr_eliminate_zeros(n_rows, n_cols, offs, idx, data)
-        nnz = offs[-1]
-        return cls(n_rows, n_cols, offs, idx[:nnz], data[:nnz])
+        idx.resize(offs[-1], refcheck=False)  # in place, so the arrays stay owned
+        data.resize(offs[-1], refcheck=False)
+        return cls(n_rows, n_cols, *_handed_over(offs, idx, data))
 
     @classmethod
     def from_dense(cls, a, tol: float = 0.0) -> "SparseMatrix":
@@ -286,12 +297,15 @@ def dilate(A: SparseMatrix) -> SparseMatrix:
     # the first n rows are those of A^T shifted right by n, the last m those of A
     at_offs, at_cols, at_vals = _transpose(A)
     m, n = A.shape
+    at_cols += n
     return SparseMatrix(
         m + n,
         m + n,
-        np.concatenate([at_offs, A.row_offsets[1:] + A.nnz]),
-        np.concatenate([at_cols + n, A.col_indices]),
-        np.concatenate([at_vals, A.values]),
+        *_handed_over(
+            np.concatenate([at_offs, A.row_offsets[1:] + A.nnz]),
+            np.concatenate([at_cols, A.col_indices]),
+            np.concatenate([at_vals, A.values]),
+        ),
     )
 
 
@@ -370,5 +384,4 @@ def scale_values(S: SparseMatrix, factor: float) -> SparseMatrix:
     if factor == 0.0 or not np.isfinite(factor):
         raise ValueError("scale factor must be finite and nonzero")
     values = S.values * factor
-    values.setflags(write=False)  # handed over, so the constructor keeps it uncopied
-    return SparseMatrix(S.n_rows, S.n_cols, S.row_offsets, S.col_indices, values)
+    return SparseMatrix(S.n_rows, S.n_cols, S.row_offsets, S.col_indices, *_handed_over(values))

@@ -1,10 +1,26 @@
-"""Shared generators for the test suite: random matrices and synthetic graphs."""
+"""Shared generators for the test suite: random matrices and synthetic graphs,
+and a runner for code that needs a fresh interpreter."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 
+import csemb
 from csemb import SparseMatrix
+
+
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this checkout's csemb."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(csemb.__path__[0]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.strip()
 
 
 def random_symmetric(n: int, rng: np.random.Generator, density: float = 1.0,

@@ -111,7 +111,9 @@ def test_benchmark_untraced_names_resolve():
 
 def test_cli_commands_import_neither_scipy_sparse_nor_scipy_io(tmp_path):
     # Start-up cost: each command runs in a fresh process, and importing
-    # scipy.sparse and scipy.io costs about 0.3 s of CPU there.
+    # scipy.sparse and scipy.io costs about 0.3 s of CPU there. Loading the
+    # Matrix Market core costs 1.5 ms and 1.6 MB, so only a Matrix Market
+    # read loads it.
     graph = tmp_path / "g.txt"
     graph.write_text("".join(f"{i} {(i + 1) % 12}\n{i} {(i + 5) % 12}\n" for i in range(12)))
     mtx = tmp_path / "a.mtx"
@@ -121,24 +123,29 @@ def test_cli_commands_import_neither_scipy_sparse_nor_scipy_io(tmp_path):
     )
     emb = tmp_path / "e.bin"
     graph_args = ["--input", str(graph), "--function", "indicator:0.3", "--L", "12", "--d", "6"]
+    # the edge-list commands first: they must not load the Matrix Market core
     commands = [
         ["embed", *graph_args, "--format", "edgelist", "--output", str(emb)],
+        ["cluster", *graph_args, "--k", "2", "--runs", "2",
+         "--labels-out", str(tmp_path / "l.csv"), "--summary-out", str(tmp_path / "s.json")],
+        ["eval", "--approx", str(emb), "--input", str(graph), "--format", "edgelist",
+         "--function", "indicator:0.3", "--output-prefix", str(tmp_path / "r")],
         ["embed", "--input", str(mtx), "--format", "matrix-market", "--matrix", "dilation",
          "--function", "indicator:0.5", "--L", "12", "--d", "4",
          "--output", str(tmp_path / "rows.bin"), "--output-cols", str(tmp_path / "cols.bin")],
-        ["cluster", *graph_args, "--k", "2", "--runs", "2",
-         "--labels-out", str(tmp_path / "l.csv"), "--summary-out", str(tmp_path / "s.json")],
         ["norm", "--input", str(mtx), "--format", "matrix-market", "--matrix", "dilation",
          "--output", str(tmp_path / "n.json")],
-        ["eval", "--approx", str(emb), "--input", str(graph), "--format", "edgelist",
-         "--function", "indicator:0.3", "--output-prefix", str(tmp_path / "r")],
     ]
     code = (
         "import json, sys\n"
+        "import csemb.io\n"
         "from csemb.cli import main\n"
-        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "codes, core_loaded = [], []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    codes.append(main(argv))\n"
+        "    core_loaded.append(csemb.io._fmm_core.cache_info().currsize == 1)\n"
         "loaded = [m for m in ('scipy.sparse', 'scipy.io') if m in sys.modules]\n"
-        "print(json.dumps([codes, loaded]))\n"
+        "print(json.dumps([codes, core_loaded, loaded]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     run = subprocess.run(
@@ -146,6 +153,7 @@ def test_cli_commands_import_neither_scipy_sparse_nor_scipy_io(tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr
-    codes, loaded = json.loads(run.stdout.strip().splitlines()[-1])
+    codes, core_loaded, loaded = json.loads(run.stdout.strip().splitlines()[-1])
     assert codes == [0] * len(commands)
+    assert core_loaded == [False, False, False, True, True]
     assert loaded == []

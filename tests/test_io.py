@@ -15,6 +15,7 @@ from csemb.io import (
     write_embedding_csv,
     write_labels_csv,
 )
+from helpers import run_python
 
 
 class TestEdgeList:
@@ -179,7 +180,12 @@ class TestMatrixMarketAgainstScipy:
             _REAL_GENERAL + "2 2 1\n1 1 1e5e5\n",
             _REAL_GENERAL + "2 2 1\n1 1 1e400\n",
             "%%MatrixMarket matrix array real general\n1 2\n1.0\n2.0 3.0\n",
+            "%%MatrixMarket matrix array real general\n2 1\n1.0 2.0\n",
             "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1 1\n",
+            # an index token with a dot or an exponent, even of integer value
+            _REAL_GENERAL + "2 2 1\n1.0 1 1.0\n",
+            _REAL_GENERAL + "2 2 1\n1 1e0 1.0\n",
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2.\n",
         ],
         ids=["complex", "hermitian", "complex-array", "fewer-entries", "more-entries",
              "entries-after-zero", "short-array", "zero-based", "row-out-of-range",
@@ -189,7 +195,8 @@ class TestMatrixMarketAgainstScipy:
              "fractional-exponent", "extra-column", "comment-in-body", "two-entries-a-line",
              "entry-split-over-lines", "bare-sign", "bare-dot", "double-sign",
              "double-exponent-sign", "no-mantissa-digit", "two-exponents", "overflow",
-             "two-values-a-line", "pattern-with-value"],
+             "two-values-a-line", "two-values-one-line", "pattern-with-value", "row-1.0", "column-1e0",
+             "pattern-column-2."],
     )
     def test_rejected(self, tmp_path, text):
         p = tmp_path / "m.mtx"
@@ -214,7 +221,8 @@ class TestMatrixMarketAgainstScipy:
             (_REAL_GENERAL + "2 2 3\n1 1 .5\n2 2 5.\n1 2 -.5e-1\n",
              {(0, 0): 0.5, (1, 1): 5.0, (0, 1): -0.05}),
             (_REAL_GENERAL + "2 2 1\n0001 02 00012\n", {(0, 1): 12.0}),
-            ("%%MatrixMarket matrix array real general\n2 1\n+.25\n\n-4E0", {(0, 0): 0.25, (1, 0): -4.0}),
+            ("%%MatrixMarket matrix array real general\n2 1\n+.25\n\n-4E0",
+             {(0, 0): 0.25, (1, 0): -4.0}),
             ("%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n2 +1\n",
              {(1, 0): 1.0, (0, 1): 1.0}),
         ],
@@ -229,6 +237,37 @@ class TestMatrixMarketAgainstScipy:
         for ij, value in entries.items():
             expected[ij] = value
         assert np.array_equal(read_matrix_market(p).to_dense(), expected)
+
+
+class TestMatrixMarketCoreLoader:
+    def test_forced_fallback_same_bits(self, tmp_path):
+        # no extension file under tmp_path, so the loader imports scipy.io's package
+        coordinate, array = tmp_path / "c.mtx", tmp_path / "a.mtx"
+        coordinate.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n4 4 5\n1 1 0.1\n2 1 -2.5e-3\n"
+            "3 2 +7\n4 4 1e300\n4 3 .3333333333333333\n"
+        )
+        array.write_text("%%MatrixMarket matrix array integer skew-symmetric\n3 3\n4\n-5\n6\n")
+        code = f"""
+import sys
+import csemb.io
+from csemb.sparse import load_scipy_extension
+paths = {[str(coordinate), str(array)]!r}
+by_file = [csemb.io.read_matrix_market(p) for p in paths]
+assert "scipy.io" not in sys.modules
+csemb.io._fmm_core = lambda: load_scipy_extension(
+    "io._fast_matrix_market._fmm_core", {str(tmp_path)!r}
+)
+by_import = [csemb.io.read_matrix_market(p) for p in paths]
+assert "scipy.io" in sys.modules
+for a, b in zip(by_file, by_import):
+    assert a.shape == b.shape
+    assert a.row_offsets.tobytes() == b.row_offsets.tobytes()
+    assert a.col_indices.tobytes() == b.col_indices.tobytes()
+    assert a.values.tobytes() == b.values.tobytes()
+print("ok")
+"""
+        assert run_python(code) == "ok"
 
 
 class TestPointsCsv:

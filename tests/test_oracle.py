@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from csemb import (
     sample_pairs,
 )
 from csemb.oracle import (
+    PAIR_CHUNK,
     _pair_correlations,
     _pairwise_distances,
     write_calibration_csv,
@@ -167,6 +169,28 @@ class TestDistortionPercentiles:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             distortion_percentiles(np.zeros((3, 2)), np.zeros((4, 2)))
+
+    def test_chunked_correlations_same_bits(self):
+        rng = np.random.default_rng(12)
+        rows = rng.standard_normal((300, 80))
+        pairs = sample_pairs(300, 3 * PAIR_CHUNK + 5, seed=1)
+        norms = np.linalg.norm(rows, axis=1)
+        a, b = pairs[:, 0], pairs[:, 1]
+        whole = np.einsum("ij,ij->i", rows[a], rows[b]) / (norms[a] * norms[b])
+        assert _pair_correlations(rows, pairs)[0].tobytes() == whole.tobytes()
+
+    def test_peak_memory(self):
+        # 100k pairs of 80-column rows: gathering both rows of every pair at
+        # once peaked at 133 MB; a chunk at a time stays near the pair arrays
+        rng = np.random.default_rng(13)
+        X, Y = rng.standard_normal((1500, 80)), rng.standard_normal((1500, 80))
+        tracemalloc.start()
+        try:
+            distortion_percentiles(X, Y, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestDistanceBoundAudit:

@@ -1,12 +1,8 @@
-import os
-import subprocess
-import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse
-
-import csemb.sparse
 
 from csemb import (
     KernelSpec,
@@ -18,7 +14,7 @@ from csemb import (
     spmv_multi,
 )
 from csemb.sparse import MAX_PAIR_ENDPOINT, simple_edges
-from helpers import random_symmetric
+from helpers import random_symmetric, run_python
 
 
 def _scipy_csr(S: SparseMatrix) -> scipy.sparse.csr_array:
@@ -93,16 +89,6 @@ class TestSparseMatrix:
             SparseMatrix.from_dense(np.array([[bad, 1.0], [1.0, 0.0]]))
 
 
-def _run_python(code: str) -> str:
-    """Run ``code`` in a fresh interpreter that imports this checkout's csemb."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(csemb.__path__[0]))
-    run = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert run.returncode == 0, run.stderr
-    return run.stdout.strip()
-
-
 # a 50 x 50 dilation and a block of four columns, built in a subprocess
 _OPERAND = """
 import sys
@@ -121,13 +107,15 @@ class TestSparsetoolsLoader:
 import csemb.sparse
 assert "scipy.sparse" not in sys.modules
 by_file = spmv_multi(S, X), spmv_multi(S, X[:, 0])
-csemb.sparse._sparsetools = csemb.sparse._load_sparsetools({str(tmp_path)!r})
+csemb.sparse._sparsetools = csemb.sparse.load_scipy_extension(
+    "sparse._sparsetools", {str(tmp_path)!r}
+)
 assert "scipy.sparse" in sys.modules
 assert np.array_equal(spmv_multi(S, X), by_file[0])
 assert np.array_equal(spmv_multi(S, X[:, 0]), by_file[1])
 print("ok")
 """
-        assert _run_python(code) == "ok"
+        assert run_python(code) == "ok"
 
     @pytest.mark.parametrize("scipy_first", [True, False], ids=["scipy-first", "csemb-first"])
     def test_scipy_sparse_imported_in_either_order(self, scipy_first):
@@ -140,7 +128,7 @@ assert np.array_equal(spmv_multi(S, X), ref @ X)
 assert np.array_equal(S.to_dense(), ref.T.tocsr().toarray())
 print("ok")
 """
-        assert _run_python(code) == "ok"
+        assert run_python(code) == "ok"
 
 
 class TestSpmv:
@@ -263,6 +251,24 @@ class TestDilate:
         sv = np.linalg.svd(A, compute_uv=False)
         expected = np.sort(np.concatenate([sv, -sv, np.zeros(2)]))
         assert np.abs(ev - expected).max() <= 1e-8
+
+    def test_arrays_handed_over_uncopied(self):
+        # dilate's concatenations and from_coo's arrays go to the constructor
+        # as they are, so the peak is the result plus the transpose of A
+        rng = np.random.default_rng(6)
+        m, n, nnz = 12_500, 6_250, 125_000
+        A = SparseMatrix.from_coo(
+            rng.integers(0, m, nnz), rng.integers(0, n, nnz), rng.standard_normal(nnz), m, n
+        )
+        assert A.col_indices.flags.owndata and A.values.flags.owndata
+        tracemalloc.start()
+        try:
+            S = dilate(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = S.row_offsets.nbytes + S.col_indices.nbytes + S.values.nbytes
+        assert peak < 2 * held
 
 
 class TestNormalizedAdjacency:
