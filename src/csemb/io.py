@@ -58,9 +58,10 @@ def read_matrix_market(path) -> SparseMatrix:
     blank lines, then the size line. Each entry is on a line of its own, with
     blank lines allowed between. Each number is a whole decimal token,
     ``[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?``, and an index is ``[+-]?\d+``.
-    Numbers are separated by spaces and tabs, and lines end in LF, CRLF or CR. The checked body is parsed by the C++
-    core of ``scipy.io.mmread`` (fast_matrix_market), so values carry its
-    bits; an integer field is read as real.
+    Numbers are separated by spaces and tabs, and lines end in LF, CRLF or
+    CR. The checked body is parsed by the C++ core of ``scipy.io.mmread``
+    (fast_matrix_market), so values carry its bits; an integer field is read
+    as real.
 
     Symmetric files hold one triangle, and each off-diagonal entry is
     mirrored, negated for skew-symmetric, as ``scipy.io.mmread`` does.
@@ -135,24 +136,25 @@ _BYTE_CLASS[list(b"eE")] = _EXP
 
 def _check_body(body: np.ndarray, count: int, width: int, fmt: str) -> None:
     """Raise ``ValueError`` unless ``body`` (bytes that start and end with a
-    LF) holds ``count * width`` whole decimal tokens, with integer indices in
-    a coordinate file. The core reads the longest numeric prefix of a token
-    and ignores the rest of its line, so this is what rejects ``1.0abc``,
-    ``1-2`` or an extra column. The core reads ``count`` non-blank lines and
-    refuses a line of fewer than ``width`` numbers, a missing line and an
-    extra one, so with this count every line holds ``width`` numbers.
+    LF) holds ``count`` non-blank lines of ``width`` whole decimal tokens
+    each, with integer indices in a coordinate file. The core reads the
+    longest numeric prefix of a token and ignores the rest of its line, so
+    this is what rejects ``1.0abc``, ``1-2``, an extra column or an entry
+    that spills onto the next line.
 
-    Whole-body passes find the token starts and the marks, the bytes that are
-    neither digits nor spaces. Only the marks are then looked at one by one:
-    a sign starts a token or follows its exponent mark, and is followed by a
-    digit (or a dot, at the start); a dot has a digit beside it; an exponent
-    mark follows a digit or dot and is followed by a digit or sign; a token
-    holds at most one dot and then at most one exponent mark; and any other
-    byte is refused."""
+    Whole-body passes find the line ends, the token starts and the marks, the
+    bytes that are neither digits nor spaces. The token starts are counted
+    in all and on each line. Only the marks are looked at one by one: a sign
+    starts a token or follows its exponent mark, and is followed by a digit
+    (or a dot, at the start); a dot has a digit beside it; an exponent mark
+    follows a digit or dot and is followed by a digit or sign; a token holds
+    at most one dot and then at most one exponent mark; and any other byte
+    is refused."""
     # two masks of the body's length serve every whole-body pass
     space, mask = np.equal(body, ord(" ")), np.zeros(len(body), dtype=bool)
     space |= np.equal(body, ord("\t"), out=mask)
     space |= np.equal(body, ord("\n"), out=mask)
+    line_ends = np.flatnonzero(mask)
     # a token starts where a space is followed by a non-space; the first byte is a LF
     mask[0] = False
     np.greater(space[:-1], space[1:], out=mask[1:])
@@ -166,6 +168,10 @@ def _check_body(body: np.ndarray, count: int, width: int, fmt: str) -> None:
     np.greater(mask.view(np.uint8), 9, out=mask)
     marks = np.flatnonzero(np.greater(mask, space, out=mask))
     del space, mask
+    # with that total, lines of 0 or width numbers each put one entry on a line
+    per_line = np.diff(np.searchsorted(starts, line_ends))
+    if np.any((per_line != 0) & (per_line != width)):
+        raise ValueError(f"a non-blank line that does not hold {width} numbers")
     kind, before, after = (_BYTE_CLASS[body[at]] for at in (marks, marks - 1, marks + 1))
     sign, dot, exp = kind == _SIGN, kind == _DOT, kind == _EXP
     bad = kind == _OTHER

@@ -18,7 +18,7 @@ from .cluster import sq_distances
 from .engine import EmbedConfig, EmbeddingMatrix, fast_embed_cascaded, fold_seed
 from .errors import OracleCapError, OracleError
 from .legendre import expansion_eval, legendre_coefficients
-from .sparse import SparseMatrix, spmv_multi
+from .sparse import SparseMatrix
 
 ORACLE_CAP = 3000
 EIG_RESIDUAL_TOL = 1e-8
@@ -54,8 +54,7 @@ def exact_embedding(S, f, cap: int = ORACLE_CAP) -> ExactEmbedding:
     if np.max(np.abs(a - a.T), initial=0.0) > 1e-10:
         raise ValueError("oracle requires a symmetric matrix")
     lam, vec = np.linalg.eigh(a)
-    sp = S if isinstance(S, SparseMatrix) else SparseMatrix.from_dense(a)
-    residual = float(np.max(np.abs(spmv_multi(sp, vec) - vec * lam), initial=0.0))
+    residual = float(np.max(np.abs(a @ vec - vec * lam), initial=0.0))
     if residual > EIG_RESIDUAL_TOL:
         raise OracleError(f"eigensolver residual {residual:.3e} above {EIG_RESIDUAL_TOL}")
     weights = np.atleast_1d(np.asarray(f(lam), dtype=np.float64))

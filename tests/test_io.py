@@ -186,6 +186,11 @@ class TestMatrixMarketAgainstScipy:
             _REAL_GENERAL + "2 2 1\n1.0 1 1.0\n",
             _REAL_GENERAL + "2 2 1\n1 1e0 1.0\n",
             "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2.\n",
+            # the right number of tokens, but not one entry a line
+            _REAL_GENERAL + "2 2 2\n1 1 1.0 2\n2 2.5\n",
+            "%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 1 1 2\n2 2\n",
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1\n1 2 2\n",
+            "%%MatrixMarket matrix array real general\n2 2\n1\n2 3\n4\n",
         ],
         ids=["complex", "hermitian", "complex-array", "fewer-entries", "more-entries",
              "entries-after-zero", "short-array", "zero-based", "row-out-of-range",
@@ -196,7 +201,8 @@ class TestMatrixMarketAgainstScipy:
              "entry-split-over-lines", "bare-sign", "bare-dot", "double-sign",
              "double-exponent-sign", "no-mantissa-digit", "two-exponents", "overflow",
              "two-values-a-line", "two-values-one-line", "pattern-with-value", "row-1.0", "column-1e0",
-             "pattern-column-2."],
+             "pattern-column-2.", "ragged-real", "ragged-integer", "ragged-pattern",
+             "ragged-array"],
     )
     def test_rejected(self, tmp_path, text):
         p = tmp_path / "m.mtx"
