@@ -16,7 +16,6 @@ KMEANS_MAX_ITERS = 100
 @dataclass
 class ClusterAssignment:
     labels: np.ndarray
-    K: int
     inertia: float
     n_iters: int = 0
     inertia_history: tuple[float, ...] = ()
@@ -116,7 +115,6 @@ def kmeans(X, K: int, seed: int = 0) -> ClusterAssignment:
         centroids = _centroid_sums(rows, labels, counts) / counts[:, None]
     return ClusterAssignment(
         labels=labels,
-        K=K,
         inertia=history[-1],
         n_iters=len(history),
         inertia_history=tuple(history),

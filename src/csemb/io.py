@@ -10,6 +10,8 @@ import functools
 import io as stdio
 import re
 import struct
+from collections import Counter
+from itertools import repeat
 
 import numpy as np
 
@@ -23,6 +25,12 @@ _MM_FIELDS = {"coordinate": ("real", "integer", "pattern"), "array": ("real", "i
 _MM_SYMMETRIES = ("general", "symmetric", "skew-symmetric")
 # the banner line, then comment and blank lines, then the size line
 _MM_HEADER = re.compile(rb"(.*)\n?(?:(?:%.*|[^\S\n]*)\n)*(.*)\n?")
+# a line's shape: each digit made 0, a tab a space, - a + and E an e
+_SHAPE = bytes.maketrans(b"123456789-E\t", b"000000000+e ")
+# the README grammar of a number and an index, on shapes
+_NUM, _IDX = rb"\+?(?:0+\.?0*|\.0+)(?:e\+?0+)?", rb"\+?0+"
+_MM_ENTRY = {kind: re.compile(rb" *" + rb" +".join(tokens) + rb" *\n?") for kind, tokens in
+             [("coordinate", [_IDX, _IDX, _NUM]), ("pattern", [_IDX, _IDX]), ("array", [_NUM])]}
 
 
 @functools.cache
@@ -59,7 +67,8 @@ def read_matrix_market(path) -> SparseMatrix:
     blank lines allowed between. Each number is a whole decimal token,
     ``[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?``, and an index is ``[+-]?\d+``.
     Numbers are separated by spaces and tabs, and lines end in LF, CRLF or
-    CR. The checked body is parsed by the C++ core of ``scipy.io.mmread``
+    CR. The body is checked against that grammar once per distinct line
+    shape, then parsed by the C++ core of ``scipy.io.mmread``
     (fast_matrix_market), so values carry its bits; an integer field is read
     as real.
 
@@ -88,17 +97,17 @@ def read_matrix_market(path) -> SparseMatrix:
         if symmetry != "general" and m != n:
             raise InputFormatError(f"{path}: a {symmetry} matrix must be square")
         if fmt == "coordinate":
-            count, width = size[2], 2 if field == "pattern" else 3
+            count = size[2]
         else:
             triangle = n * (n + 1) // 2  # values of a symmetric array file
             count = {"general": m * n, "symmetric": triangle}.get(symmetry, triangle - n)
-            width = 1
-        # the core reads a canonical header, then the body framed by line ends
+        _check_body(data, header.end(), count, "pattern" if field == "pattern" else fmt)
+        # a canonical header, and a final LF: without one, the core crashes on
+        # a last line that ends in a space
         canonical = ["%%MatrixMarket matrix", fmt, field.replace("integer", "real"), symmetry]
         head = f"{' '.join(canonical)}\n{' '.join(map(str, size))}\n".encode()
         text = b"".join([head, memoryview(data)[header.end():], b"\n"])
         del data
-        _check_body(np.frombuffer(text, np.uint8, offset=len(head) - 1), count, width, fmt)
         if b"+" in text:  # the core refuses a plus sign, and each one is checked
             text = text.replace(b"+", b"")
         core = _fmm_core()
@@ -124,71 +133,24 @@ def read_matrix_market(path) -> SparseMatrix:
     return SparseMatrix.from_coo(rows, cols, vals, m, n)
 
 
-# the classes of the bytes of a Matrix Market body
-_SPACE, _DIGIT, _SIGN, _DOT, _EXP, _OTHER = range(6)
-_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
-_BYTE_CLASS[list(b" \t\n")] = _SPACE
-_BYTE_CLASS[list(b"0123456789")] = _DIGIT
-_BYTE_CLASS[list(b"+-")] = _SIGN
-_BYTE_CLASS[list(b".")] = _DOT
-_BYTE_CLASS[list(b"eE")] = _EXP
-
-
-def _check_body(body: np.ndarray, count: int, width: int, fmt: str) -> None:
-    """Raise ``ValueError`` unless ``body`` (bytes that start and end with a
-    LF) holds ``count`` non-blank lines of ``width`` whole decimal tokens
-    each, with integer indices in a coordinate file. The core reads the
-    longest numeric prefix of a token and ignores the rest of its line, so
-    this is what rejects ``1.0abc``, ``1-2``, an extra column or an entry
-    that spills onto the next line.
-
-    Whole-body passes find the line ends, the token starts and the marks, the
-    bytes that are neither digits nor spaces. The token starts are counted
-    in all and on each line. Only the marks are looked at one by one: a sign
-    starts a token or follows its exponent mark, and is followed by a digit
-    (or a dot, at the start); a dot has a digit beside it; an exponent mark
-    follows a digit or dot and is followed by a digit or sign; a token holds
-    at most one dot and then at most one exponent mark; and any other byte
-    is refused."""
-    # two masks of the body's length serve every whole-body pass
-    space, mask = np.equal(body, ord(" ")), np.zeros(len(body), dtype=bool)
-    space |= np.equal(body, ord("\t"), out=mask)
-    space |= np.equal(body, ord("\n"), out=mask)
-    line_ends = np.flatnonzero(mask)
-    # a token starts where a space is followed by a non-space; the first byte is a LF
-    mask[0] = False
-    np.greater(space[:-1], space[1:], out=mask[1:])
-    starts = np.flatnonzero(mask)
-    if len(starts) != count * width:
-        raise ValueError(
-            f"the header declares {count} entries of {width} numbers each, "
-            f"the file holds {len(starts)} numbers"
-        )
-    np.subtract(body, ord("0"), out=mask.view(np.uint8))  # a digit becomes 0-9
-    np.greater(mask.view(np.uint8), 9, out=mask)
-    marks = np.flatnonzero(np.greater(mask, space, out=mask))
-    del space, mask
-    # with that total, lines of 0 or width numbers each put one entry on a line
-    per_line = np.diff(np.searchsorted(starts, line_ends))
-    if np.any((per_line != 0) & (per_line != width)):
-        raise ValueError(f"a non-blank line that does not hold {width} numbers")
-    kind, before, after = (_BYTE_CLASS[body[at]] for at in (marks, marks - 1, marks + 1))
-    sign, dot, exp = kind == _SIGN, kind == _DOT, kind == _EXP
-    bad = kind == _OTHER
-    bad |= sign & ~(
-        ((before == _SPACE) | (before == _EXP))
-        & ((after == _DIGIT) | ((after == _DOT) & (before == _SPACE)))
-    )
-    bad |= dot & (before != _DIGIT) & (after != _DIGIT)
-    bad |= exp & ~(((before == _DIGIT) | (before == _DOT)) & ((after == _DIGIT) | (after == _SIGN)))
-    # of two dots or exponent marks in one token, only a dot, then a mark, may be
-    token = np.searchsorted(starts, marks[~sign], side="right") - 1
-    kind = kind[~sign]
-    bad_pair = (token[1:] == token[:-1]) & ((kind[:-1] != _DOT) | (kind[1:] != _EXP))
-    if np.any(bad) or np.any(bad_pair):
-        raise ValueError("a token that is not a whole decimal number")
-    if fmt == "coordinate" and np.any(token % width < 2):
-        raise ValueError("an index that is not an integer")
+def _check_body(data: bytes, start: int, count: int, kind: str) -> None:
+    """Raise ``ValueError`` unless the lines of ``data`` from ``start`` on
+    hold ``count`` entries of ``kind`` (``coordinate``, ``pattern`` or
+    ``array``), one to a non-blank line. The core reads the longest numeric
+    prefix of a token and ignores the rest of its line, so this is what
+    rejects ``1.0abc``, ``1-2``, an extra column or an entry that spills onto
+    the next line. Each distinct line shape is matched once; lines are
+    translated one by one, so that no translated copy of the body is held."""
+    lines = stdio.BytesIO(data)
+    lines.seek(start)
+    entry, held = _MM_ENTRY[kind], 0
+    for shape, times in Counter(map(bytes.translate, lines, repeat(_SHAPE))).items():
+        if shape.strip(b" \n"):  # not strip(): a form feed is no blank
+            if not entry.fullmatch(shape):
+                raise ValueError(f"a line that is not one {kind} entry of whole decimal numbers")
+            held += times
+    if held != count:
+        raise ValueError(f"the header declares {count} entries, the file holds {held}")
 
 
 def read_points_csv(path) -> np.ndarray:

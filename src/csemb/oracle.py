@@ -37,10 +37,6 @@ class ExactEmbedding:
     embedding: np.ndarray
     eigenvalues: np.ndarray
 
-    @property
-    def n_rows(self) -> int:
-        return self.embedding.shape[0]
-
 
 def exact_embedding(S, f, cap: int = ORACLE_CAP) -> ExactEmbedding:
     """Exact embedding by full eigendecomposition of a dense symmetric matrix."""

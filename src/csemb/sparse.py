@@ -132,12 +132,6 @@ class SparseMatrix:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_scipy(cls, m) -> "SparseMatrix":
-        """Canonicalize any scipy sparse matrix (duplicates summed, zeros dropped)."""
-        coo = m.tocoo()
-        return cls.from_coo(coo.row, coo.col, coo.data, coo.shape[0], coo.shape[1])
-
-    @classmethod
     def from_coo(cls, rows, cols, vals, n_rows: int, n_cols: int) -> "SparseMatrix":
         """Canonicalize (row, column, value) triplets: duplicates summed, zeros
         dropped. The steps are scipy's COO-to-CSR conversion: ``coo_tocsr``
@@ -167,13 +161,13 @@ class SparseMatrix:
         return cls(n_rows, n_cols, *_handed_over(offs, idx, data))
 
     @classmethod
-    def from_dense(cls, a, tol: float = 0.0) -> "SparseMatrix":
-        """Entries with ``|a_ij| > tol`` become stored values. Non-finite
-        entries are kept too, so that the constructor refuses them."""
+    def from_dense(cls, a) -> "SparseMatrix":
+        """Nonzero entries become stored values. NaN and infinities are
+        nonzero, so that the constructor refuses them."""
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2:
             raise ValueError("expected a 2-d array")
-        rows, cols = np.nonzero(~(np.abs(a) <= tol))
+        rows, cols = np.nonzero(a)
         return cls.from_coo(rows, cols, a[rows, cols], a.shape[0], a.shape[1])
 
     @classmethod

@@ -1,9 +1,12 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csemb import InputFormatError, SparseMatrix
 from csemb.io import (
@@ -15,6 +18,7 @@ from csemb.io import (
     write_embedding_csv,
     write_labels_csv,
 )
+from csemb.io import _check_body
 from helpers import run_python
 
 
@@ -243,6 +247,74 @@ class TestMatrixMarketAgainstScipy:
         for ij, value in entries.items():
             expected[ij] = value
         assert np.array_equal(read_matrix_market(p).to_dense(), expected)
+
+
+    def test_last_line_ends_in_space_without_newline(self, tmp_path):
+        # fast_matrix_market crashes the interpreter on such a last line, so
+        # the read runs in a fresh one
+        texts = ["%%MatrixMarket matrix array real general\n2 1\n1\n2.5\t",
+                 _REAL_GENERAL + "2 2 1\n2 1 -3 ",
+                 "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n2 2 \t "]
+        paths = [tmp_path / f"{i}.mtx" for i in range(len(texts))]
+        for path, text in zip(paths, texts):
+            path.write_text(text)
+        code = f"""
+from csemb.io import read_matrix_market
+for p in {[str(p) for p in paths]!r}:
+    print(read_matrix_market(p).to_dense().tolist())
+"""
+        assert run_python(code).split("\n") == [
+            "[[1.0], [2.5]]", "[[0.0, 0.0], [-3.0, 0.0]]", "[[0.0, 0.0], [0.0, 1.0]]"
+        ]
+
+
+# the README grammar on raw bytes, one entry a line
+_README_NUMBER, _README_INDEX = rb"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", rb"[+-]?\d+"
+_README_TOKENS = {"coordinate": [_README_INDEX, _README_INDEX, _README_NUMBER],
+                  "pattern": [_README_INDEX, _README_INDEX], "array": [_README_NUMBER]}
+_README_ENTRY = {kind: re.compile(rb"[ \t]*" + rb"[ \t]+".join(tokens) + rb"[ \t]*")
+                 for kind, tokens in _README_TOKENS.items()}
+
+
+def _readme_accepts(body, count, kind):
+    entries = [line for line in body.split(b"\n") if line.strip(b" \t")]
+    return len(entries) == count and all(_README_ENTRY[kind].fullmatch(x) for x in entries)
+
+
+@st.composite
+def _bodies(draw):
+    """A kind, a body of lines that are valid entries, blank or near-blank,
+    or valid tokens and bytes of an alphabet that includes a comment mark, a
+    letter, a form feed and a vertical tab, and an entry count at or beside
+    the body's."""
+    kind = draw(st.sampled_from(sorted(_README_TOKENS)))
+    number = st.from_regex(_README_NUMBER, fullmatch=True)
+    index = st.from_regex(_README_INDEX, fullmatch=True)
+    tokens = [st.from_regex(token, fullmatch=True) for token in _README_TOKENS[kind]]
+    gap, edge = st.sampled_from([b" ", b"\t", b" \t "]), st.sampled_from([b"", b" ", b"\t"])
+    entry = st.tuples(edge, *sum(([t, gap] for t in tokens), [])[:-1], edge).map(b"".join)
+    byte = st.sampled_from([bytes([c]) for c in b"0123456789+-.eE \t%x\x0c\x0b"])
+    blank = st.lists(st.sampled_from([b" ", b"\t", b"\x0c", b"\x0b"]), max_size=3)
+    line = st.one_of(entry, entry, blank.map(b"".join),
+                     st.lists(st.one_of(number, index, byte), max_size=6).map(b"".join))
+    body = b"\n".join(draw(st.lists(line, max_size=6))) + draw(st.sampled_from([b"", b"\n"]))
+    entries = sum(1 for x in body.split(b"\n") if x.strip(b" \t"))
+    return kind, body, max(entries + draw(st.integers(-1, 1)), 0)
+
+
+class TestBodyGrammar:
+    @settings(max_examples=200, deadline=None)
+    @given(_bodies())
+    @example(("array", b"1\n\x0c\n \x0b\t\n2\n", 2))  # no blank lines: strip() would say so
+    def test_same_as_readme_grammar(self, case):
+        kind, body, count = case
+        head = b"2 2 2\n"  # the check starts past the header
+        try:
+            _check_body(head + body, len(head), count, kind)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == _readme_accepts(body, count, kind)
 
 
 class TestMatrixMarketCoreLoader:
