@@ -98,6 +98,14 @@ class SpectralFunction:
             base.extend(float(t) for t in self.table_x)
         return tuple(sorted(b for b in base if -1.0 < b < 1.0))
 
+    def support(self) -> tuple[float, float]:
+        """An interval (lo, hi) outside which the function is exactly zero:
+        [threshold, +inf) for an indicator, the whole line for every other
+        kind. The dense oracle computes only the eigenpairs inside it."""
+        if self.kind == "indicator":
+            return float(self.threshold), np.inf
+        return -np.inf, np.inf
+
     def describe(self) -> str:
         if self.kind == "indicator":
             return f"indicator:{self.threshold:g}"

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import functools
 import io as stdio
+import os
 import re
 import struct
 from collections import Counter
 from itertools import repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -23,6 +25,7 @@ _HEADER = struct.Struct("<QQ")
 # the Matrix Market fields each format is read with, and the symmetries
 _MM_FIELDS = {"coordinate": ("real", "integer", "pattern"), "array": ("real", "integer")}
 _MM_SYMMETRIES = ("general", "symmetric", "skew-symmetric")
+_CR = re.compile(rb"\r")
 # the banner line, then comment and blank lines, then the size line
 _MM_HEADER = re.compile(rb"(.*)\n?(?:(?:%.*|[^\S\n]*)\n)*(.*)\n?")
 # a line's shape: each digit made 0, a tab a space, - a + and E an e
@@ -79,20 +82,32 @@ def read_matrix_market(path) -> SparseMatrix:
     non-finite value raise :class:`InputFormatError`.
     """
     try:
+        # one buffer holds the file and a final LF: without one, the core
+        # crashes on a last line that ends in a space
+        buf = stdio.BytesIO()
         with open(path, "rb") as fh:
-            data = fh.read()
-        if b"\r" in data:  # the core crashes on a lone CR
-            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        header = _MM_HEADER.match(data)
-        banner = header[1].decode("latin-1").lower().split()
+            buf.seek(os.fstat(fh.fileno()).st_size)
+            buf.write(b"\n")
+            with buf.getbuffer() as view:
+                buf.seek(fh.readinto(view[:-1]))
+            buf.write(fh.read() + b"\n")  # a pipe holds more than its size says
+            buf.truncate()
+        with buf.getbuffer() as view:
+            if _CR.search(view):  # the core crashes on a lone CR
+                chars = np.frombuffer(view, np.uint8)
+                chars[chars == ord("\r")] = ord("\n")  # a CRLF becomes an LF and a blank line
+                del chars
+            header = _MM_HEADER.match(view)
+            banner_line, size_line, start = header[1], header[2], header.end()
+        banner = banner_line.decode("latin-1").lower().split()
         if banner[:2] != ["%%matrixmarket", "matrix"] or len(banner) != 5:
             raise InputFormatError(f"{path} has no Matrix Market banner")
         fmt, field, symmetry = banner[2:]
         if field not in _MM_FIELDS.get(fmt, ()) or symmetry not in _MM_SYMMETRIES:
             raise InputFormatError(f"{path}: unsupported Matrix Market {' '.join(banner[2:])}")
-        size = [int(x) for x in header[2].split()]
+        size = [int(x) for x in size_line.split()]
         if len(size) != (3 if fmt == "coordinate" else 2) or min(size) < 0:
-            raise InputFormatError(f"{path}: bad size line {header[2].decode('latin-1')!r}")
+            raise InputFormatError(f"{path}: bad size line {size_line.decode('latin-1')!r}")
         m, n = size[:2]
         if symmetry != "general" and m != n:
             raise InputFormatError(f"{path}: a {symmetry} matrix must be square")
@@ -101,17 +116,21 @@ def read_matrix_market(path) -> SparseMatrix:
         else:
             triangle = n * (n + 1) // 2  # values of a symmetric array file
             count = {"general": m * n, "symmetric": triangle}.get(symmetry, triangle - n)
-        _check_body(data, header.end(), count, "pattern" if field == "pattern" else fmt)
-        # a canonical header, and a final LF: without one, the core crashes on
-        # a last line that ends in a space
+        _check_body(buf, start, count, "pattern" if field == "pattern" else fmt)
+        # a canonical header, written over the end of the file's own header,
+        # which is never shorter: the file's tokens are the same or longer, and
+        # an LF ends each of its lines (the final LF ends a size line that
+        # ends the file)
         canonical = ["%%MatrixMarket matrix", fmt, field.replace("integer", "real"), symmetry]
         head = f"{' '.join(canonical)}\n{' '.join(map(str, size))}\n".encode()
-        text = b"".join([head, memoryview(data)[header.end():], b"\n"])
-        del data
-        if b"+" in text:  # the core refuses a plus sign, and each one is checked
-            text = text.replace(b"+", b"")
+        buf.seek(start - len(head))
+        buf.write(head)
+        buf.seek(start - len(head))
+        # the core reads a chunk at a time, and refuses a leading plus sign;
+        # the check has passed each one
+        stream = SimpleNamespace(read=lambda n=-1: buf.read(n).replace(b"+", b""))
         core = _fmm_core()
-        cursor = core.open_read_stream(stdio.BytesIO(text), 1)  # one thread
+        cursor = core.open_read_stream(stream, 1)  # one thread
         if fmt == "array":
             vals = np.zeros((m, n))  # the core fills both triangles of a symmetric file
             core.read_body_array(cursor, vals)
@@ -119,6 +138,7 @@ def read_matrix_market(path) -> SparseMatrix:
             rows, cols = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
             vals = np.ones(count)
             core.read_body_coo(cursor, rows, cols, vals)
+        buf.close()
     except (ValueError, OverflowError, OSError) as exc:
         raise InputFormatError(f"cannot parse Matrix Market file {path}: {exc}") from exc
     if not np.all(np.isfinite(vals)):
@@ -133,15 +153,16 @@ def read_matrix_market(path) -> SparseMatrix:
     return SparseMatrix.from_coo(rows, cols, vals, m, n)
 
 
-def _check_body(data: bytes, start: int, count: int, kind: str) -> None:
+def _check_body(data: bytes | stdio.BytesIO, start: int, count: int, kind: str) -> None:
     """Raise ``ValueError`` unless the lines of ``data`` from ``start`` on
     hold ``count`` entries of ``kind`` (``coordinate``, ``pattern`` or
     ``array``), one to a non-blank line. The core reads the longest numeric
     prefix of a token and ignores the rest of its line, so this is what
     rejects ``1.0abc``, ``1-2``, an extra column or an entry that spills onto
     the next line. Each distinct line shape is matched once; lines are
-    translated one by one, so that no translated copy of the body is held."""
-    lines = stdio.BytesIO(data)
+    translated one by one, so that no translated copy of the body is held.
+    ``data`` is the file's bytes, or a BytesIO that holds them."""
+    lines = data if isinstance(data, stdio.BytesIO) else stdio.BytesIO(data)
     lines.seek(start)
     entry, held = _MM_ENTRY[kind], 0
     for shape, times in Counter(map(bytes.translate, lines, repeat(_SHAPE))).items():

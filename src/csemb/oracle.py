@@ -1,13 +1,16 @@
 """Desk-scale ground truth: exact spectral embeddings and distortion reports.
 
-Everything here goes through a full dense eigendecomposition and is capped
-at a few thousand rows; it exists to validate the compressive engine, not
-to scale.
+Everything here goes through a dense eigendecomposition and is capped at a
+few thousand rows; it exists to validate the compressive engine, not to
+scale. Where f is zero outside an interval (``support()``), only the
+eigenpairs inside it are computed, by LAPACK ``dsyevr`` from scipy's
+``linalg/_flapack`` extension.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -18,13 +21,14 @@ from .cluster import sq_distances
 from .engine import EmbedConfig, EmbeddingMatrix, fast_embed_cascaded, fold_seed
 from .errors import OracleCapError, OracleError
 from .legendre import expansion_eval, legendre_coefficients
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, load_scipy_extension
 
 ORACLE_CAP = 3000
 EIG_RESIDUAL_TOL = 1e-8
 PERCENTILE_LEVELS = (1, 5, 25, 50, 75, 95, 99)
 DEFAULT_MAX_PAIRS = 100_000
 PAIR_CHUNK = 4096  # pairs whose rows are gathered at once
+SYMMETRY_ROWS = 64  # rows of a - a.T formed at once by the symmetry check
 CALIBRATION_BIN_WIDTH = 0.1  # bins centered on -1.0, -0.9, ..., 1.0
 
 
@@ -35,28 +39,81 @@ class ExactEmbedding:
     the full f(S) rows."""
 
     embedding: np.ndarray
-    eigenvalues: np.ndarray
+
+
+@functools.cache
+def _flapack():
+    """scipy's LAPACK extension, loaded from its file by the first oracle run,
+    so that other commands do not pay for it."""
+    return load_scipy_extension("linalg._flapack")
+
+
+def _dense(S) -> np.ndarray:
+    return S.to_dense() if isinstance(S, SparseMatrix) else np.asarray(S, dtype=np.float64)
 
 
 def exact_embedding(S, f, cap: int = ORACLE_CAP) -> ExactEmbedding:
-    """Exact embedding by full eigendecomposition of a dense symmetric matrix."""
-    a = S.to_dense() if isinstance(S, SparseMatrix) else np.asarray(S, dtype=np.float64)
+    """Exact embedding from the eigenpairs of a dense symmetric matrix that f
+    keeps.
+
+    Where ``f.support()`` is narrower than the whole line, only the
+    eigenpairs inside it are computed (:func:`_eigenpairs_within`). A
+    function without ``support``, or whose support is the whole line, gets
+    the full ``np.linalg.eigh``. Every eigenpair computed must pass the
+    residual check; those with f(eigenvalue) = 0 are then dropped.
+    """
+    a = _dense(S)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
     if a.shape[0] > cap:
         raise OracleCapError(
             f"matrix of size {a.shape[0]} exceeds the dense-oracle cap {cap}"
         )
-    if np.max(np.abs(a - a.T), initial=0.0) > 1e-10:
+    if _asymmetry(a) > 1e-10:
         raise ValueError("oracle requires a symmetric matrix")
-    lam, vec = np.linalg.eigh(a)
+    lo, hi = getattr(f, "support", lambda: (-np.inf, np.inf))()
+    if (lo, hi) == (-np.inf, np.inf):
+        lam, vec = np.linalg.eigh(a)
+    else:
+        lam, vec = _eigenpairs_within(a, lo, hi)
     residual = float(np.max(np.abs(a @ vec - vec * lam), initial=0.0))
     if residual > EIG_RESIDUAL_TOL:
         raise OracleError(f"eigensolver residual {residual:.3e} above {EIG_RESIDUAL_TOL}")
     weights = np.atleast_1d(np.asarray(f(lam), dtype=np.float64))
     keep = weights != 0.0
-    emb = vec[:, keep] * weights[keep]
-    return ExactEmbedding(embedding=emb, eigenvalues=lam)
+    return ExactEmbedding(embedding=vec[:, keep] * weights[keep])
+
+
+def _asymmetry(a: np.ndarray) -> float:
+    """max |a - a.T|, formed SYMMETRY_ROWS rows at a time, so that no n x n
+    temporary is made. A NaN anywhere gives NaN, as the whole-matrix form
+    does."""
+    blocks = range(0, a.shape[0], SYMMETRY_ROWS)
+    return float(np.max([
+        np.max(np.abs(a[i:i + SYMMETRY_ROWS] - a[:, i:i + SYMMETRY_ROWS].T), initial=0.0)
+        for i in blocks
+    ], initial=0.0))
+
+
+def _eigenpairs_within(a: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs of ``a`` with eigenvalues in [lo, hi], and perhaps a few
+    within rounding of it, by one LAPACK ``dsyevr`` call (MRRR) over (vl, vu].
+
+    vl sits a rounding margin below lo, so that an eigenvalue exactly at lo
+    is kept; f then drops any pair below it. vu sits the margin above hi or
+    the Frobenius norm, whichever is smaller: that norm bounds every
+    eigenvalue, and a matrix scaled by a norm estimate may exceed 1.
+    """
+    n = a.shape[0]
+    bound = float(np.linalg.norm(a))
+    margin = 4 * n * np.finfo(np.float64).eps * max(bound, 1.0)
+    vl, vu = lo - margin, min(hi, bound) + margin
+    if vl >= vu:
+        return np.empty(0), np.empty((n, 0))
+    lam, vec, m, _, info = _flapack().dsyevr(a, range="V", lower=1, vl=vl, vu=vu)
+    if info != 0:
+        raise OracleError(f"LAPACK dsyevr failed with info {info}")
+    return lam[:m], vec[:, :m]
 
 
 def _rows_of(x) -> np.ndarray:
@@ -178,10 +235,7 @@ def distance_bound_audit(
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     exact = exact_embedding(S, f)
-    lam = exact.eigenvalues
-    weights = np.atleast_1d(np.asarray(f(lam), dtype=np.float64))
-    expansion = legendre_coefficients(f, cfg.L)
-    delta = float(np.max(np.abs(weights - expansion_eval(expansion, lam)), initial=0.0))
+    delta = _spectral_delta(_dense(S), f, cfg.L)
 
     d_exact = _pairwise_distances(exact.embedding)
     slack = delta * math.sqrt(2.0)
@@ -196,6 +250,15 @@ def distance_bound_audit(
         d_approx = _pairwise_distances(emb)
         violations += int(np.sum((d_approx < lower) | (d_approx > upper)))
     return violations / (trials * len(d_exact))
+
+
+def _spectral_delta(a: np.ndarray, f, L: int) -> float:
+    """The worst error of f's order-L expansion over every eigenvalue of
+    ``a``, including those where f is zero."""
+    lam = np.linalg.eigvalsh(a)
+    weights = np.atleast_1d(np.asarray(f(lam), dtype=np.float64))
+    expansion = legendre_coefficients(f, L)
+    return float(np.max(np.abs(weights - expansion_eval(expansion, lam)), initial=0.0))
 
 
 def _pairwise_distances(rows: np.ndarray) -> np.ndarray:

@@ -113,7 +113,8 @@ def test_cli_commands_import_neither_scipy_sparse_nor_scipy_io(tmp_path):
     # Start-up cost: each command runs in a fresh process, and importing
     # scipy.sparse and scipy.io costs about 0.3 s of CPU there. Loading the
     # Matrix Market core costs 1.5 ms and 1.6 MB, so only a Matrix Market
-    # read loads it.
+    # read loads it. Loading LAPACK's extension adds about 2.5 MB of RSS, so
+    # only eval loads it, and no command runs the scipy.linalg package.
     graph = tmp_path / "g.txt"
     graph.write_text("".join(f"{i} {(i + 1) % 12}\n{i} {(i + 5) % 12}\n" for i in range(12)))
     mtx = tmp_path / "a.mtx"
@@ -138,14 +139,16 @@ def test_cli_commands_import_neither_scipy_sparse_nor_scipy_io(tmp_path):
     ]
     code = (
         "import json, sys\n"
-        "import csemb.io\n"
+        "import csemb.io, csemb.oracle\n"
         "from csemb.cli import main\n"
-        "codes, core_loaded = [], []\n"
+        "codes, core_loaded, lapack_loaded = [], [], []\n"
         "for argv in json.loads(sys.argv[1]):\n"
+        "    csemb.oracle._flapack.cache_clear()\n"
         "    codes.append(main(argv))\n"
         "    core_loaded.append(csemb.io._fmm_core.cache_info().currsize == 1)\n"
-        "loaded = [m for m in ('scipy.sparse', 'scipy.io') if m in sys.modules]\n"
-        "print(json.dumps([codes, core_loaded, loaded]))\n"
+        "    lapack_loaded.append(csemb.oracle._flapack.cache_info().currsize == 1)\n"
+        "loaded = [m for m in ('scipy.sparse', 'scipy.io', 'scipy.linalg') if m in sys.modules]\n"
+        "print(json.dumps([codes, core_loaded, lapack_loaded, loaded]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     run = subprocess.run(
@@ -153,7 +156,8 @@ def test_cli_commands_import_neither_scipy_sparse_nor_scipy_io(tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr
-    codes, core_loaded, loaded = json.loads(run.stdout.strip().splitlines()[-1])
+    codes, core_loaded, lapack_loaded, loaded = json.loads(run.stdout.strip().splitlines()[-1])
     assert codes == [0] * len(commands)
     assert core_loaded == [False, False, False, True, True]
+    assert lapack_loaded == [False, False, True, False, False]  # each command on its own
     assert loaded == []

@@ -27,6 +27,13 @@ def test_commute_clip():
     assert f(1.0 - 1e-3) == f(1.0)
 
 
+def test_support():
+    assert indicator_above(0.5).support() == (0.5, np.inf)
+    assert indicator_above(-1.0).support() == (-1.0, np.inf)
+    for f in (commute_time(), identity(), constant(2.5), tabulated([-1.0, 1.0], [0.0, 1.0])):
+        assert f.support() == (-np.inf, np.inf)
+
+
 def test_identity_and_constant():
     assert identity()(0.37) == 0.37
     assert constant(2.5)(-0.9) == 2.5

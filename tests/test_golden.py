@@ -123,9 +123,9 @@ CASES = {
          ["eval", "--approx", "out.bin", "--input", "graph.txt", "--format", "edgelist",
           "--function", "indicator:0.3", "--pairs", "1000", "--output-prefix", "rep"]],
         {
-            "rep_percentiles.csv": "93b89c439ad8a5c8edfa33d175e06a7a2d54d75b44f6a351e3a84c294441bcfe",
+            "rep_percentiles.csv": "a5f3da3699d5d3d9cfa674a4fa1bfe89a857e19c67472f2bb7cfd97564eaa596",
             "rep_calibration.csv": "1ed9815ba8fb1cb7086e1f1acbb94cf05c6de0ddce579b6ed529347849b03f0d",
-            "rep_report.json": "b8b2abe7b781b3388927f08a4bba0e1a4f7a1462b5989a469b8966649ab4c09f",
+            "rep_report.json": "4d2ae439678abfe9bdb955b682aa628bf59afdd3b1c904fcabc369080ee11ad0",
         },
     ),
     "norm-raw": (

@@ -1,4 +1,6 @@
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -74,6 +76,52 @@ class TestMatrixMarket:
         p.write_text("this is not matrix market\n")
         with pytest.raises(InputFormatError):
             read_matrix_market(p)
+
+    @pytest.mark.parametrize("text, shape", [
+        ("%%MatrixMarket matrix coordinate integer general\n2 3 0", (2, 3)),
+        ("%%MatrixMarket\tmatrix coordinate pattern symmetric\r4 4 0", (4, 4)),
+        ("%%MatrixMarket matrix array integer general\n1 1\n7", (1, 1)),
+    ], ids=["size-line-ends-file", "lone-cr", "array-no-final-lf"])
+    def test_shortest_headers(self, tmp_path, text, shape):
+        # the canonical header is written over the file's own, which holds it
+        # even when it is this short
+        p = tmp_path / "m.mtx"
+        p.write_bytes(text.encode())
+        m = read_matrix_market(p)
+        assert m.shape == shape
+        assert m.to_dense().sum() == (7.0 if "array" in text else 0.0)
+
+    def test_read_from_a_pipe(self, tmp_path):
+        fifo = tmp_path / "m.mtx"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(_REAL_GENERAL + "2 2 1\n2 1 -3\n",))
+        writer.start()
+        try:
+            m = read_matrix_market(fifo)
+        finally:
+            writer.join()
+        assert m.to_dense().tolist() == [[0.0, 0.0], [-3.0, 0.0]]
+
+    def test_file_held_once(self, tmp_path):
+        # the peak is the file's bytes and the parsed arrays; lines padded to
+        # three times the arrays' size make a second copy of the body stand out
+        rng = np.random.default_rng(4)
+        count = 20_000
+        rows, cols = rng.integers(1, 2001, (2, count))
+        values = rng.standard_normal(count).tolist()
+        p = tmp_path / "m.mtx"
+        p.write_text(_REAL_GENERAL + f"2000 2000 {count}\n" + "".join(
+            f"{' ' * 40}{i} {j} {x!r}\n" for i, j, x in zip(rows, cols, values)
+        ))
+        read_matrix_market(p)  # the core is loaded outside the measurement
+        size = p.stat().st_size
+        tracemalloc.start()
+        try:
+            read_matrix_market(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * size + 24 * count  # the file, and row, column and value arrays
 
 
 def _mmread_reference(path):

@@ -1,14 +1,17 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import csemb.oracle
 from csemb import (
     EmbedConfig,
     OracleCapError,
     OracleError,
     SparseMatrix,
+    commute_time,
     distance_bound_audit,
     distortion_percentiles,
     exact_embedding,
@@ -18,13 +21,21 @@ from csemb import (
 )
 from csemb.oracle import (
     PAIR_CHUNK,
+    _asymmetry,
     _pair_correlations,
     _pairwise_distances,
+    _spectral_delta,
     write_calibration_csv,
     write_percentiles_csv,
     write_report_json,
 )
-from helpers import dense_weighted, pairwise_distances, random_symmetric
+from helpers import (
+    dense_weighted,
+    pairwise_distances,
+    random_symmetric,
+    run_python,
+    symmetric_with_spectrum,
+)
 
 
 class TestExactEmbedding:
@@ -66,6 +77,115 @@ class TestExactEmbedding:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             exact_embedding(np.array([[0.0, 1.0], [0.0, 0.0]]), identity())
+
+
+class TestEigenpairSubset:
+    """An indicator's eigenpairs come from LAPACK dsyevr over its support;
+    every other function's from the full np.linalg.eigh."""
+
+    @pytest.mark.parametrize("spectrum", ["uniform", "repeated"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_gram_as_full(self, spectrum, seed):
+        rng = np.random.default_rng(seed)
+        if spectrum == "uniform":
+            lam = rng.uniform(-1.02, 1.02, 60)
+        else:
+            lam = rng.choice([-0.5, 0.2, 0.7, 1.0], 60)
+        S = symmetric_with_spectrum(lam, rng)
+        for t in (-0.9, 0.0, 0.5, 0.95):
+            f = indicator_above(t)
+            subset = exact_embedding(S, f).embedding
+            full = exact_embedding(S, lambda x: f(x)).embedding  # no support(): eigh
+            assert subset.shape == full.shape == (60, np.sum(lam >= t))
+            assert np.abs(subset @ subset.T - full @ full.T).max() <= 1e-12
+
+    def test_eigenvalue_at_threshold_kept(self):
+        ex = exact_embedding(np.diag([0.5, 0.2]), indicator_above(0.5))
+        assert ex.embedding.shape == (2, 1)
+        assert np.array_equal(np.abs(ex.embedding), [[1.0], [0.0]])
+
+    def test_nothing_at_or_above_threshold(self):
+        S = random_symmetric(20, np.random.default_rng(4), spectral_norm=0.5)
+        assert exact_embedding(S, indicator_above(0.6)).embedding.shape == (20, 0)
+        assert exact_embedding(np.zeros((5, 5)), indicator_above(0.1)).embedding.shape == (5, 0)
+
+    def test_spectrum_slightly_above_one(self):
+        # a matrix scaled by a norm estimate can reach just past 1
+        lam = [1.0 + 1e-6, 1.0 + 1e-12, 0.9, 0.3, -1.0 - 1e-9]
+        S = symmetric_with_spectrum(lam, np.random.default_rng(5))
+        ex = exact_embedding(S, indicator_above(1.0))
+        assert ex.embedding.shape == (5, 2)
+        top = np.linalg.eigh(S)[1][:, -2:]
+        assert np.abs(ex.embedding @ ex.embedding.T - top @ top.T).max() <= 1e-12
+
+    @pytest.mark.parametrize("f", [commute_time(), identity()], ids=["commute", "identity"])
+    def test_full_support_same_bits(self, f):
+        S = random_symmetric(40, np.random.default_rng(6))
+        lam, vec = np.linalg.eigh(S)
+        weights = f(lam)
+        keep = weights != 0.0
+        assert exact_embedding(S, f).embedding.tobytes() == (vec[:, keep] * weights[keep]).tobytes()
+
+    def test_residual_checked(self, monkeypatch):
+        dsyevr = csemb.oracle._flapack().dsyevr
+
+        def off_by_a_little(*args, **kwargs):
+            lam, vec, m, isuppz, info = dsyevr(*args, **kwargs)
+            return lam + 1e-6, vec, m, isuppz, info
+
+        monkeypatch.setattr(csemb.oracle, "_flapack", lambda: SimpleNamespace(dsyevr=off_by_a_little))
+        S = random_symmetric(10, np.random.default_rng(3))
+        with pytest.raises(OracleError, match="residual"):
+            exact_embedding(S, indicator_above(0.0))
+
+    def test_lapack_failure_raised(self, monkeypatch):
+        failed = SimpleNamespace(dsyevr=lambda a, **kwargs: (None, None, 0, None, 3))
+        monkeypatch.setattr(csemb.oracle, "_flapack", lambda: failed)
+        with pytest.raises(OracleError, match="info 3"):
+            exact_embedding(np.eye(3), indicator_above(0.5))
+
+    def test_forced_fallback_same_bits(self, tmp_path):
+        # no extension file under tmp_path, so the loader imports scipy.linalg's package
+        code = f"""
+import sys
+import numpy as np
+import csemb.oracle
+from csemb import exact_embedding, indicator_above
+from csemb.sparse import load_scipy_extension
+a = np.random.default_rng(7).standard_normal((40, 40))
+S = a + a.T
+by_file = exact_embedding(S, indicator_above(0.2)).embedding
+assert "scipy.linalg" not in sys.modules
+csemb.oracle._flapack = lambda: load_scipy_extension("linalg._flapack", {str(tmp_path)!r})
+by_import = exact_embedding(S, indicator_above(0.2)).embedding
+assert "scipy.linalg" in sys.modules
+assert by_file.shape[1] > 0 and by_file.tobytes() == by_import.tobytes()
+print("ok")
+"""
+        assert run_python(code) == "ok"
+
+
+class TestSymmetryCheck:
+    def test_same_as_whole_matrix(self):
+        rng = np.random.default_rng(10)
+        for n in (0, 1, 63, 64, 65, 200):
+            a = rng.standard_normal((n, n))
+            assert _asymmetry(a) == np.max(np.abs(a - a.T), initial=0.0)
+        a[150, 3] = np.nan
+        assert np.isnan(_asymmetry(a))
+
+    def test_no_square_temporaries(self):
+        # forming a - a.T and its absolute value whole took two n x n arrays
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((1500, 1500))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="symmetric"):
+                exact_embedding(a, identity())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes / 4
 
 
 def normalized_correlation(X, i, j):
@@ -228,6 +348,18 @@ class TestDistanceBoundAudit:
         for eps in (0.0, 1.0):
             with pytest.raises(ValueError, match="epsilon"):
                 distance_bound_audit(0.5 * np.eye(3), identity(), cfg, trials=1, epsilon=eps)
+
+    def test_delta_over_all_eigenvalues(self):
+        # test_a2_distance_bound_audit's input: delta is unchanged, to
+        # eigensolver rounding, from the value taken over np.linalg.eigh's
+        # eigenvalues, though the exact embedding keeps only half the pairs
+        rng = np.random.default_rng(22)
+        S = rng.standard_normal((50, 50))
+        S = 0.5 * (S + S.T)
+        S /= np.linalg.norm(S, 2) * 1.02
+        f = indicator_above(float(np.median(np.linalg.eigvalsh(S))))
+        assert exact_embedding(S, f).embedding.shape == (50, 25)
+        assert _spectral_delta(S, f, 200) == pytest.approx(0.04693721202734813, abs=1e-13)
 
     def test_eigensolver_residual_checked(self, monkeypatch):
         eigh = np.linalg.eigh
