@@ -52,7 +52,6 @@ from .legendre import (
 )
 from .oracle import (
     DistortionReport,
-    ExactEmbedding,
     ORACLE_CAP,
     distance_bound_audit,
     distortion_percentiles,
@@ -80,7 +79,6 @@ __all__ = [
     "DivergenceError",
     "EmbedConfig",
     "EmbeddingMatrix",
-    "ExactEmbedding",
     "InputFormatError",
     "KernelSpec",
     "LegendreExpansion",

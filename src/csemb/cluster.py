@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import EmbedConfig, EmbeddingMatrix, fast_embed_cascaded, fold_seed
+from .engine import EmbedConfig, fast_embed_cascaded, fold_seed
 from .sparse import SparseMatrix, normalized_adjacency, simple_edges, spmv_multi
 
 _KMEANS_SEED_TAG = 0x6B6D6531  # distinct stream from projection sampling
@@ -71,14 +71,14 @@ def _centroid_sums(rows: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> 
     return spmv_multi(members, rows)
 
 
-def kmeans(X, K: int, seed: int = 0) -> ClusterAssignment:
+def kmeans(X: np.ndarray, K: int, seed: int = 0) -> ClusterAssignment:
     """At most ``KMEANS_MAX_ITERS`` Lloyd iterations with distance-weighted
     seeding, deterministic per seed.
 
     Empty clusters are re-seeded at the point currently farthest from its
     centroid, which keeps the inertia sequence non-increasing.
     """
-    rows = X.values if isinstance(X, EmbeddingMatrix) else np.asarray(X, dtype=np.float64)
+    rows = np.asarray(X, dtype=np.float64)
     n = rows.shape[0]
     if not 1 <= K <= n:
         raise ValueError(f"K={K} must lie in [1, n_rows={n}]")
@@ -121,11 +121,9 @@ def kmeans(X, K: int, seed: int = 0) -> ClusterAssignment:
     )
 
 
-def modularity(edges, labels) -> ModularityScore:
+def modularity(edges, labels: np.ndarray) -> ModularityScore:
     """Newman modularity Q = sum_c (intra_c / m - (degsum_c / 2m)^2) of an
     undirected simple graph under a vertex labeling."""
-    if isinstance(labels, ClusterAssignment):
-        labels = labels.labels
     return _score(simple_edges(edges), np.asarray(labels, dtype=np.int64))
 
 
@@ -181,7 +179,7 @@ def cluster_experiment(
         scores.append(_score(und, km.labels).Q)
         assignments.append(km)
     order = np.argsort(scores, kind="stable")
-    median_idx = int(order[(runs - 1) // 2]) if runs % 2 else int(order[runs // 2 - 1])
+    median_idx = int(order[(runs - 1) // 2])
     return ClusterExperiment(
         median_modularity=float(np.median(scores)),
         run_scores=tuple(scores),

@@ -2,9 +2,10 @@
 
 Everything here goes through a dense eigendecomposition and is capped at a
 few thousand rows; it exists to validate the compressive engine, not to
-scale. Where f is zero outside an interval (``support()``), only the
-eigenpairs inside it are computed, by LAPACK ``dsyevr`` from scipy's
-``linalg/_flapack`` extension.
+scale. It takes the engine's input, an exactly symmetric ``SparseMatrix``.
+Where f is zero outside an interval (``support()``), only the eigenpairs
+inside it are computed, by LAPACK ``dsyevr`` from scipy's ``linalg/_flapack``
+extension.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cluster import sq_distances
-from .engine import EmbedConfig, EmbeddingMatrix, fast_embed_cascaded, fold_seed
+from .engine import EmbedConfig, fast_embed_cascaded, fold_seed
 from .errors import OracleCapError, OracleError
 from .legendre import expansion_eval, legendre_coefficients
 from .sparse import SparseMatrix, load_scipy_extension
@@ -28,17 +29,7 @@ EIG_RESIDUAL_TOL = 1e-8
 PERCENTILE_LEVELS = (1, 5, 25, 50, 75, 95, 99)
 DEFAULT_MAX_PAIRS = 100_000
 PAIR_CHUNK = 4096  # pairs whose rows are gathered at once
-SYMMETRY_ROWS = 64  # rows of a - a.T formed at once by the symmetry check
 CALIBRATION_BIN_WIDTH = 0.1  # bins centered on -1.0, -0.9, ..., 1.0
-
-
-@dataclass
-class ExactEmbedding:
-    """Rows of f(S) in compact form: eigenvector columns scaled by f(eigenvalue),
-    with exact-zero weights dropped. Pairwise distances and correlations match
-    the full f(S) rows."""
-
-    embedding: np.ndarray
 
 
 @functools.cache
@@ -48,56 +39,42 @@ def _flapack():
     return load_scipy_extension("linalg._flapack")
 
 
-def _dense(S) -> np.ndarray:
-    return S.to_dense() if isinstance(S, SparseMatrix) else np.asarray(S, dtype=np.float64)
+def exact_embedding(S: SparseMatrix, f, cap: int = ORACLE_CAP) -> np.ndarray:
+    """Rows of f(S) in compact form: the eigenvector columns of S that f
+    keeps, scaled by f(eigenvalue), so pairwise distances and correlations
+    match the full f(S) rows.
 
-
-def exact_embedding(S, f, cap: int = ORACLE_CAP) -> ExactEmbedding:
-    """Exact embedding from the eigenpairs of a dense symmetric matrix that f
-    keeps.
-
-    Where ``f.support()`` is narrower than the whole line, only the
-    eigenpairs inside it are computed (:func:`_eigenpairs_within`). A
-    function without ``support``, or whose support is the whole line, gets
+    S must have at most ``cap`` rows and be exactly symmetric, as
+    :func:`fast_embed_cascaded` requires; both are checked before the dense
+    matrix is formed. Where ``f.support()`` is narrower than the whole line,
+    only the eigenpairs inside it are computed (:func:`_eigenpairs_within`).
+    A function without ``support``, or whose support is the whole line, gets
     the full ``np.linalg.eigh``. Every eigenpair computed must pass the
     residual check; those with f(eigenvalue) = 0 are then dropped.
     """
-    a = _dense(S)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    if a.shape[0] > cap:
-        raise OracleCapError(
-            f"matrix of size {a.shape[0]} exceeds the dense-oracle cap {cap}"
-        )
-    if _asymmetry(a) > 1e-10:
-        raise ValueError("oracle requires a symmetric matrix")
+    if S.n_rows > cap:
+        raise OracleCapError(f"matrix of size {S.n_rows} exceeds the dense-oracle cap {cap}")
+    if not S.is_symmetric():
+        raise ValueError("oracle requires a square symmetric matrix")
     lo, hi = getattr(f, "support", lambda: (-np.inf, np.inf))()
     if (lo, hi) == (-np.inf, np.inf):
+        a = S.to_dense()
         lam, vec = np.linalg.eigh(a)
     else:
-        lam, vec = _eigenpairs_within(a, lo, hi)
+        lam, vec = _eigenpairs_within(S.to_dense(), lo, hi)
+        a = S.to_dense()  # dsyevr overwrote the first
     residual = float(np.max(np.abs(a @ vec - vec * lam), initial=0.0))
     if residual > EIG_RESIDUAL_TOL:
         raise OracleError(f"eigensolver residual {residual:.3e} above {EIG_RESIDUAL_TOL}")
     weights = np.atleast_1d(np.asarray(f(lam), dtype=np.float64))
     keep = weights != 0.0
-    return ExactEmbedding(embedding=vec[:, keep] * weights[keep])
-
-
-def _asymmetry(a: np.ndarray) -> float:
-    """max |a - a.T|, formed SYMMETRY_ROWS rows at a time, so that no n x n
-    temporary is made. A NaN anywhere gives NaN, as the whole-matrix form
-    does."""
-    blocks = range(0, a.shape[0], SYMMETRY_ROWS)
-    return float(np.max([
-        np.max(np.abs(a[i:i + SYMMETRY_ROWS] - a[:, i:i + SYMMETRY_ROWS].T), initial=0.0)
-        for i in blocks
-    ], initial=0.0))
+    return vec[:, keep] * weights[keep]
 
 
 def _eigenpairs_within(a: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenpairs of ``a`` with eigenvalues in [lo, hi], and perhaps a few
-    within rounding of it, by one LAPACK ``dsyevr`` call (MRRR) over (vl, vu].
+    """The eigenpairs of the symmetric ``a`` with eigenvalues in [lo, hi],
+    and perhaps a few within rounding of it, by one LAPACK ``dsyevr`` call
+    (MRRR) over (vl, vu]. ``a`` is overwritten.
 
     vl sits a rounding margin below lo, so that an eigenvalue exactly at lo
     is kept; f then drops any pair below it. vu sits the margin above hi or
@@ -110,18 +87,12 @@ def _eigenpairs_within(a: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray,
     vl, vu = lo - margin, min(hi, bound) + margin
     if vl >= vu:
         return np.empty(0), np.empty((n, 0))
-    lam, vec, m, _, info = _flapack().dsyevr(a, range="V", lower=1, vl=vl, vu=vu)
+    # a.T is a in Fortran order, so the wrapper works in place instead of copying
+    lam, vec, m, _, info = _flapack().dsyevr(a.T, range="V", lower=1, vl=vl, vu=vu, overwrite_a=1)
     if info != 0:
         raise OracleError(f"LAPACK dsyevr failed with info {info}")
-    return lam[:m], vec[:, :m]
-
-
-def _rows_of(x) -> np.ndarray:
-    if isinstance(x, ExactEmbedding):
-        return x.embedding
-    if isinstance(x, EmbeddingMatrix):
-        return x.values
-    return np.asarray(x, dtype=np.float64)
+    # copied, so that the n x n array of which dsyevr filled m columns is freed
+    return lam[:m], vec[:, :m].copy()
 
 
 def _pair_correlations(rows: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,15 +167,14 @@ def _percentiles(values: np.ndarray) -> dict[int, float]:
 
 
 def distortion_percentiles(
-    exact, approx, n_pairs: int | None = None, seed: int = 0
+    exact: np.ndarray, approx: np.ndarray, n_pairs: int | None = None, seed: int = 0
 ) -> DistortionReport:
     """Compare normalized correlations of two embeddings over sampled pairs."""
-    X, Y = _rows_of(exact), _rows_of(approx)
-    if X.shape[0] != Y.shape[0]:
+    if exact.shape[0] != approx.shape[0]:
         raise ValueError("embeddings must have the same number of rows")
-    pairs = sample_pairs(X.shape[0], n_pairs, seed)
-    ex, ez = _pair_correlations(X, pairs)
-    ap, az = _pair_correlations(Y, pairs)
+    pairs = sample_pairs(exact.shape[0], n_pairs, seed)
+    ex, ez = _pair_correlations(exact, pairs)
+    ap, az = _pair_correlations(approx, pairs)
     centers = np.round(np.arange(-1.0, 1.0 + CALIBRATION_BIN_WIDTH / 2, CALIBRATION_BIN_WIDTH), 10)
     idx = np.clip(np.round((ex + 1.0) / CALIBRATION_BIN_WIDTH).astype(int), 0, len(centers) - 1)
     bins = []
@@ -222,7 +192,7 @@ def distortion_percentiles(
 
 
 def distance_bound_audit(
-    S, f, cfg: EmbedConfig, trials: int, epsilon: float = 0.5
+    S: SparseMatrix, f, cfg: EmbedConfig, trials: int, epsilon: float = 0.5
 ) -> float:
     """Fraction of (trial, pair) events violating the two-sided distance bound.
 
@@ -235,18 +205,17 @@ def distance_bound_audit(
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     exact = exact_embedding(S, f)
-    delta = _spectral_delta(_dense(S), f, cfg.L)
+    delta = _spectral_delta(S.to_dense(), f, cfg.L)
 
-    d_exact = _pairwise_distances(exact.embedding)
+    d_exact = _pairwise_distances(exact)
     slack = delta * math.sqrt(2.0)
     lower = math.sqrt(1.0 - epsilon) * (d_exact - slack)
     upper = math.sqrt(1.0 + epsilon) * (d_exact + slack)
 
-    sp = S if isinstance(S, SparseMatrix) else SparseMatrix.from_dense(S)
     violations = 0
     for t in range(trials):
         trial = replace(cfg, b=1, seed=fold_seed(cfg.seed, t))
-        emb = fast_embed_cascaded(sp, f, trial).values
+        emb = fast_embed_cascaded(S, f, trial).values
         d_approx = _pairwise_distances(emb)
         violations += int(np.sum((d_approx < lower) | (d_approx > upper)))
     return violations / (trials * len(d_exact))

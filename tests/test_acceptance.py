@@ -12,7 +12,7 @@ import pytest
 
 import csemb as cs
 from csemb.cluster import _KMEANS_SEED_TAG
-from csemb.oracle import _pair_correlations, _rows_of, sample_pairs
+from csemb.oracle import _pair_correlations, sample_pairs
 from helpers import ring_graph, sbm, symmetric_with_spectrum
 
 
@@ -21,10 +21,9 @@ def _report(tag: str, ok: bool, detail: str) -> None:
 
 
 def _fraction_within(exact, approx, tol: float, seed: int = 7) -> float:
-    X, Y = _rows_of(exact), _rows_of(approx)
-    pairs = sample_pairs(X.shape[0], None, seed)
-    ex, _ = _pair_correlations(X, pairs)
-    ap, _ = _pair_correlations(Y, pairs)
+    pairs = sample_pairs(exact.shape[0], None, seed)
+    ex, _ = _pair_correlations(exact, pairs)
+    ap, _ = _pair_correlations(approx, pairs)
     return float(np.mean(np.abs(ap - ex) <= tol))
 
 
@@ -69,7 +68,9 @@ def test_a2_distance_bound_audit():
     S /= np.linalg.norm(S, 2) * 1.02
     c = float(np.median(np.linalg.eigvalsh(S)))
     cfg = cs.EmbedConfig(L=200, d=2000, seed=0)
-    rate = cs.distance_bound_audit(S, cs.indicator_above(c), cfg, trials=20, epsilon=0.3)
+    rate = cs.distance_bound_audit(
+        cs.SparseMatrix.from_dense(S), cs.indicator_above(c), cfg, trials=20, epsilon=0.3
+    )
     ok = rate <= 0.02
     _report("A2 distance-bound audit", ok, f"violation rate {rate:.4f} <= 0.02")
     assert rate <= 0.02
@@ -86,9 +87,8 @@ def sbm_instance():
     n = 500
     edges, _ = sbm(n, 10, 0.2, 0.02, rng)
     adj = cs.normalized_adjacency(edges, n)
-    dense = adj.to_dense()
-    lam = np.linalg.eigvalsh(dense)[::-1]
-    return n, edges, adj, dense, lam
+    lam = np.linalg.eigvalsh(adj.to_dense())[::-1]
+    return n, edges, adj, lam
 
 
 def _a3_embed_and_measure(adj, exact, cutoff, d):
@@ -124,23 +124,23 @@ def test_a3_deviation_mass_at_six_ln_n(sbm_instance):
     both with b = 2. At d = 80 the band is exactly +-0.2, which is the
     companion test below.
     """
-    n, edges, adj, dense, lam = sbm_instance
+    n, edges, adj, lam = sbm_instance
     t0 = time.perf_counter()
     gaps = lam[44:55] - lam[45:56]
     k = 45 + int(np.argmax(gaps))
     cutoff = (lam[k - 1] + lam[k]) / 2
-    exact = cs.exact_embedding(dense, cs.indicator_above(cutoff))
+    exact = cs.exact_embedding(adj, cs.indicator_above(cutoff))
 
     d_run = math.ceil(6 * math.log(n))
     band = A3_ANCHOR_TOL * math.sqrt(A3_ANCHOR_D / d_run)
     emb = _a3_embed_and_measure(adj, exact, cutoff, d_run)
-    frac = _fraction_within(exact, emb, band)
-    frac_anchor_tol = _fraction_within(exact, emb, A3_ANCHOR_TOL)
+    frac = _fraction_within(exact, emb.values, band)
+    frac_anchor_tol = _fraction_within(exact, emb.values, A3_ANCHOR_TOL)
 
     # noise floor: exact weights, identical projection (f has 0/1 weights,
     # so f(S) @ omega equals E E^T omega)
     omega = cs.sample_projection(n, d_run, 2024)
-    floor = exact.embedding @ (exact.embedding.T @ omega)
+    floor = exact @ (exact.T @ omega)
     frac_floor = _fraction_within(exact, floor, band)
     frac_floor_anchor_tol = _fraction_within(exact, floor, A3_ANCHOR_TOL)
 
@@ -159,29 +159,29 @@ def test_a3_deviation_mass_at_six_ln_n(sbm_instance):
 def test_a3_deviation_mass_at_anchored_dimension(sbm_instance):
     """The claim the criterion cites was measured at d = 80; at that absolute
     dimension the desk-scale pipeline reproduces it."""
-    n, edges, adj, dense, lam = sbm_instance
+    n, edges, adj, lam = sbm_instance
     gaps = lam[44:55] - lam[45:56]
     k = 45 + int(np.argmax(gaps))
     cutoff = (lam[k - 1] + lam[k]) / 2
-    exact = cs.exact_embedding(dense, cs.indicator_above(cutoff))
+    exact = cs.exact_embedding(adj, cs.indicator_above(cutoff))
     emb = _a3_embed_and_measure(adj, exact, cutoff, A3_ANCHOR_D)
-    frac = _fraction_within(exact, emb, A3_ANCHOR_TOL)
+    frac = _fraction_within(exact, emb.values, A3_ANCHOR_TOL)
     ok = frac >= 0.9
     _report("A3 deviation mass at d=80 (anchored)", ok, f"fraction {frac:.3f} >= 0.9")
     assert frac >= 0.9
 
 
 def test_a3_p95_non_increasing_in_d(sbm_instance):
-    n, edges, adj, dense, lam = sbm_instance
+    n, edges, adj, lam = sbm_instance
     t0 = time.perf_counter()
     gaps = lam[44:55] - lam[45:56]
     k = 45 + int(np.argmax(gaps))
     cutoff = (lam[k - 1] + lam[k]) / 2
-    exact = cs.exact_embedding(dense, cs.indicator_above(cutoff))
+    exact = cs.exact_embedding(adj, cs.indicator_above(cutoff))
     p95 = []
     for d in (10, 20, 40, 80):
         emb = _a3_embed_and_measure(adj, exact, cutoff, d)
-        rep = cs.distortion_percentiles(exact, emb, seed=7)
+        rep = cs.distortion_percentiles(exact, emb.values, seed=7)
         p95.append(rep.percentiles[95])
     monotone = all(b <= a * 1.10 for a, b in zip(p95, p95[1:]))
     elapsed = time.perf_counter() - t0
@@ -201,17 +201,17 @@ def test_a3_p95_non_increasing_in_d(sbm_instance):
 
 
 def test_a4_cascading_benefit(sbm_instance):
-    n, edges, adj, dense, lam = sbm_instance
+    n, edges, adj, lam = sbm_instance
     # cutoff at the structural gap so the kept/suppressed split mirrors the
     # bulk-dominated regime the cascade targets
     cutoff = (lam[9] + lam[10]) / 2
     f = cs.indicator_above(cutoff)
-    exact = cs.exact_embedding(dense, f)
+    exact = cs.exact_embedding(adj, f)
     biases = {}
     for b in (1, 2):
         cfg = cs.EmbedConfig(L=180, d=80, b=b, seed=99)
         emb = cs.fast_embed_cascaded(adj, f, cfg)
-        cal = cs.distortion_percentiles(exact, emb, seed=7)
+        cal = cs.distortion_percentiles(exact, emb.values, seed=7)
         bin0 = next(bb for bb in cal.bins if abs(bb.center) < 1e-9)
         biases[b] = abs(bin0.percentiles[50] - 0.0)
     bias_ok = biases[2] < biases[1]
@@ -269,18 +269,17 @@ def test_a6_downstream_clustering():
     n, K, runs = 1000, 10, 25
     edges, planted = sbm(n, 10, 0.05, 0.001, rng)
     adj = cs.normalized_adjacency(edges, n)
-    dense = adj.to_dense()
-    lam = np.linalg.eigvalsh(dense)[::-1]
+    lam = np.linalg.eigvalsh(adj.to_dense())[::-1]
     f = cs.indicator_above((lam[9] + lam[10]) / 2)
 
     cfg = cs.EmbedConfig(L=180, d=math.ceil(6 * math.log(n)), b=2, seed=4242)
     compressive = cs.cluster_experiment(edges, n, f, cfg, K=K, runs=runs)
 
-    exact = cs.exact_embedding(dense, f)
+    exact = cs.exact_embedding(adj, f)
     exact_scores = []
     for run in range(runs):
-        km = cs.kmeans(exact.embedding, K, seed=cs.fold_seed(cfg.seed, _KMEANS_SEED_TAG + run))
-        exact_scores.append(cs.modularity(edges, km).Q)
+        km = cs.kmeans(exact, K, seed=cs.fold_seed(cfg.seed, _KMEANS_SEED_TAG + run))
+        exact_scores.append(cs.modularity(edges, km.labels).Q)
     exact_median = float(np.median(exact_scores))
     planted_q = cs.modularity(edges, planted).Q
 

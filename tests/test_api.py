@@ -23,7 +23,6 @@ PUBLIC = [
     "DivergenceError",
     "EmbedConfig",
     "EmbeddingMatrix",
-    "ExactEmbedding",
     "InputFormatError",
     "KernelSpec",
     "LegendreExpansion",

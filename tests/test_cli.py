@@ -379,6 +379,23 @@ class TestErrors:
         )
         assert code == 5
 
+    def test_oracle_cap_before_dense_matrix(self, tmp_path):
+        # a 100,000-vertex ring: its dense matrix would take 74.5 GiB, so the
+        # cap has to fire before the oracle forms it
+        n = 100_000
+        p = tmp_path / "ring.txt"
+        p.write_text("".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+        emb = tmp_path / "e.bin"
+        from csemb.io import write_embedding
+
+        write_embedding(emb, np.zeros((2, 2)))
+        code = main(
+            ["eval", "--approx", str(emb), "--input", str(p), "--format",
+             "edgelist", "--function", "indicator:0.5",
+             "--output-prefix", str(tmp_path / "r")]
+        )
+        assert code == 5
+
 
 class TestEvalCommand:
     def test_zero_deviation_for_oracle_embedding(self, tmp_path):
@@ -391,9 +408,9 @@ class TestEvalCommand:
         from csemb.io import write_embedding
 
         adj = normalized_adjacency(edges, 40)
-        ex = exact_embedding(adj.to_dense(), indicator_above(0.3))
+        ex = exact_embedding(adj, indicator_above(0.3))
         emb_path = tmp_path / "exact.bin"
-        write_embedding(emb_path, ex.embedding)
+        write_embedding(emb_path, ex)
         code = main(
             ["eval", "--approx", str(emb_path), "--input", str(g),
              "--format", "edgelist", "--function", "indicator:0.3",

@@ -179,7 +179,7 @@ class TestClusterExperiment:
         km = kmeans(emb.values, 4, seed=fold_seed(cfg.seed, _KMEANS_SEED_TAG))
         assert np.array_equal(result.median_labels, km.labels)
         assert result.median_modularity == pytest.approx(
-            modularity(edges, km).Q, abs=1e-14
+            modularity(edges, km.labels).Q, abs=1e-14
         )
 
     def test_reports_all_runs(self):

@@ -12,6 +12,7 @@ from csemb import (
     OracleError,
     SparseMatrix,
     commute_time,
+    dilate,
     distance_bound_audit,
     distortion_percentiles,
     exact_embedding,
@@ -20,8 +21,8 @@ from csemb import (
     sample_pairs,
 )
 from csemb.oracle import (
+    ORACLE_CAP,
     PAIR_CHUNK,
-    _asymmetry,
     _pair_correlations,
     _pairwise_distances,
     _spectral_delta,
@@ -34,29 +35,40 @@ from helpers import (
     pairwise_distances,
     random_symmetric,
     run_python,
+    sparse_from,
     symmetric_with_spectrum,
 )
 
 
+def traced_peak(call) -> int:
+    """Peak bytes that numpy and Python allocate during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestExactEmbedding:
     def test_indicator_on_diagonal(self):
-        ex = exact_embedding(np.diag([0.9, 0.1]), indicator_above(0.5))
-        gram = ex.embedding @ ex.embedding.T
+        ex = exact_embedding(sparse_from(np.diag([0.9, 0.1])), indicator_above(0.5))
+        gram = ex @ ex.T
         assert np.allclose(gram, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_identity_function(self):
         S = np.array([[0.0, 1.0], [1.0, 0.0]])
-        ex = exact_embedding(S, identity())
+        ex = exact_embedding(sparse_from(S), identity())
         # rotation-invariant comparison: Gram of f(S) rows equals S @ S.T
-        assert np.allclose(ex.embedding @ ex.embedding.T, S @ S.T, atol=1e-12)
+        assert np.allclose(ex @ ex.T, S @ S.T, atol=1e-12)
 
     def test_self_consistency(self):
         rng = np.random.default_rng(0)
         S = random_symmetric(50, rng)
         f = lambda x: np.tanh(3 * x)
-        ex = exact_embedding(S, f)
+        ex = exact_embedding(sparse_from(S), f)
         fs = dense_weighted(S, f)
-        assert np.abs(ex.embedding @ ex.embedding.T - fs @ fs.T).max() <= 1e-8
+        assert np.abs(ex @ ex.T - fs @ fs.T).max() <= 1e-8
 
     def test_rotation_is_inconsequential(self):
         rng = np.random.default_rng(1)
@@ -72,11 +84,39 @@ class TestExactEmbedding:
 
     def test_cap(self):
         with pytest.raises(OracleCapError):
-            exact_embedding(np.eye(11), identity(), cap=10)
+            exact_embedding(SparseMatrix.identity(11), identity(), cap=10)
 
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            exact_embedding(np.array([[0.0, 1.0], [0.0, 0.0]]), identity())
+    @pytest.mark.parametrize("case", ["asymmetric", "rounding", "rectangular"])
+    def test_asymmetric_rejected(self, case):
+        # the engine's exact rule, so a matrix symmetric only to rounding is refused too
+        rng = np.random.default_rng(25)
+        if case == "asymmetric":
+            dense = random_symmetric(6, rng)
+            dense[0, 1] += 0.1
+        elif case == "rounding":
+            q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+            dense = (q * np.linspace(-0.9, 0.9, 6)) @ q.T
+            assert not np.array_equal(dense, dense.T)
+        else:
+            dense = rng.standard_normal((6, 4)) / 8.0
+        with pytest.raises(ValueError, match="square symmetric"):
+            exact_embedding(sparse_from(dense), identity())
+
+    @pytest.mark.parametrize("case", ["over-cap", "asymmetric"])
+    def test_refused_before_the_dense_matrix(self, case):
+        # a 100,000-row ring used to fail allocating its 74.5 GiB dense matrix
+        # before the cap was checked
+        n = ORACLE_CAP
+        i = np.arange(n)
+        S = SparseMatrix.from_coo(i, (i + 1) % n, np.ones(n), n, n)  # a directed cycle
+        if case == "over-cap":
+            S = dilate(S)  # symmetric, 2n rows
+
+        def refuse():
+            with pytest.raises(OracleCapError if case == "over-cap" else ValueError):
+                exact_embedding(S, identity())
+
+        assert traced_peak(refuse) < 1e6  # a dense n x n matrix is 72 MB
 
 
 class TestEigenpairSubset:
@@ -92,31 +132,33 @@ class TestEigenpairSubset:
         else:
             lam = rng.choice([-0.5, 0.2, 0.7, 1.0], 60)
         S = symmetric_with_spectrum(lam, rng)
+        S = sparse_from((S + S.T) / 2)  # symmetric to rounding is refused
         for t in (-0.9, 0.0, 0.5, 0.95):
             f = indicator_above(t)
-            subset = exact_embedding(S, f).embedding
-            full = exact_embedding(S, lambda x: f(x)).embedding  # no support(): eigh
+            subset = exact_embedding(S, f)
+            full = exact_embedding(S, lambda x: f(x))  # no support(): eigh
             assert subset.shape == full.shape == (60, np.sum(lam >= t))
             assert np.abs(subset @ subset.T - full @ full.T).max() <= 1e-12
 
     def test_eigenvalue_at_threshold_kept(self):
-        ex = exact_embedding(np.diag([0.5, 0.2]), indicator_above(0.5))
-        assert ex.embedding.shape == (2, 1)
-        assert np.array_equal(np.abs(ex.embedding), [[1.0], [0.0]])
+        ex = exact_embedding(sparse_from(np.diag([0.5, 0.2])), indicator_above(0.5))
+        assert ex.shape == (2, 1)
+        assert np.array_equal(np.abs(ex), [[1.0], [0.0]])
 
     def test_nothing_at_or_above_threshold(self):
         S = random_symmetric(20, np.random.default_rng(4), spectral_norm=0.5)
-        assert exact_embedding(S, indicator_above(0.6)).embedding.shape == (20, 0)
-        assert exact_embedding(np.zeros((5, 5)), indicator_above(0.1)).embedding.shape == (5, 0)
+        assert exact_embedding(sparse_from(S), indicator_above(0.6)).shape == (20, 0)
+        assert exact_embedding(SparseMatrix.zeros(5, 5), indicator_above(0.1)).shape == (5, 0)
 
     def test_spectrum_slightly_above_one(self):
         # a matrix scaled by a norm estimate can reach just past 1
         lam = [1.0 + 1e-6, 1.0 + 1e-12, 0.9, 0.3, -1.0 - 1e-9]
         S = symmetric_with_spectrum(lam, np.random.default_rng(5))
-        ex = exact_embedding(S, indicator_above(1.0))
-        assert ex.embedding.shape == (5, 2)
+        S = (S + S.T) / 2  # symmetric to rounding is refused
+        ex = exact_embedding(sparse_from(S), indicator_above(1.0))
+        assert ex.shape == (5, 2)
         top = np.linalg.eigh(S)[1][:, -2:]
-        assert np.abs(ex.embedding @ ex.embedding.T - top @ top.T).max() <= 1e-12
+        assert np.abs(ex @ ex.T - top @ top.T).max() <= 1e-12
 
     @pytest.mark.parametrize("f", [commute_time(), identity()], ids=["commute", "identity"])
     def test_full_support_same_bits(self, f):
@@ -124,7 +166,7 @@ class TestEigenpairSubset:
         lam, vec = np.linalg.eigh(S)
         weights = f(lam)
         keep = weights != 0.0
-        assert exact_embedding(S, f).embedding.tobytes() == (vec[:, keep] * weights[keep]).tobytes()
+        assert exact_embedding(sparse_from(S), f).tobytes() == (vec[:, keep] * weights[keep]).tobytes()
 
     def test_residual_checked(self, monkeypatch):
         dsyevr = csemb.oracle._flapack().dsyevr
@@ -134,7 +176,7 @@ class TestEigenpairSubset:
             return lam + 1e-6, vec, m, isuppz, info
 
         monkeypatch.setattr(csemb.oracle, "_flapack", lambda: SimpleNamespace(dsyevr=off_by_a_little))
-        S = random_symmetric(10, np.random.default_rng(3))
+        S = sparse_from(random_symmetric(10, np.random.default_rng(3)))
         with pytest.raises(OracleError, match="residual"):
             exact_embedding(S, indicator_above(0.0))
 
@@ -142,7 +184,14 @@ class TestEigenpairSubset:
         failed = SimpleNamespace(dsyevr=lambda a, **kwargs: (None, None, 0, None, 3))
         monkeypatch.setattr(csemb.oracle, "_flapack", lambda: failed)
         with pytest.raises(OracleError, match="info 3"):
-            exact_embedding(np.eye(3), indicator_above(0.5))
+            exact_embedding(SparseMatrix.identity(3), indicator_above(0.5))
+
+    def test_subset_peak_memory(self):
+        # the dense matrix, dsyevr's n x n eigenvectors, and no third n x n
+        # array: the wrapper used to copy the matrix into Fortran order
+        n = 1500
+        S = sparse_from(random_symmetric(n, np.random.default_rng(14)))
+        assert traced_peak(lambda: exact_embedding(S, indicator_above(0.8))) < 2.5 * n * n * 8
 
     def test_forced_fallback_same_bits(self, tmp_path):
         # no extension file under tmp_path, so the loader imports scipy.linalg's package
@@ -150,42 +199,19 @@ class TestEigenpairSubset:
 import sys
 import numpy as np
 import csemb.oracle
-from csemb import exact_embedding, indicator_above
+from csemb import SparseMatrix, exact_embedding, indicator_above
 from csemb.sparse import load_scipy_extension
 a = np.random.default_rng(7).standard_normal((40, 40))
-S = a + a.T
-by_file = exact_embedding(S, indicator_above(0.2)).embedding
+S = SparseMatrix.from_dense(a + a.T)
+by_file = exact_embedding(S, indicator_above(0.2))
 assert "scipy.linalg" not in sys.modules
 csemb.oracle._flapack = lambda: load_scipy_extension("linalg._flapack", {str(tmp_path)!r})
-by_import = exact_embedding(S, indicator_above(0.2)).embedding
+by_import = exact_embedding(S, indicator_above(0.2))
 assert "scipy.linalg" in sys.modules
 assert by_file.shape[1] > 0 and by_file.tobytes() == by_import.tobytes()
 print("ok")
 """
         assert run_python(code) == "ok"
-
-
-class TestSymmetryCheck:
-    def test_same_as_whole_matrix(self):
-        rng = np.random.default_rng(10)
-        for n in (0, 1, 63, 64, 65, 200):
-            a = rng.standard_normal((n, n))
-            assert _asymmetry(a) == np.max(np.abs(a - a.T), initial=0.0)
-        a[150, 3] = np.nan
-        assert np.isnan(_asymmetry(a))
-
-    def test_no_square_temporaries(self):
-        # forming a - a.T and its absolute value whole took two n x n arrays
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((1500, 1500))
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="symmetric"):
-                exact_embedding(a, identity())
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < a.nbytes / 4
 
 
 def normalized_correlation(X, i, j):
@@ -319,7 +345,7 @@ class TestDistanceBoundAudit:
         S = random_symmetric(40, rng)
         cfg = EmbedConfig(L=3, d=1500, seed=0)
         rate = distance_bound_audit(
-            S, lambda x: 0.2 + 0.5 * x**3, cfg, trials=5, epsilon=0.4
+            sparse_from(S), lambda x: 0.2 + 0.5 * x**3, cfg, trials=5, epsilon=0.4
         )
         assert rate <= 40 ** -1.0
 
@@ -334,20 +360,18 @@ class TestDistanceBoundAudit:
 
     def test_tiny_projection_violates(self):
         rng = np.random.default_rng(7)
-        S = random_symmetric(40, rng)
+        S = sparse_from(random_symmetric(40, rng))
         cfg = EmbedConfig(L=3, d=2, seed=0)
         rate = distance_bound_audit(S, lambda x: x, cfg, trials=5, epsilon=0.05)
         assert rate > 0.05
-        sparse = distance_bound_audit(
-            SparseMatrix.from_dense(S), lambda x: x, cfg, trials=5, epsilon=0.05
-        )
-        assert sparse == rate
 
     def test_epsilon_validated(self):
         cfg = EmbedConfig(L=2, d=2)
         for eps in (0.0, 1.0):
             with pytest.raises(ValueError, match="epsilon"):
-                distance_bound_audit(0.5 * np.eye(3), identity(), cfg, trials=1, epsilon=eps)
+                distance_bound_audit(
+                    SparseMatrix.identity(3), identity(), cfg, trials=1, epsilon=eps
+                )
 
     def test_delta_over_all_eigenvalues(self):
         # test_a2_distance_bound_audit's input: delta is unchanged, to
@@ -358,7 +382,7 @@ class TestDistanceBoundAudit:
         S = 0.5 * (S + S.T)
         S /= np.linalg.norm(S, 2) * 1.02
         f = indicator_above(float(np.median(np.linalg.eigvalsh(S))))
-        assert exact_embedding(S, f).embedding.shape == (50, 25)
+        assert exact_embedding(sparse_from(S), f).shape == (50, 25)
         assert _spectral_delta(S, f, 200) == pytest.approx(0.04693721202734813, abs=1e-13)
 
     def test_eigensolver_residual_checked(self, monkeypatch):
@@ -369,7 +393,7 @@ class TestDistanceBoundAudit:
             return lam + 1e-6, vec
 
         monkeypatch.setattr(np.linalg, "eigh", off_by_a_little)
-        S = random_symmetric(10, np.random.default_rng(3))
+        S = sparse_from(random_symmetric(10, np.random.default_rng(3)))
         with pytest.raises(OracleError, match="residual"):
             distance_bound_audit(S, identity(), EmbedConfig(L=2, d=2), trials=1)
 
