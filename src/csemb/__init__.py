@@ -59,7 +59,6 @@ from .oracle import (
     sample_pairs,
 )
 from .sparse import (
-    KernelSpec,
     SparseMatrix,
     dilate,
     kernel_matrix,
@@ -80,7 +79,6 @@ __all__ = [
     "EmbedConfig",
     "EmbeddingMatrix",
     "InputFormatError",
-    "KernelSpec",
     "LegendreExpansion",
     "ModularityScore",
     "ORACLE_CAP",

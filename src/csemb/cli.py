@@ -33,7 +33,7 @@ from .oracle import (
     write_percentiles_csv,
     write_report_json,
 )
-from .sparse import KernelSpec, dilate, kernel_matrix, normalized_adjacency, scale_values
+from .sparse import dilate, kernel_matrix, normalized_adjacency, scale_values
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -50,6 +50,13 @@ def _worker_count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
+
+
+def _function(text: str):
+    try:
+        return parse_function(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _add_matrix_args(p: argparse.ArgumentParser) -> None:
@@ -72,7 +79,7 @@ def _add_matrix_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_embed_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--function", required=True, type=parse_function, metavar="SPEC",
+    p.add_argument("--function", required=True, type=_function, metavar="SPEC",
                    help="weighting function, e.g. indicator:0.98")
     p.add_argument("--L", required=True, type=int, help="total polynomial order")
     p.add_argument("--b", type=int, default=1, help="cascade factor (divides L)")
@@ -106,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--n", type=int, default=None)
     pv.add_argument("--kernel", choices=("gaussian", "indicator"), default="gaussian")
     pv.add_argument("--bandwidth", type=float, default=1.0)
-    pv.add_argument("--function", type=parse_function, default=None, metavar="SPEC")
+    pv.add_argument("--function", type=_function, default=None, metavar="SPEC")
     pv.add_argument("--pairs", type=int, default=None)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--output-prefix", required=True)
@@ -151,7 +158,7 @@ def _operator(args):
         raise ValueError("--matrix normalized-adjacency requires --format edgelist")
     if args.format == "points-csv":
         pts = cio.read_points_csv(args.input)
-        mat = kernel_matrix(pts, KernelSpec(args.kernel, args.bandwidth))
+        mat = kernel_matrix(pts, args.kernel, args.bandwidth)
     else:
         mat = cio.read_matrix_market(args.input)
         if args.matrix == "raw" and not mat.is_symmetric():

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .functions import breakpoints_of
+
 QUAD_NODES = 64  # Gauss-Legendre nodes per quadrature panel
 QUAD_REFINE_DEGREE = 48  # polynomial degrees resolved by one sub-panel
 REPORT_GRID_SIZE = 10001
@@ -142,11 +144,6 @@ def _panel_nodes(breaks: tuple[float, ...], degree: int) -> tuple[np.ndarray, np
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _breakpoints_of(f) -> tuple[float, ...]:
-    get = getattr(f, "breakpoints", None)
-    return tuple(get()) if callable(get) else ()
-
-
 def legendre_coefficients(f, order: int) -> LegendreExpansion:
     """Project ``f`` onto p(0..order) by composite Gauss-Legendre quadrature.
 
@@ -156,7 +153,7 @@ def legendre_coefficients(f, order: int) -> LegendreExpansion:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    x, w = _panel_nodes(_breakpoints_of(f), order)
+    x, w = _panel_nodes(breakpoints_of(f), order)
     fx = np.asarray(f(x), dtype=np.float64)
     if not np.all(np.isfinite(fx)):
         raise ValueError("function produced non-finite values on quadrature nodes")
@@ -190,7 +187,7 @@ def approximation_report(f, expansion: LegendreExpansion) -> ApproximationReport
     """Measure sup |f - f_L| on a uniform grid of ``REPORT_GRID_SIZE`` points
     (plus breakpoint neighbors) and the half-integral of (f - f_L)^2 by panel
     quadrature."""
-    breaks = _breakpoints_of(f)
+    breaks = breakpoints_of(f)
     grid = [np.linspace(-1.0, 1.0, REPORT_GRID_SIZE), np.array([-1.0, 1.0])]
     for b in breaks:
         grid.append(np.clip([b - _EDGE_OFFSET, b, b + _EDGE_OFFSET], -1.0, 1.0))

@@ -21,6 +21,7 @@ import numpy as np
 from .cluster import sq_distances
 from .engine import EmbedConfig, fast_embed_cascaded, fold_seed
 from .errors import OracleCapError, OracleError
+from .functions import support_of
 from .legendre import expansion_eval, legendre_coefficients
 from .sparse import SparseMatrix, load_scipy_extension
 
@@ -56,7 +57,7 @@ def exact_embedding(S: SparseMatrix, f, cap: int = ORACLE_CAP) -> np.ndarray:
         raise OracleCapError(f"matrix of size {S.n_rows} exceeds the dense-oracle cap {cap}")
     if not S.is_symmetric():
         raise ValueError("oracle requires a square symmetric matrix")
-    lo, hi = getattr(f, "support", lambda: (-np.inf, np.inf))()
+    lo, hi = support_of(f)
     if (lo, hi) == (-np.inf, np.inf):
         a = S.to_dense()
         lam, vec = np.linalg.eigh(a)

@@ -69,22 +69,6 @@ def _frozen(a: np.ndarray, dtype) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class KernelSpec:
-    """Pairwise kernel description: ``"gaussian"`` or ``"indicator"`` plus bandwidth."""
-
-    kind: str
-    bandwidth: float
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "indicator"):
-            raise ValueError(
-                f"unknown kernel kind {self.kind!r}; expected 'gaussian' or 'indicator'"
-            )
-        if not self.bandwidth > 0:
-            raise ValueError("kernel bandwidth must be positive")
-
-
-@dataclass(frozen=True)
 class SparseMatrix:
     """Immutable CSR matrix.
 
@@ -348,13 +332,17 @@ def simple_edges(edges) -> np.ndarray:
     return np.stack([codes // n, codes % n], axis=1)
 
 
-def kernel_matrix(points, spec: KernelSpec) -> SparseMatrix:
+def kernel_matrix(points, kind: str, bandwidth: float) -> SparseMatrix:
     """Pairwise kernel matrix of a point cloud (desk scale; O(l^2) memory).
 
-    Gaussian kernels store exp(-|x_p - x_q|^2 / (2 a^2)) wherever it exceeds
-    the drop tolerance; indicator kernels store 1 wherever |x_p - x_q| < a
-    (including the diagonal).
+    A ``"gaussian"`` kernel stores exp(-|x_p - x_q|^2 / (2 a^2)) wherever it
+    exceeds the drop tolerance; an ``"indicator"`` kernel stores 1 wherever
+    |x_p - x_q| < a (including the diagonal). The bandwidth a must be positive.
     """
+    if kind not in ("gaussian", "indicator"):
+        raise ValueError(f"unknown kernel kind {kind!r}; expected 'gaussian' or 'indicator'")
+    if not bandwidth > 0:
+        raise ValueError("kernel bandwidth must be positive")
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -364,12 +352,11 @@ def kernel_matrix(points, spec: KernelSpec) -> SparseMatrix:
     d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
     d2 = np.maximum(0.5 * (d2 + d2.T), 0.0)
     np.fill_diagonal(d2, 0.0)
-    a = spec.bandwidth
-    if spec.kind == "gaussian":
-        K = np.exp(-d2 / (2.0 * a * a))
+    if kind == "gaussian":
+        K = np.exp(-d2 / (2.0 * bandwidth * bandwidth))
         K[K < GAUSSIAN_DROP_TOL] = 0.0
     else:
-        K = (d2 < a * a).astype(np.float64)
+        K = (d2 < bandwidth * bandwidth).astype(np.float64)
     return SparseMatrix.from_dense(K)
 
 

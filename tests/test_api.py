@@ -24,7 +24,6 @@ PUBLIC = [
     "EmbedConfig",
     "EmbeddingMatrix",
     "InputFormatError",
-    "KernelSpec",
     "LegendreExpansion",
     "ModularityScore",
     "ORACLE_CAP",

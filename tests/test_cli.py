@@ -169,6 +169,19 @@ class TestErrors:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
+        "spec, shown",
+        [("step:0.5", "valid kinds: indicator:<c>, commute:<eta>"), ("indicator:1.5", "[-1, 1]")],
+        ids=["unknown-kind", "threshold-out-of-range"],
+    )
+    def test_function_error_names_the_fault(self, small_graph, tmp_path, capsys, spec, shown):
+        argv = _embed_argv(small_graph, tmp_path / "e.bin")
+        argv[argv.index("indicator:0.3")] = spec
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert shown in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "command, option, value",
         [
             ("embed", "--b", "5"),

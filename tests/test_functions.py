@@ -36,6 +36,9 @@ def test_support():
     assert indicator_above(-1.0).support() == (-1.0, np.inf)
     for f in (commute_time(), identity(), constant(2.5), tabulated([-1.0, 1.0], [0.0, 1.0])):
         assert f.support() == (-np.inf, np.inf)
+    assert root_function(indicator_above(0.5), 2).support() == (0.5, np.inf)
+    assert odd_extension(indicator_above(0.5)).support() == (-np.inf, np.inf)
+    assert root_function(odd_extension(indicator_above(0.5)), 2).support() == (-np.inf, np.inf)
 
 
 def test_identity_and_constant():
@@ -128,10 +131,13 @@ def test_breakpoints():
 
 
 def test_parse_function():
-    assert parse_function("indicator:0.98").threshold == 0.98
-    assert parse_function("commute:1e-3").clip == 1e-3
-    assert parse_function("identity").kind == "identity"
-    assert parse_function("const:1.0").value == 1.0
+    indicator = parse_function("indicator:0.98")
+    assert indicator.describe() == "indicator:0.98" and indicator.breakpoints() == (0.98,)
+    commute = parse_function("commute:1e-3")
+    assert commute.describe() == "commute:0.001" and commute.breakpoints() == (1.0 - 1e-3,)
+    assert parse_function("identity").describe() == "identity"
+    const = parse_function("const:1.0")
+    assert const.describe() == "const:1" and const(0.0) == 1.0
 
 
 def test_parse_function_table(tmp_path):
@@ -149,7 +155,7 @@ def test_parse_function_unknown_lists_kinds():
 def test_describe_round_trip():
     for text in ("indicator:0.98", "commute:0.001", "identity", "const:2"):
         f = parse_function(text)
-        assert parse_function(f.describe().split("|")[0]).kind == f.kind
+        assert parse_function(f.describe().split("|")[0]).describe() == f.describe()
 
 
 def _cubic(x):
