@@ -13,6 +13,7 @@ from csemb import (
     DivergenceError,
     EmbedConfig,
     SparseMatrix,
+    commute_time,
     constant,
     default_dimension,
     dilate,
@@ -284,6 +285,19 @@ class TestFastEmbed:
         assert np.all(np.isfinite(emb.values))
         expected = expansion_eval(legendre_coefficients(f, 1200), x)[:, None] * om
         assert np.allclose(emb.values, expected, rtol=0.0, atol=5e-12)
+
+    @pytest.mark.parametrize("L", [7, 60, 1200])
+    @pytest.mark.parametrize("f", [indicator_above(0.3), commute_time(), identity()],
+                             ids=["indicator", "commute", "identity"])
+    @pytest.mark.parametrize("d", [4, 16, 64])
+    def test_diagonal_matches_scalar_sum_bit_for_bit(self, d, f, L):
+        # the engine and expansion_eval weight and sum the same terms, and
+        # omega = +-2**-k scales them exactly, so the bits agree
+        x = np.linspace(-1.0, 1.0, 41)
+        om = sample_projection(41, d, seed=26)
+        emb = _embed(sparse_from(np.diag(x)), f, L, om)
+        expected = expansion_eval(legendre_coefficients(f, L), x)[:, None] * om
+        assert np.array_equal(emb.values, expected)
 
     def test_divergence_detected(self):
         S = sparse_from(10.0 * np.eye(4))
