@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 import time
@@ -92,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--threads", type=_worker_count, default=None,
                     help="worker cap, default $CSEMB_THREADS or 1 "
                          "(results are identical for any value)")
-    ap.add_argument("--verbose", action="store_true", help="per-iteration audit log")
     sub = ap.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("embed", help="compute a compressive embedding")
@@ -307,10 +305,6 @@ def main(argv=None) -> int:
             args.threads = _worker_count(os.environ.get("CSEMB_THREADS", "1"))
         except argparse.ArgumentTypeError as exc:
             parser.error(f"environment variable CSEMB_THREADS: {exc}")
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(name)s %(message)s",
-    )
     try:
         return _HANDLERS[args.command](args)
     except ValueError as exc:

@@ -146,6 +146,9 @@ def _score(und: np.ndarray, labels: np.ndarray) -> ModularityScore:
 
 @dataclass
 class ClusterExperiment:
+    """Every restart's modularity, and the median restart's labels and score:
+    the lower median for an even count, so the score is that of the labels."""
+
     median_modularity: float
     run_scores: tuple[float, ...]
     median_labels: np.ndarray
@@ -181,7 +184,7 @@ def cluster_experiment(
     order = np.argsort(scores, kind="stable")
     median_idx = int(order[(runs - 1) // 2])
     return ClusterExperiment(
-        median_modularity=float(np.median(scores)),
+        median_modularity=scores[median_idx],
         run_scores=tuple(scores),
         median_labels=assignments[median_idx].labels,
     )

@@ -3,8 +3,9 @@
 Given a symmetric sparse S with spectral norm at most 1, the embedding of
 its rows is E = f_L(S) Omega: an order-L Legendre matrix polynomial applied
 to a random sign projection block. The iteration is the scalar recursion of
-:func:`~csemb.legendre.legendre_terms`, run on column blocks. It keeps the
-monic terms R(r) = Q(r) / gamma(r) of
+:func:`~csemb.legendre.legendre_terms`, summed by
+:func:`~csemb.legendre.legendre_sum` on column blocks. It keeps the monic
+terms R(r) = Q(r) / gamma(r) of
 
     Q(0) = Omega,  Q(r) = (2 - 1/r) S Q(r-1) - (1 - 1/r) Q(r-2),
 
@@ -35,7 +36,6 @@ results are bit-identical for any block width, worker count and column subset.
 
 from __future__ import annotations
 
-import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -44,10 +44,8 @@ import numpy as np
 
 from .errors import DivergenceError
 from .functions import describe, root_function
-from .legendre import LegendreExpansion, legendre_coefficients, legendre_terms
+from .legendre import LegendreExpansion, legendre_coefficients, legendre_sum
 from .sparse import SparseMatrix, spmv_multi
-
-logger = logging.getLogger("csemb.engine")
 
 BLOCK_BYTES = 1 << 20  # operand bytes per column block; see block_width
 NORM_STEPS = 40  # Lanczos steps of estimate_spectral_norm
@@ -196,37 +194,6 @@ def block_width(n: int, d: int) -> int:
     return max(1, min(d, max(8, fit)))
 
 
-def _run_stage(
-    S: SparseMatrix, coeffs: np.ndarray, bufs: tuple[np.ndarray, ...], stage: int, col0: int
-) -> int:
-    """Apply one expansion to a column block; ``bufs`` is (q, spare, acc,
-    tmp). The block in ``q`` is overwritten: q and spare carry the
-    recursion's two terms, tmp each weighted term, and the result is left
-    in acc. Returns the number of products the recursion made. A term that
-    overflows is left to the growth guard (:func:`_check_growth`)."""
-    q, spare, acc, tmp = bufs
-    products = 0
-
-    def step(x, out):
-        nonlocal products
-        products += 1
-        spmv_multi(S, x, out=out, accumulate=True)
-
-    debug = logger.isEnabledFor(logging.DEBUG)
-    for r, (gamma, term) in enumerate(legendre_terms(step, q, spare, len(coeffs) - 1)):
-        if debug:
-            logger.debug(
-                "stage=%d cols=%d+%d r=%d max_abs=%.6e",
-                stage, col0, q.shape[1], r, gamma * np.max(np.abs(term), initial=0.0),
-            )
-        if r == 0:
-            np.multiply(term, coeffs[0], out=acc)
-        else:
-            np.multiply(term, coeffs[r] * gamma, out=tmp)
-            acc += tmp
-    return products
-
-
 def _check_growth(sq: np.ndarray, bound: float) -> None:
     """Raise DivergenceError where a cascade stage grew a column beyond
     ``bound``. Row 0 of ``sq`` holds the squared column norms of the input
@@ -263,13 +230,15 @@ def _apply_cascade(
     """Apply ``expansion`` ``stages`` times to ``omega``, one column block at
     a time: stage i+1 of a column needs only stage i of the same column.
 
-    Returns the result and the products each block made. Every block must
-    make exactly ``stages * expansion.order`` of them (the paper's L), or
-    ``RuntimeError`` is raised; then every stage must pass
-    :func:`_check_growth`. The recursion runs to the end without
-    floating-point warnings. Each block copies its columns of ``omega`` into
-    its worker's workspace, and each stage's output becomes the next
-    stage's input by swapping the two buffers.
+    Returns the result and the products each block made. Each stage is one
+    :func:`~csemb.legendre.legendre_sum` whose step counts the block's
+    products. Every block must make exactly ``stages * expansion.order`` of
+    them (the paper's L), or ``RuntimeError`` is raised; then every stage
+    must pass :func:`_check_growth`. The recursion runs to the end without
+    floating-point warnings; a term that overflows is left to the guard.
+    Each block copies its columns of ``omega`` into its worker's workspace,
+    and each stage's output becomes the next stage's input by swapping the
+    two buffers.
     """
     n, d = omega.shape
     out = np.empty((n, d))
@@ -287,10 +256,16 @@ def _apply_cascade(
         piece, spare, acc, tmp = (buf[: n * (hi - lo)].reshape(n, hi - lo) for buf in space)
         np.copyto(piece, omega[:, lo:hi])
         products = 0
+
+        def step(x, into):
+            nonlocal products
+            products += 1
+            spmv_multi(S, x, out=into, accumulate=True)
+
         with np.errstate(over="ignore", invalid="ignore"):
             np.einsum("ij,ij->j", piece, piece, out=sq[0, lo:hi])
             for stage in range(1, stages + 1):
-                products += _run_stage(S, coeffs, (piece, spare, acc, tmp), stage, lo)
+                legendre_sum(step, coeffs, piece, spare, acc, tmp)
                 np.einsum("ij,ij->j", acc, acc, out=sq[stage, lo:hi])
                 piece, acc = acc, piece
         out[:, lo:hi] = piece
@@ -299,11 +274,8 @@ def _apply_cascade(
     def work(k):
         return [run(span, spaces[k]) for span in spans[k::workers]]
 
-    if workers == 1:
-        counts = work(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = [c for part in pool.map(work, range(workers)) for c in part]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        counts = [c for part in pool.map(work, range(workers)) for c in part]
     expected = stages * expansion.order
     if any(c != expected for c in counts):
         raise RuntimeError(

@@ -3,8 +3,10 @@
 The expansion f_L(x) = sum_r a(r) p(r, x) minimizes the integrated squared
 error over [-1, 1]; coefficients are a(r) = (r + 1/2) * integral of
 p(r, x) f(x). All evaluation goes through the same recursion,
-:func:`legendre_terms`, that the matrix-level iteration uses, so scalar and
-matrix results agree. It runs the three-term recursion
+:func:`legendre_terms`, that the matrix-level iteration uses, and an
+expansion is summed by :func:`legendre_sum` for scalars and matrices alike,
+so scalar and matrix results round the same way. It runs the three-term
+recursion
 
     p(r, x) = (2 - 1/r) x p(r-1, x) - (1 - 1/r) p(r-2, x),
     p(0, x) = 1,  p(1, x) = x,
@@ -79,11 +81,26 @@ def legendre_terms(step, q, spare, order: int):
         yield gamma, new
 
 
-def _scalar_terms(x: np.ndarray, order: int):
-    def step(q, out):
-        out += x * q
+def legendre_sum(step, coeffs, q, spare, acc, tmp) -> None:
+    """Leave sum_r coeffs[r] Q(r) in ``acc``: the expansion applied to
+    Q(0) = ``q`` by :func:`legendre_terms`, which overwrites ``q`` and
+    ``spare``. Term 0 is multiplied into ``acc``; every later term is
+    weighted into ``tmp``, a buffer of q's shape, and added. The engine and
+    :func:`expansion_eval` both sum through here, so they round alike."""
+    terms = legendre_terms(step, q, spare, len(coeffs) - 1)
+    np.multiply(next(terms)[1], coeffs[0], out=acc)
+    for r, (gamma, term) in enumerate(terms, start=1):
+        np.multiply(term, coeffs[r] * gamma, out=tmp)
+        acc += tmp
 
-    return legendre_terms(step, np.ones_like(x), np.empty_like(x), order)
+
+def _scalar_step(x: np.ndarray):
+    """The recursion's step on the values ``x``: ``out += x * t``."""
+
+    def step(t, out):
+        out += x * t
+
+    return step
 
 
 def legendre_table(order: int, x) -> np.ndarray:
@@ -93,7 +110,8 @@ def legendre_table(order: int, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     _check_domain(x)
     P = np.empty((order + 1, x.shape[0]))
-    for r, (gamma, p) in enumerate(_scalar_terms(x, order)):
+    terms = legendre_terms(_scalar_step(x), np.ones_like(x), np.empty_like(x), order)
+    for r, (gamma, p) in enumerate(terms):
         np.multiply(p, gamma, out=P[r])
     return P
 
@@ -163,15 +181,12 @@ def legendre_coefficients(f, order: int) -> LegendreExpansion:
 
 
 def expansion_eval(expansion: LegendreExpansion, x):
-    """Evaluate sum_r a(r) p(r, x) with the shared recursion."""
+    """Evaluate sum_r a(r) p(r, x) with the engine's sum, :func:`legendre_sum`."""
     scalar = np.ndim(x) == 0
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
     _check_domain(xv)
-    a = expansion.coeffs
-    terms = _scalar_terms(xv, expansion.order)
-    acc = a[0] * next(terms)[1]
-    for r, (gamma, q) in enumerate(terms, start=1):
-        acc += (a[r] * gamma) * q
+    acc, spare, tmp = (np.empty_like(xv) for _ in range(3))
+    legendre_sum(_scalar_step(xv), expansion.coeffs, np.ones_like(xv), spare, acc, tmp)
     return float(acc[0]) if scalar else acc
 
 

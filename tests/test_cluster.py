@@ -192,3 +192,15 @@ class TestClusterExperiment:
             float(np.median(result.run_scores))
         )
         assert len(result.median_labels) == 90
+
+    def test_even_runs_report_the_written_labels(self):
+        # with four runs the reported score is the lower median, the score of
+        # the labels returned, not the mean of the two middle runs
+        rng = np.random.default_rng(4)
+        edges, _ = sbm(120, 4, 0.3, 0.05, rng)
+        cfg = EmbedConfig(L=12, d=8, seed=4)
+        result = cluster_experiment(edges, 120, indicator_above(0.3), cfg, K=4, runs=4)
+        ranked = sorted(result.run_scores)
+        assert ranked[1] < ranked[2]
+        assert result.median_modularity == ranked[1]
+        assert result.median_modularity == modularity(edges, result.median_labels).Q

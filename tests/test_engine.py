@@ -441,12 +441,12 @@ class TestProductCount:
         assert sorted(calls) == [4] * cfg.L + [8] * (2 * cfg.L)
 
     def test_short_recursion_raises(self, monkeypatch):
-        real = csemb.engine.legendre_terms
+        real = csemb.engine.legendre_sum
 
-        def one_term_short(step, q, spare, order):
-            return itertools.islice(real(step, q, spare, order), order)
+        def one_term_short(step, coeffs, *bufs):
+            real(step, coeffs[:-1], *bufs)  # one product too few per stage
 
-        monkeypatch.setattr(csemb.engine, "legendre_terms", one_term_short)
+        monkeypatch.setattr(csemb.engine, "legendre_sum", one_term_short)
         rng = np.random.default_rng(22)
         S = sparse_from(random_symmetric(20, rng))
         cfg = EmbedConfig(L=12, d=4, b=2, seed=22)
