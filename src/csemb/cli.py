@@ -21,7 +21,6 @@ from .engine import (
     default_dimension,
     estimate_spectral_norm,
     fast_embed_cascaded,
-    sample_projection,
 )
 from .errors import DivergenceError, InputFormatError, OracleCapError, OracleError
 from .functions import odd_extension, parse_function
@@ -183,9 +182,7 @@ def cmd_embed(args) -> int:
     mat, S, norm_estimate = _operator(args)
     f = odd_extension(args.function) if args.matrix == "dilation" else args.function
     cfg = _make_config(args, S.n_rows)
-    emb = fast_embed_cascaded(
-        S, f, cfg, sample_projection(S.n_rows, cfg.d, cfg.seed), n_workers=args.threads
-    )
+    emb = fast_embed_cascaded(S, f, cfg, n_workers=args.threads)
     rows = emb.values
     if args.matrix == "dilation":
         # the dilation's first n rows embed the columns, the rest the rows

@@ -29,9 +29,12 @@ of four n x w buffers, allocated once per run by the calling thread: the
 stage input, which doubles as one of the recursion's two terms, the other
 term, the stage output and a scratch buffer. Every block and stage of that
 worker reuses them, so a run allocates no n x w array in its workers and
-never writes the caller's Omega. Columns never mix, and every random entry
-(the norm's start vector too) is a pure function of (seed, position), so
-results are bit-identical for any block width, worker count and column subset.
+never writes a caller's Omega. Every random entry (the norm's start vector
+too) is a pure function of (seed, position), so a block draws its own
+columns of Omega into its stage input, hashing in place there and in the
+stage output, which is idle until stage 1: the n x d Omega is never formed.
+Columns never mix, so results are bit-identical for any block width, worker
+count and column subset.
 """
 
 from __future__ import annotations
@@ -57,21 +60,27 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _U64 = (1 << 64) - 1
+_SIGN_BIT = np.uint64(1 << 63)
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, vectorized over uint64 arrays (wrapping)."""
+def _mix64(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer, in place over the uint64 array ``z`` (wrapping);
+    ``t`` is uint64 scratch of z's shape. Returns ``z``."""
+    t = np.empty_like(z) if t is None else t
     with np.errstate(over="ignore"):
-        z = z + _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _MIX_A
-        z = (z ^ (z >> np.uint64(27))) * _MIX_B
-        return z ^ (z >> np.uint64(31))
+        z += _GOLDEN
+        for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
+            np.right_shift(z, np.uint64(shift), out=t)
+            z ^= t
+            z *= mult
+        np.right_shift(z, np.uint64(31), out=t)
+        z ^= t
+    return z
 
 
 def fold_seed(seed: int, index: int) -> int:
     """Derive a decorrelated sub-seed from (seed, index)."""
-    h = _mix64(np.uint64((seed & _U64)) + np.uint64(index & _U64))
-    return int(h)
+    return int(_mix64(np.array(((seed & _U64) + (index & _U64)) & _U64, dtype=np.uint64)))
 
 
 def default_dimension(n: int) -> int:
@@ -90,26 +99,40 @@ def default_dimension(n: int) -> int:
     return max(1, math.ceil(6.0 * math.log(n)))
 
 
+def _draw_signs(out: np.ndarray, seed: int, d: int, row_codes: np.ndarray, col: int,
+                t: np.ndarray) -> None:
+    """Fill ``out`` with columns col.. of the n x d sign block of ``seed``;
+    row i of ``out`` is row k of the block, where ``row_codes[i]`` = k * d.
+    Entry (k, j) is +-1/sqrt(d), signed by the top bit of the SplitMix64 hash
+    of k * d + j xor the hashed seed. The hash and the float bits are written
+    in out's own bytes, with ``t`` (uint64, out's shape) as the only scratch.
+    """
+    z = out.view(np.uint64)
+    np.add(row_codes, np.arange(col, col + out.shape[1], dtype=np.uint64), out=z)
+    z ^= _mix64(np.array(seed & _U64, dtype=np.uint64))
+    _mix64(z, t)
+    np.invert(z, out=z)  # a set top bit means +1/sqrt(d), a clear sign bit
+    z &= _SIGN_BIT
+    z |= np.float64(1.0 / math.sqrt(d)).view(np.uint64)
+
+
 def sample_projection(n: int, d: int, seed: int) -> np.ndarray:
     """An n x d block with i.i.d. entries +-1/sqrt(d).
 
     Entry (i, j) is a pure function of (seed, i, j): the sign comes from a
     64-bit hash of the flat position, so regeneration, column subsets, and
-    parallel schedules all agree bit-for-bit.
+    parallel schedules all agree bit-for-bit. :func:`fast_embed_cascaded`
+    draws the same entries a column block at a time without this array.
     """
     if n < 1 or d < 1:
         raise ValueError("projection shape must be positive")
-    key = _mix64(np.uint64(seed & _U64))
-    scale = 1.0 / math.sqrt(d)
     out = np.empty((n, d))
-    cols = np.arange(d, dtype=np.uint64)
-    step = max(1, BLOCK_BYTES // (8 * d))  # rows per chunk of hash temporaries
-    with np.errstate(over="ignore"):
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            idx = np.arange(lo, hi, dtype=np.uint64)[:, None] * np.uint64(d) + cols
-            h = _mix64(idx ^ key)
-            out[lo:hi] = np.where(h >> np.uint64(63) & np.uint64(1), scale, -scale)
+    step = max(1, BLOCK_BYTES // (8 * d))  # rows per chunk of hash scratch
+    t = np.empty(min(step, n) * d, dtype=np.uint64)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        row_codes = np.arange(lo, hi, dtype=np.uint64)[:, None] * np.uint64(d)
+        _draw_signs(out[lo:hi], seed, d, row_codes, 0, t[: (hi - lo) * d].reshape(hi - lo, d))
     return out
 
 
@@ -221,14 +244,17 @@ def _check_growth(sq: np.ndarray, bound: float) -> None:
 def _apply_cascade(
     S: SparseMatrix,
     expansion: LegendreExpansion,
-    omega: np.ndarray,
+    omega: np.ndarray | None,
+    d: int,
+    seed: int,
     *,
     stages: int,
     width: int,
     n_workers: int,
 ) -> tuple[np.ndarray, int]:
-    """Apply ``expansion`` ``stages`` times to ``omega``, one column block at
-    a time: stage i+1 of a column needs only stage i of the same column.
+    """Apply ``expansion`` ``stages`` times to the n x d projection, one
+    column block at a time: stage i+1 of a column needs only stage i of the
+    same column.
 
     Returns the result and the products each block made. Each stage is one
     :func:`~csemb.legendre.legendre_sum` whose step counts the block's
@@ -236,11 +262,12 @@ def _apply_cascade(
     them (the paper's L), or ``RuntimeError`` is raised; then every stage
     must pass :func:`_check_growth`. The recursion runs to the end without
     floating-point warnings; a term that overflows is left to the guard.
-    Each block copies its columns of ``omega`` into its worker's workspace,
-    and each stage's output becomes the next stage's input by swapping the
-    two buffers.
+    Each block draws its columns of the projection of ``seed`` into its
+    worker's stage input, with the idle acc buffer as hash scratch, or copies
+    them from ``omega`` if one is given. Each stage's output becomes the next
+    stage's input by swapping the two buffers.
     """
-    n, d = omega.shape
+    n = S.n_rows
     out = np.empty((n, d))
     spans = [(lo, min(lo + width, d)) for lo in range(0, d, width)]
     workers = max(1, min(n_workers, len(spans)))
@@ -250,11 +277,15 @@ def _apply_cascade(
     # and stages: the stage input, the recursion's spare term, acc and tmp.
     # A narrower last block takes a contiguous prefix of each buffer.
     spaces = np.empty((workers, 4, n * width))
+    row_codes = np.arange(n, dtype=np.uint64)[:, None] * np.uint64(d)  # so draws allocate nothing
 
     def run(span, space):
         lo, hi = span
         piece, spare, acc, tmp = (buf[: n * (hi - lo)].reshape(n, hi - lo) for buf in space)
-        np.copyto(piece, omega[:, lo:hi])
+        if omega is None:
+            _draw_signs(piece, seed, d, row_codes, lo, acc.view(np.uint64))
+        else:
+            np.copyto(piece, omega[:, lo:hi])
         products = 0
 
         def step(x, into):
@@ -296,8 +327,10 @@ def fast_embed_cascaded(
     """Embed the rows of a symmetric S (||S|| <= 1) as f_L(S) @ omega, by b
     cascade stages of order L/b applied to the b-th root of f.
 
-    ``f`` may be a SpectralFunction or a plain callable on [-1, 1]. ``omega``
-    defaults to :func:`sample_projection` of ``cfg.d`` columns. Stage i's
+    ``f`` may be a SpectralFunction or a plain callable on [-1, 1]. Without
+    ``omega`` the projection is ``sample_projection(n, cfg.d, cfg.seed)``,
+    drawn block by block in the workers and never formed whole; a given
+    ``omega`` (any number of columns) is copied in block by block. Stage i's
     output block is stage i+1's input block; exactly L/b multi-vector
     products are performed per stage, L in total. Each column block counts
     its own products and the run fails unless every block made L;
@@ -306,15 +339,16 @@ def fast_embed_cascaded(
     if not S.is_symmetric():
         raise ValueError("fast_embed_cascaded requires a square symmetric matrix; embed a "
                          "rectangular or asymmetric one as its dilation (dilate)")
-    if omega is None:
-        omega = sample_projection(S.n_rows, cfg.d, cfg.seed)
-    omega = np.asarray(omega, dtype=np.float64)
-    if omega.ndim != 2 or omega.shape[0] != S.n_rows:
-        raise ValueError("projection block must be 2-d with one row per vertex")
+    d = cfg.d
+    if omega is not None:
+        omega = np.asarray(omega, dtype=np.float64)
+        if omega.ndim != 2 or omega.shape[0] != S.n_rows:
+            raise ValueError("projection block must be 2-d with one row per vertex")
+        d = omega.shape[1]
     expansion = legendre_coefficients(root_function(f, cfg.b), cfg.stage_order)
-    width = block_width(S.n_rows, omega.shape[1])
+    width = block_width(S.n_rows, d)
     values, products = _apply_cascade(
-        S, expansion, omega, stages=cfg.b, width=width, n_workers=n_workers
+        S, expansion, omega, d, cfg.seed, stages=cfg.b, width=width, n_workers=n_workers
     )
     return EmbeddingMatrix(
         values=values,
@@ -323,7 +357,7 @@ def fast_embed_cascaded(
             "L": cfg.L,
             "b": cfg.b,
             "stage_order": cfg.stage_order,
-            "d": omega.shape[1],
+            "d": d,
             "block_width": width,
             "seed": cfg.seed,
             "spmv_products": products,

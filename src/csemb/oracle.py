@@ -135,7 +135,9 @@ def sample_pairs(n: int, n_pairs: int | None, seed: int) -> np.ndarray:
         ok = i != j
         lo = np.minimum(i[ok], j[ok]).astype(np.uint64)
         hi = np.maximum(i[ok], j[ok]).astype(np.uint64)
-        codes = np.unique(np.concatenate([codes, lo * np.uint64(n) + hi]))
+        codes = np.concatenate([codes, lo * np.uint64(n) + hi])
+        codes.sort()
+        codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
     # a uniform subset of the distinct codes; the smallest ones would favour low ids
     codes = np.sort(rng.choice(codes, n_pairs, replace=False))
     return np.stack([codes // np.uint64(n), codes % np.uint64(n)], axis=1).astype(np.int64)

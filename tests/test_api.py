@@ -93,8 +93,9 @@ def test_no_private_names_imported_across_modules():
 
 def test_benchmark_untraced_names_resolve():
     # The benchmark's setup_s and embed_s time the CLI's calls under these
-    # names; the dilation path embeds through fast_embed_cascaded, so
-    # fast_embed_general is the one name the CLI does not import.
+    # names. The dilation path embeds through fast_embed_cascaded, and the
+    # engine draws the projection itself, so the CLI imports neither
+    # fast_embed_general nor sample_projection.
     spec = importlib.util.spec_from_file_location("perfbench_child", BENCH_CHILD)
     child = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(child)
@@ -104,7 +105,7 @@ def test_benchmark_untraced_names_resolve():
         for attr in attrs
         if getattr(importlib.import_module(module_name), attr, None) is None
     ]
-    assert unresolved == ["csemb.cli.fast_embed_general"]
+    assert unresolved == ["csemb.cli.sample_projection", "csemb.cli.fast_embed_general"]
 
 
 def test_cli_commands_import_neither_scipy_sparse_nor_scipy_io(tmp_path):

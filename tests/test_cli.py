@@ -522,7 +522,7 @@ class TestOperator:
         import csemb.cli
 
         calls = []
-        for name in ("estimate_spectral_norm", "sample_projection", "fast_embed_cascaded"):
+        for name in ("estimate_spectral_norm", "fast_embed_cascaded"):
             def counted(*args, _real=getattr(csemb.cli, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _real(*args, **kwargs)
@@ -536,7 +536,7 @@ class TestOperator:
                          "--matrix", "dilation", "--function", "indicator:0.5", "--L", "16",
                          "--d", "6", "--output", str(tmp_path / "rows.bin"),
                          "--output-cols", str(tmp_path / "cols.bin")]) == 0
-            assert calls == ["estimate_spectral_norm", "sample_projection", "fast_embed_cascaded"]
+            assert calls == ["estimate_spectral_norm", "fast_embed_cascaded"]
         else:
             pts = tmp_path / "pts.csv"
             np.savetxt(pts, np.random.default_rng(3).standard_normal((25, 2)), delimiter=",")
@@ -548,6 +548,28 @@ class TestOperator:
                          "--format", "points-csv", "--matrix", "raw", "--function",
                          "indicator:0.5", "--output-prefix", str(tmp_path / "r")]) == 0
             assert calls == ["estimate_spectral_norm"]
+
+
+class TestProjectionNotFormed:
+    def test_embed_and_cluster_draw_omega_in_the_engine(self, small_graph, tmp_path,
+                                                        monkeypatch):
+        # each column block draws its own signs; no command forms the n x d Omega
+        import csemb.engine
+
+        expected = tmp_path / "expected.bin"
+        assert main(["--threads", "2"] + _embed_argv(small_graph, expected)) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the n x d projection was formed")
+
+        monkeypatch.setattr(csemb.engine, "sample_projection", refuse)
+        monkeypatch.setattr(csemb.cli, "sample_projection", refuse, raising=False)
+        out = tmp_path / "e.bin"
+        assert main(["--threads", "2"] + _embed_argv(small_graph, out)) == 0
+        assert out.read_bytes() == expected.read_bytes()
+        assert main(["cluster", "--input", str(small_graph), "--function", "indicator:0.3",
+                     "--L", "16", "--b", "2", "--d", "10", "--k", "4", "--runs", "3",
+                     "--summary-out", str(tmp_path / "summary.json")]) == 0
 
 
 class TestClusterCommand:

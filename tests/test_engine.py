@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -386,6 +387,57 @@ class TestColumnBlocks:
         monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", 1)
         assert np.array_equal(_embed(S, f, 10, om, n_workers=2).values, single)
         assert np.array_equal(_embed(S, f, 10, om[:, :1]).values, single[:, :1])
+
+
+class TestDrawnProjection:
+    """Without omega, each column block draws its own signs in its worker."""
+
+    @pytest.mark.parametrize("b", [1, 2])
+    @pytest.mark.parametrize(
+        "n, d, block_bytes, width",
+        [
+            (90, 29, None, 29),  # one block
+            (90, 29, 8 * 90 * 8, 8),  # blocks of 8, 8, 8 and a ragged 5
+            (40, 9, 1, 8),  # blocks of 8 and 1
+            (40, 1, 1, 1),  # one single-column block
+        ],
+        ids=["one-block", "ragged", "eight-and-one", "one-column"],
+    )
+    def test_matches_sample_projection_bit_for_bit(self, monkeypatch, b, n, d,
+                                                   block_bytes, width):
+        rng = np.random.default_rng(27)
+        S = sparse_from(random_symmetric(n, rng))
+        cfg = EmbedConfig(L=16, d=d, b=b, seed=27)
+        f = indicator_above(0.2)
+        if block_bytes is not None:
+            monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", block_bytes)
+        given = fast_embed_cascaded(S, f, cfg, sample_projection(n, d, cfg.seed))
+        for w in (1, 2, 4):
+            drawn = fast_embed_cascaded(S, f, cfg, n_workers=w)
+            assert drawn.provenance == given.provenance
+            assert drawn.provenance["block_width"] == width
+            assert np.array_equal(drawn.values, given.values)
+
+    def test_no_n_by_d_projection(self, monkeypatch):
+        # With w = 8 of d = 64 columns and two workers, a run holds the n x d
+        # output and two workspaces of four n x w buffers; an n x d Omega
+        # would add as much as the output.
+        n, d = 4000, 64
+        S = normalized_adjacency(ring_graph(n, width=3), n)
+        monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", 8 * n * 8)
+        cfg = EmbedConfig(L=8, d=d, b=2, seed=28)
+        f = indicator_above(0.2)
+        fast_embed_cascaded(S, f, cfg, n_workers=2)  # warm up imports and caches
+        tracemalloc.start()
+        try:
+            emb = fast_embed_cascaded(S, f, cfg, n_workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert emb.provenance["block_width"] == 8
+        output = 8 * n * d
+        workspaces = 2 * 4 * 8 * n * 8
+        assert peak < output + workspaces + output // 4
 
 
 class TestCascade:

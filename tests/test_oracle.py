@@ -279,6 +279,28 @@ class TestSamplePairs:
         assert lo.max() > n / 2
 
 
+    @pytest.mark.parametrize("n, m, seed", [(50, 1200, 1), (50, 1224, 2)])
+    def test_matches_unique_reference_over_many_rounds(self, n, m, seed):
+        # a sample close to all n(n-1)/2 pairs takes many draw rounds; each
+        # round's distinct codes must be those np.unique gives
+        rng = np.random.default_rng(seed)
+        codes = np.empty(0, dtype=np.uint64)
+        rounds = 0
+        while len(codes) < m:
+            want = m - len(codes)
+            i = rng.integers(0, n, size=2 * want + 16)
+            j = rng.integers(0, n, size=2 * want + 16)
+            ok = i != j
+            lo = np.minimum(i[ok], j[ok]).astype(np.uint64)
+            hi = np.maximum(i[ok], j[ok]).astype(np.uint64)
+            codes = np.unique(np.concatenate([codes, lo * np.uint64(n) + hi]))
+            rounds += 1
+        codes = np.sort(rng.choice(codes, m, replace=False))
+        expected = np.stack([codes // np.uint64(n), codes % np.uint64(n)], axis=1)
+        assert rounds > 10
+        assert np.array_equal(sample_pairs(n, m, seed), expected.astype(np.int64))
+
+
 class TestDistortionPercentiles:
     def test_identical_embeddings(self):
         rng = np.random.default_rng(3)
