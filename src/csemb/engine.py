@@ -11,11 +11,12 @@ terms R(r) = Q(r) / gamma(r) of
 
 so each order scales the buffer holding R(r-2) by -mu(r), lets the
 multi-vector product add S R(r-1) into it, and adds a(r) gamma(r) R(r) to
-the result: one product and three dense passes per order, and nothing else
-superlinear. gamma(r) is a scalar, renormalised by an exact power of two
-before it overflows near order 1024. Cascading applies a shorter expansion
-of the b-th root of f, b times, which deepens the nulls the plain expansion
-leaves shallow.
+the result in place with scipy's CSR kernel on the identity pattern
+(:func:`~csemb.sparse.weighted_adders`): one product and two dense passes
+per order, and nothing else superlinear. gamma(r) is a scalar, renormalised
+by an exact power of two before it overflows near order 1024. Cascading
+applies a shorter expansion of the b-th root of f, b times, which deepens
+the nulls the plain expansion leaves shallow.
 
 Callers divide S by :func:`estimate_spectral_norm`, NORM_SAFETY times the
 largest |Ritz value| of a short Lanczos run. A Ritz value is a Rayleigh
@@ -25,16 +26,16 @@ is not exactly symmetric is refused; a norm above 1 trips the growth guard.
 The work unit is a block of columns sized from n so that one n x w operand
 fits in ``BLOCK_BYTES``, about half a core's L2 cache (:func:`block_width`).
 Blocks are spread over the worker threads. Each worker owns one workspace
-of four n x w buffers, allocated once per run by the calling thread: the
+of three n x w buffers, allocated once per run by the calling thread: the
 stage input, which doubles as one of the recursion's two terms, the other
-term, the stage output and a scratch buffer. Every block and stage of that
-worker reuses them, so a run allocates no n x w array in its workers and
-never writes a caller's Omega. Every random entry (the norm's start vector
-too) is a pure function of (seed, position), so a block draws its own
-columns of Omega into its stage input, hashing in place there and in the
-stage output, which is idle until stage 1: the n x d Omega is never formed.
-Columns never mix, so results are bit-identical for any block width, worker
-count and column subset.
+term, and the stage output, into which the weighted terms are added. Every
+block and stage of that worker reuses them, so a run allocates no n x w
+array in its workers and never writes a caller's Omega. Every random entry
+(the norm's start vector too) is a pure function of (seed, position), so a
+block draws its own columns of Omega into its stage input, hashing in place
+there and in the stage output, which is idle until stage 1: the n x d Omega
+is never formed. Columns never mix, so results are bit-identical for any
+block width, worker count and column subset.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 from .errors import DivergenceError
 from .functions import describe, root_function
 from .legendre import LegendreExpansion, legendre_coefficients, legendre_sum
-from .sparse import SparseMatrix, spmv_multi
+from .sparse import SparseMatrix, spmv_multi, weighted_adders
 
 BLOCK_BYTES = 1 << 20  # operand bytes per column block; see block_width
 NORM_STEPS = 40  # Lanczos steps of estimate_spectral_norm
@@ -258,9 +259,11 @@ def _apply_cascade(
 
     Returns the result and the products each block made. Each stage is one
     :func:`~csemb.legendre.legendre_sum` whose step counts the block's
-    products. Every block must make exactly ``stages * expansion.order`` of
-    them (the paper's L), or ``RuntimeError`` is raised; then every stage
-    must pass :func:`_check_growth`. The recursion runs to the end without
+    products and whose weighted add is the worker's
+    :func:`~csemb.sparse.weighted_adders` function. Every block must make
+    exactly ``stages * expansion.order`` products (the paper's L), or
+    ``RuntimeError`` is raised; then every stage must pass
+    :func:`_check_growth`. The recursion runs to the end without
     floating-point warnings; a term that overflows is left to the guard.
     Each block draws its columns of the projection of ``seed`` into its
     worker's stage input, with the idle acc buffer as hash scratch, or copies
@@ -274,14 +277,15 @@ def _apply_cascade(
     coeffs = expansion.coeffs
     sq = np.empty((stages + 1, d))  # squared column norms of omega and each stage
     # One workspace per worker, allocated here and reused by all its blocks
-    # and stages: the stage input, the recursion's spare term, acc and tmp.
+    # and stages: the stage input, the recursion's spare term and acc.
     # A narrower last block takes a contiguous prefix of each buffer.
-    spaces = np.empty((workers, 4, n * width))
+    spaces = np.empty((workers, 3, n * width))
+    adders = weighted_adders(n, workers)
     row_codes = np.arange(n, dtype=np.uint64)[:, None] * np.uint64(d)  # so draws allocate nothing
 
-    def run(span, space):
+    def run(span, space, add):
         lo, hi = span
-        piece, spare, acc, tmp = (buf[: n * (hi - lo)].reshape(n, hi - lo) for buf in space)
+        piece, spare, acc = (buf[: n * (hi - lo)].reshape(n, hi - lo) for buf in space)
         if omega is None:
             _draw_signs(piece, seed, d, row_codes, lo, acc.view(np.uint64))
         else:
@@ -296,14 +300,14 @@ def _apply_cascade(
         with np.errstate(over="ignore", invalid="ignore"):
             np.einsum("ij,ij->j", piece, piece, out=sq[0, lo:hi])
             for stage in range(1, stages + 1):
-                legendre_sum(step, coeffs, piece, spare, acc, tmp)
+                legendre_sum(step, add, coeffs, piece, spare, acc)
                 np.einsum("ij,ij->j", acc, acc, out=sq[stage, lo:hi])
                 piece, acc = acc, piece
         out[:, lo:hi] = piece
         return products
 
     def work(k):
-        return [run(span, spaces[k]) for span in spans[k::workers]]
+        return [run(span, spaces[k], adders[k]) for span in spans[k::workers]]
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         counts = [c for part in pool.map(work, range(workers)) for c in part]

@@ -198,22 +198,24 @@ def write_embedding(path, values: np.ndarray) -> None:
 
 
 def read_embedding(path) -> np.ndarray:
+    """The array :func:`write_embedding` wrote. The header is checked against
+    the file's size before the payload is read straight into the result."""
+    head = len(EMBEDDING_MAGIC) + _HEADER.size
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            blob = fh.read(head)
+            if len(blob) < head or blob[: len(EMBEDDING_MAGIC)] != EMBEDDING_MAGIC:
+                raise InputFormatError(f"{path} is not an embedding file (bad magic)")
+            n_rows, d = _HEADER.unpack_from(blob, len(EMBEDDING_MAGIC))
+            size, payload = 8 * n_rows * d, os.fstat(fh.fileno()).st_size - head
+            if payload == size:
+                values = np.empty((n_rows, d), dtype="<f8")
+                payload = fh.readinto(values)
+            if payload != size:
+                raise InputFormatError(f"{path}: payload length {payload} does not match header")
     except OSError as exc:
         raise InputFormatError(f"cannot read embedding {path}: {exc}") from exc
-    head = len(EMBEDDING_MAGIC) + _HEADER.size
-    if len(blob) < head or blob[: len(EMBEDDING_MAGIC)] != EMBEDDING_MAGIC:
-        raise InputFormatError(f"{path} is not an embedding file (bad magic)")
-    n_rows, d = _HEADER.unpack_from(blob, len(EMBEDDING_MAGIC))
-    expected = head + 8 * n_rows * d
-    if len(blob) != expected:
-        raise InputFormatError(
-            f"{path}: payload length {len(blob) - head} does not match header"
-        )
-    values = np.frombuffer(blob, dtype="<f8", offset=head).reshape(n_rows, d)
-    return values.astype(np.float64)
+    return values.astype(np.float64, copy=False)
 
 
 def write_embedding_csv(path, values: np.ndarray) -> None:

@@ -4,9 +4,11 @@ The expansion f_L(x) = sum_r a(r) p(r, x) minimizes the integrated squared
 error over [-1, 1]; coefficients are a(r) = (r + 1/2) * integral of
 p(r, x) f(x). All evaluation goes through the same recursion,
 :func:`legendre_terms`, that the matrix-level iteration uses, and an
-expansion is summed by :func:`legendre_sum` for scalars and matrices alike,
-so scalar and matrix results round the same way. It runs the three-term
-recursion
+expansion is summed by :func:`legendre_sum` for scalars and matrices alike.
+The caller supplies the step and the weighted add (numpy's for scalars,
+scipy's CSR kernel for matrices); both adds round the product and then the
+sum, so scalar and matrix results round the same way. It runs the
+three-term recursion
 
     p(r, x) = (2 - 1/r) x p(r-1, x) - (1 - 1/r) p(r-2, x),
     p(0, x) = 1,  p(1, x) = x,
@@ -81,17 +83,23 @@ def legendre_terms(step, q, spare, order: int):
         yield gamma, new
 
 
-def legendre_sum(step, coeffs, q, spare, acc, tmp) -> None:
+def legendre_sum(step, add, coeffs, q, spare, acc) -> None:
     """Leave sum_r coeffs[r] Q(r) in ``acc``: the expansion applied to
     Q(0) = ``q`` by :func:`legendre_terms`, which overwrites ``q`` and
-    ``spare``. Term 0 is multiplied into ``acc``; every later term is
-    weighted into ``tmp``, a buffer of q's shape, and added. The engine and
+    ``spare``. Term 0 is multiplied into ``acc``; ``add(term, weight, acc)``
+    adds every later term times coeffs[r] gamma(r) into ``acc`` in place,
+    rounding the product and then the sum. The engine and
     :func:`expansion_eval` both sum through here, so they round alike."""
     terms = legendre_terms(step, q, spare, len(coeffs) - 1)
     np.multiply(next(terms)[1], coeffs[0], out=acc)
     for r, (gamma, term) in enumerate(terms, start=1):
-        np.multiply(term, coeffs[r] * gamma, out=tmp)
-        acc += tmp
+        add(term, coeffs[r] * gamma, acc)
+
+
+def _numpy_add(term, weight, acc):
+    """numpy's multiply, then add, product first like scipy's kernel, so
+    both keep the same NaN payload."""
+    np.add(term * weight, acc, out=acc)
 
 
 def _scalar_step(x: np.ndarray):
@@ -185,8 +193,8 @@ def expansion_eval(expansion: LegendreExpansion, x):
     scalar = np.ndim(x) == 0
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
     _check_domain(xv)
-    acc, spare, tmp = (np.empty_like(xv) for _ in range(3))
-    legendre_sum(_scalar_step(xv), expansion.coeffs, np.ones_like(xv), spare, acc, tmp)
+    acc, spare = np.empty_like(xv), np.empty_like(xv)
+    legendre_sum(_scalar_step(xv), _numpy_add, expansion.coeffs, np.ones_like(xv), spare, acc)
     return float(acc[0]) if scalar else acc
 
 

@@ -15,6 +15,7 @@ does not run the ``scipy.sparse`` package: that package's import costs about
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
@@ -259,6 +260,31 @@ def spmv_multi(
     elif k > 1:
         _sparsetools.csr_matvecs(S.n_rows, S.n_cols, k, *csr, X.ravel(), out.ravel())
     return out
+
+
+def _weighted_add(offsets, weights, term, weight, acc):
+    n = len(weights)
+    if not (term.ndim == 2 and term.shape[0] == n and acc.shape == term.shape
+            and acc.flags.c_contiguous and acc.dtype == np.float64):
+        raise ValueError(f"term and acc must be {n}-row blocks of one shape, "
+                         "acc a C-contiguous float64 array")
+    weights.fill(weight)
+    _sparsetools.csr_matvecs(
+        n, n, term.shape[1], offsets, offsets[:-1], weights, term.ravel(), acc.ravel()
+    )
+
+
+def weighted_adders(n: int, count: int) -> list:
+    """``count`` functions ``add(term, weight, acc)``, each doing
+    ``acc += weight * term`` in place for n x k blocks (``acc`` C-contiguous
+    float64), one per thread. The add is scipy's ``csr_matvecs`` on the n x n
+    identity pattern, built once and shared, with every stored value
+    ``weight``: its ``y += a * x`` rounds the product, then the sum
+    product + y, as ``np.multiply`` followed by ``np.add`` does, and needs no
+    n x k temporary. Each function refills its own n-length value vector
+    per call."""
+    offsets = np.arange(n + 1, dtype=np.int64)  # without the last, the columns
+    return [functools.partial(_weighted_add, offsets, np.empty(n)) for _ in range(count)]
 
 
 def dilate(A: SparseMatrix) -> SparseMatrix:

@@ -419,12 +419,16 @@ class TestDrawnProjection:
             assert np.array_equal(drawn.values, given.values)
 
     def test_no_n_by_d_projection(self, monkeypatch):
-        # With w = 8 of d = 64 columns and two workers, a run holds the n x d
-        # output and two workspaces of four n x w buffers; an n x d Omega
-        # would add as much as the output.
-        n, d = 4000, 64
+        # With w = 16 of d = 64 columns and two workers, a run holds the n x d
+        # output and two workspaces of three n x w buffers. The slack, 1.5
+        # buffers, covers the n-length vectors (row codes, the identity
+        # pattern, each worker's weights) and numpy's fixed-size ufunc
+        # buffers, up to 0.42 MB when both workers draw at once. A fourth
+        # buffer per worker, let alone an n x d Omega, exceeds it. At w = 8
+        # those fixed buffers would be most of a buffer's size.
+        n, d, w = 4000, 64, 16
         S = normalized_adjacency(ring_graph(n, width=3), n)
-        monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", 8 * n * 8)
+        monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", 8 * n * w)
         cfg = EmbedConfig(L=8, d=d, b=2, seed=28)
         f = indicator_above(0.2)
         fast_embed_cascaded(S, f, cfg, n_workers=2)  # warm up imports and caches
@@ -434,10 +438,10 @@ class TestDrawnProjection:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert emb.provenance["block_width"] == 8
+        assert emb.provenance["block_width"] == w
         output = 8 * n * d
-        workspaces = 2 * 4 * 8 * n * 8
-        assert peak < output + workspaces + output // 4
+        buffer = 8 * n * w
+        assert peak < output + 2 * 3 * buffer + 3 * buffer // 2
 
 
 class TestCascade:
@@ -495,8 +499,8 @@ class TestProductCount:
     def test_short_recursion_raises(self, monkeypatch):
         real = csemb.engine.legendre_sum
 
-        def one_term_short(step, coeffs, *bufs):
-            real(step, coeffs[:-1], *bufs)  # one product too few per stage
+        def one_term_short(step, add, coeffs, *bufs):
+            real(step, add, coeffs[:-1], *bufs)  # one product too few per stage
 
         monkeypatch.setattr(csemb.engine, "legendre_sum", one_term_short)
         rng = np.random.default_rng(22)

@@ -450,6 +450,31 @@ class TestEmbeddingFile:
         assert peak < values.nbytes / 2
         assert p.read_bytes()[24:] == values.astype("<f8").tobytes()
 
+    def test_read_without_a_copy(self, tmp_path):
+        # the payload is read into the result, not held as bytes beside it
+        values = np.random.default_rng(3).standard_normal((20_000, 10))
+        p = tmp_path / "e.bin"
+        write_embedding(p, values)
+        tracemalloc.start()
+        try:
+            back = read_embedding(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * values.nbytes
+        assert back.dtype == np.float64 and back.flags.writeable
+        assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
+
+    def test_header_claiming_more_rows_than_the_file(self, tmp_path):
+        # checked against the file size before anything of that size is allocated
+        p = tmp_path / "e.bin"
+        write_embedding(p, np.ones((3, 3)))
+        blob = bytearray(p.read_bytes())
+        blob[8:16] = (1 << 60).to_bytes(8, "little")
+        p.write_bytes(bytes(blob))
+        with pytest.raises(InputFormatError, match="does not match header"):
+            read_embedding(p)
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "e.bin"
         p.write_bytes(b"NOTMAGIC" + b"\0" * 16)

@@ -12,7 +12,7 @@ from csemb import (
     scale_values,
     spmv_multi,
 )
-from csemb.sparse import MAX_PAIR_ENDPOINT, simple_edges
+from csemb.sparse import MAX_PAIR_ENDPOINT, simple_edges, weighted_adders
 from helpers import random_symmetric, run_python
 
 
@@ -200,6 +200,54 @@ class TestSpmv:
                     np.empty((2, 3)).T, X):
             with pytest.raises(ValueError):
                 spmv_multi(S, X, out=bad)
+
+
+_QNAN_PAYLOAD = np.array([0x7FF8_0000_0000_0123, 0xFFF8_0000_0000_0456], dtype=np.uint64)
+_SPECIALS = np.concatenate([
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.1e-310, np.inf, -np.inf, np.nan],
+    _QNAN_PAYLOAD.view(np.float64),
+    [1e300, -1.7e300, 3e-300, -1e-300, 1.0, -0.75, np.pi],
+])
+
+
+class TestWeightedAdd:
+    @pytest.mark.parametrize("k", [1, 3, 8, 80])
+    @pytest.mark.parametrize("weight", [0.0, -0.0, 5e-324, 1e300, -1.0, -0.3, -2e-300])
+    def test_rounds_as_multiply_then_add(self, k, weight):
+        # every (term, acc) pair of special values, wrapped onto an n x k block;
+        # a kernel whose y += a * x fused into one rounding (FMA) fails here.
+        # The kernel adds product + y, so where both are NaN the product's
+        # payload wins; the reference adds in that order too.
+        terms, accs = (a.ravel() for a in np.meshgrid(_SPECIALS, _SPECIALS))
+        n = -(-terms.size // k)
+        term = np.resize(terms, (n, k))
+        acc = np.resize(accs, (n, k))
+        with np.errstate(all="ignore"):
+            expected = np.add(np.multiply(term, weight), acc)
+        (add,) = weighted_adders(n, 1)
+        add(term, weight, acc)
+        assert np.array_equal(acc.view(np.uint64), expected.view(np.uint64))
+
+    def test_adders_are_independent(self):
+        rng = np.random.default_rng(6)
+        term = rng.standard_normal((50, 4))
+        first, second = weighted_adders(50, 2)
+        a, b = np.zeros((50, 4)), np.zeros((50, 4))
+        first(term, 2.0, a)
+        second(term, -0.5, b)
+        first(term, 2.0, a)
+        assert np.array_equal(a, 4.0 * term) and np.array_equal(b, -0.5 * term)
+
+    def test_shapes_checked_before_the_kernel(self):
+        # the kernel trusts its sizes, so a mismatch must not reach it
+        (add,) = weighted_adders(4, 1)
+        term = np.ones((4, 2))
+        for bad in (np.zeros((2, 4)).T, np.zeros((4, 2), dtype=np.float32), np.zeros((4, 1)),
+                    np.zeros((3, 2))):
+            with pytest.raises(ValueError, match="4-row blocks"):
+                add(term, 1.0, bad)
+        with pytest.raises(ValueError, match="4-row blocks"):
+            add(np.ones((5, 2)), 1.0, np.zeros((5, 2)))
 
 
 class TestScaleValues:
