@@ -175,6 +175,16 @@ def _make_config(args, n: int) -> EmbedConfig:
     return EmbedConfig(L=args.L, d=d, b=args.b, seed=args.seed)
 
 
+def _write_json(obj, path) -> str:
+    """``obj`` as indented, key-sorted JSON with a final newline, also written
+    to ``path`` unless that is empty."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    return text
+
+
 def cmd_embed(args) -> int:
     if args.output_cols and args.matrix != "dilation":
         raise ValueError("--output-cols requires --matrix dilation")
@@ -215,10 +225,7 @@ def cmd_embed(args) -> int:
         "wall_time_s": time.perf_counter() - t0,
         "output": args.output,
     }
-    meta_path = args.metadata or (args.output + ".meta.json")
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(meta, args.metadata or (args.output + ".meta.json"))
     print(f"embedded {rows.shape[0]} rows into {cfg.d} dimensions -> {args.output}")
     return EXIT_OK
 
@@ -264,11 +271,7 @@ def cmd_cluster(args) -> int:
         "median_modularity": result.median_modularity,
         "run_scores": list(result.run_scores),
     }
-    text = json.dumps(summary, indent=2, sort_keys=True)
-    if args.summary_out:
-        with open(args.summary_out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    print(_write_json(summary, args.summary_out), end="")
     return EXIT_OK
 
 
@@ -283,11 +286,7 @@ def cmd_norm(args) -> int:
         "safety": NORM_SAFETY,
         "steps": NORM_STEPS,
     }
-    text = json.dumps(out, indent=2, sort_keys=True)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    print(_write_json(out, args.output), end="")
     return EXIT_OK
 
 

@@ -30,12 +30,13 @@ of three n x w buffers, allocated once per run by the calling thread: the
 stage input, which doubles as one of the recursion's two terms, the other
 term, and the stage output, into which the weighted terms are added. Every
 block and stage of that worker reuses them, so a run allocates no n x w
-array in its workers and never writes a caller's Omega. Every random entry
-(the norm's start vector too) is a pure function of (seed, position), so a
-block draws its own columns of Omega into its stage input, hashing in place
-there and in the stage output, which is idle until stage 1: the n x d Omega
-is never formed. Columns never mix, so results are bit-identical for any
-block width, worker count and column subset.
+array in its workers. Omega is the sign block of the run's seed
+(:func:`sample_projection`), and every random entry (the norm's start vector
+too) is a pure function of (seed, position). So a block draws its own
+columns of Omega into its stage input, hashing in place there and in the
+stage output, which is idle until stage 1: the n x d Omega is never formed.
+Columns never mix, so results are bit-identical for any block width and
+worker count.
 """
 
 from __future__ import annotations
@@ -106,10 +107,12 @@ def _draw_signs(out: np.ndarray, seed: int, d: int, row_codes: np.ndarray, col: 
     row i of ``out`` is row k of the block, where ``row_codes[i]`` = k * d.
     Entry (k, j) is +-1/sqrt(d), signed by the top bit of the SplitMix64 hash
     of k * d + j xor the hashed seed. The hash and the float bits are written
-    in out's own bytes, with ``t`` (uint64, out's shape) as the only scratch.
+    in out's own bytes, with ``t`` (uint64, out's shape) as the only scratch;
+    the codes are added a column at a time, which needs no ufunc buffer.
     """
     z = out.view(np.uint64)
-    np.add(row_codes, np.arange(col, col + out.shape[1], dtype=np.uint64), out=z)
+    for j in range(out.shape[1]):
+        np.add(row_codes, np.uint64(col + j), out=z[:, j])
     z ^= _mix64(np.array(seed & _U64, dtype=np.uint64))
     _mix64(z, t)
     np.invert(z, out=z)  # a set top bit means +1/sqrt(d), a clear sign bit
@@ -132,7 +135,7 @@ def sample_projection(n: int, d: int, seed: int) -> np.ndarray:
     t = np.empty(min(step, n) * d, dtype=np.uint64)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        row_codes = np.arange(lo, hi, dtype=np.uint64)[:, None] * np.uint64(d)
+        row_codes = np.arange(lo, hi, dtype=np.uint64) * np.uint64(d)
         _draw_signs(out[lo:hi], seed, d, row_codes, 0, t[: (hi - lo) * d].reshape(hi - lo, d))
     return out
 
@@ -245,7 +248,6 @@ def _check_growth(sq: np.ndarray, bound: float) -> None:
 def _apply_cascade(
     S: SparseMatrix,
     expansion: LegendreExpansion,
-    omega: np.ndarray | None,
     d: int,
     seed: int,
     *,
@@ -266,30 +268,27 @@ def _apply_cascade(
     :func:`_check_growth`. The recursion runs to the end without
     floating-point warnings; a term that overflows is left to the guard.
     Each block draws its columns of the projection of ``seed`` into its
-    worker's stage input, with the idle acc buffer as hash scratch, or copies
-    them from ``omega`` if one is given. Each stage's output becomes the next
-    stage's input by swapping the two buffers.
+    worker's stage input, with the idle acc buffer as hash scratch. Each
+    stage's output becomes the next stage's input by swapping the two
+    buffers.
     """
     n = S.n_rows
     out = np.empty((n, d))
     spans = [(lo, min(lo + width, d)) for lo in range(0, d, width)]
     workers = max(1, min(n_workers, len(spans)))
     coeffs = expansion.coeffs
-    sq = np.empty((stages + 1, d))  # squared column norms of omega and each stage
+    sq = np.empty((stages + 1, d))  # squared column norms of Omega and each stage
     # One workspace per worker, allocated here and reused by all its blocks
     # and stages: the stage input, the recursion's spare term and acc.
     # A narrower last block takes a contiguous prefix of each buffer.
     spaces = np.empty((workers, 3, n * width))
     adders = weighted_adders(n, workers)
-    row_codes = np.arange(n, dtype=np.uint64)[:, None] * np.uint64(d)  # so draws allocate nothing
+    row_codes = np.arange(n, dtype=np.uint64) * np.uint64(d)  # so draws allocate nothing
 
     def run(span, space, add):
         lo, hi = span
         piece, spare, acc = (buf[: n * (hi - lo)].reshape(n, hi - lo) for buf in space)
-        if omega is None:
-            _draw_signs(piece, seed, d, row_codes, lo, acc.view(np.uint64))
-        else:
-            np.copyto(piece, omega[:, lo:hi])
+        _draw_signs(piece, seed, d, row_codes, lo, acc.view(np.uint64))
         products = 0
 
         def step(x, into):
@@ -324,35 +323,26 @@ def fast_embed_cascaded(
     S: SparseMatrix,
     f,
     cfg: EmbedConfig,
-    omega: np.ndarray | None = None,
     *,
     n_workers: int = 1,
 ) -> EmbeddingMatrix:
-    """Embed the rows of a symmetric S (||S|| <= 1) as f_L(S) @ omega, by b
+    """Embed the rows of a symmetric S (||S|| <= 1) as f_L(S) @ Omega, by b
     cascade stages of order L/b applied to the b-th root of f.
 
-    ``f`` may be a SpectralFunction or a plain callable on [-1, 1]. Without
-    ``omega`` the projection is ``sample_projection(n, cfg.d, cfg.seed)``,
-    drawn block by block in the workers and never formed whole; a given
-    ``omega`` (any number of columns) is copied in block by block. Stage i's
-    output block is stage i+1's input block; exactly L/b multi-vector
-    products are performed per stage, L in total. Each column block counts
-    its own products and the run fails unless every block made L;
-    ``provenance["spmv_products"]`` is that count.
+    ``f`` may be a SpectralFunction or a plain callable on [-1, 1]. Omega is
+    ``sample_projection(n, cfg.d, cfg.seed)``, drawn block by block in the
+    workers and never formed whole. Stage i's output block is stage i+1's
+    input block; exactly L/b multi-vector products are performed per stage, L
+    in total. Each column block counts its own products and the run fails
+    unless every block made L; ``provenance["spmv_products"]`` is that count.
     """
     if not S.is_symmetric():
         raise ValueError("fast_embed_cascaded requires a square symmetric matrix; embed a "
                          "rectangular or asymmetric one as its dilation (dilate)")
-    d = cfg.d
-    if omega is not None:
-        omega = np.asarray(omega, dtype=np.float64)
-        if omega.ndim != 2 or omega.shape[0] != S.n_rows:
-            raise ValueError("projection block must be 2-d with one row per vertex")
-        d = omega.shape[1]
     expansion = legendre_coefficients(root_function(f, cfg.b), cfg.stage_order)
-    width = block_width(S.n_rows, d)
+    width = block_width(S.n_rows, cfg.d)
     values, products = _apply_cascade(
-        S, expansion, omega, d, cfg.seed, stages=cfg.b, width=width, n_workers=n_workers
+        S, expansion, cfg.d, cfg.seed, stages=cfg.b, width=width, n_workers=n_workers
     )
     return EmbeddingMatrix(
         values=values,
@@ -361,7 +351,7 @@ def fast_embed_cascaded(
             "L": cfg.L,
             "b": cfg.b,
             "stage_order": cfg.stage_order,
-            "d": d,
+            "d": cfg.d,
             "block_width": width,
             "seed": cfg.seed,
             "spmv_products": products,

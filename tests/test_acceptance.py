@@ -44,7 +44,7 @@ def test_a1_polynomial_exactness():
 
     omega = cs.sample_projection(n, 16, seed=11)
     cfg = cs.EmbedConfig(L=3, d=16, seed=11)
-    emb = cs.fast_embed_cascaded(S, lambda x: 0.3 + 0.5 * x - 0.2 * x**3, cfg, omega)
+    emb = cs.fast_embed_cascaded(S, lambda x: 0.3 + 0.5 * x - 0.2 * x**3, cfg)
     oracle = (
         0.3 * omega + 0.5 * (dense @ omega) - 0.2 * np.linalg.matrix_power(dense, 3) @ omega
     )
@@ -312,8 +312,7 @@ def test_a7_complexity_scaling():
     def run(d):
         cfg = cs.EmbedConfig(L=16, d=d, b=2, seed=0)
         t0 = time.perf_counter()
-        omega = cs.sample_projection(n, d, cfg.seed)
-        emb = cs.fast_embed_cascaded(adj, f, cfg, omega)
+        emb = cs.fast_embed_cascaded(adj, f, cfg)
         return time.perf_counter() - t0, emb.provenance["spmv_products"]
 
     run(4)  # warm caches

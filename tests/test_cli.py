@@ -507,9 +507,8 @@ class TestOperator:
         S = cs.dilate(A)
         S = cs.scale_values(S, 1.0 / cs.estimate_spectral_norm(S))
         cfg = cs.EmbedConfig(L=16, d=6, b=b, seed=7)
-        omega = cs.sample_projection(S.n_rows, cfg.d, cfg.seed)
         f = cs.odd_extension(cs.indicator_above(0.5))
-        values = cs.fast_embed_cascaded(S, f, cfg, omega).values
+        values = cs.fast_embed_cascaded(S, f, cfg).values
         write_embedding(tmp_path / "lib_rows.bin", values[A.n_cols:])
         write_embedding(tmp_path / "lib_cols.bin", values[:A.n_cols])
         for side in ("rows", "cols"):

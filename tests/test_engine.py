@@ -180,21 +180,22 @@ class TestNormEstimate:
         assert estimate_spectral_norm(S) == pytest.approx(1.01 * top, rel=1e-12)
 
 
-def _embed(S, f, L, om, **kw):
-    """The single-stage (b = 1) engine on a given projection block."""
-    return fast_embed_cascaded(S, f, EmbedConfig(L=L, d=om.shape[1]), om, **kw)
+def _embed(S, f, L, d, seed, **kw):
+    """The single-stage (b = 1) engine; its projection is
+    ``sample_projection(S.n_rows, d, seed)``."""
+    return fast_embed_cascaded(S, f, EmbedConfig(L=L, d=d, seed=seed), **kw)
 
 
 class TestFastEmbed:
     def test_identity_matrix_identity_function(self):
         om = sample_projection(8, 4, seed=5)
-        emb = _embed(SparseMatrix.identity(8), identity(), 1, om)
+        emb = _embed(SparseMatrix.identity(8), identity(), 1, 4, 5)
         assert np.allclose(emb.values, om, atol=1e-15)
 
     def test_square_function_on_diagonal(self):
         S = sparse_from(np.diag([0.5, -0.5]))
         om = sample_projection(2, 6, seed=6)
-        emb = _embed(S, lambda x: x**2, 2, om)
+        emb = _embed(S, lambda x: x**2, 2, 6, 6)
         assert np.allclose(emb.values, 0.25 * om, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -205,7 +206,7 @@ class TestFastEmbed:
         coeffs = rng.standard_normal(deg + 1)
         f = lambda x: np.polynomial.polynomial.polyval(x, coeffs)
         om = sample_projection(n, 10, seed=seed)
-        emb = _embed(sparse_from(dense), f, deg, om)
+        emb = _embed(sparse_from(dense), f, deg, 10, seed)
         oracle = dense_weighted(dense, f) @ om
         rel = np.linalg.norm(emb.values - oracle) / np.linalg.norm(oracle)
         assert rel <= 1e-10
@@ -226,7 +227,6 @@ class TestFastEmbed:
         rng = np.random.default_rng(8)
         n = 40
         S = sparse_from(random_symmetric(n, rng))
-        om = sample_projection(n, 5, seed=8)
         f, g = indicator_above(0.2), constant(1.0)
         a, b = 0.6, -1.1
         # identical quadrature panels for all three projections
@@ -235,46 +235,21 @@ class TestFastEmbed:
         L = 25
 
         def embed(h):
-            return _embed(S, h, L, om).values
+            return _embed(S, h, L, 5, 8).values
 
         lhs = embed(combo)
         rhs = a * embed(f) + b * embed(g)
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
 
-    def test_column_subset_bit_exact(self):
-        rng = np.random.default_rng(9)
-        n = 60
-        S = sparse_from(random_symmetric(n, rng))
-        om = sample_projection(n, 40, seed=9)
-        full = _embed(S, indicator_above(0.1), 15, om).values
-        # a column subset reproduces those columns of the full run
-        part = _embed(S, indicator_above(0.1), 15, om[:, 30:37]).values
-        assert np.array_equal(part, full[:, 30:37])
-
     def test_worker_count_bit_exact(self):
         rng = np.random.default_rng(10)
         n = 50
         S = sparse_from(random_symmetric(n, rng))
-        om = sample_projection(n, 70, seed=10)
         runs = [
-            _embed(S, indicator_above(0.0), 12, om, n_workers=w).values
+            _embed(S, indicator_above(0.0), 12, 70, 10, n_workers=w).values
             for w in (1, 4, 8)
         ]
         assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
-
-    @pytest.mark.parametrize("several_blocks", [False, True])
-    def test_omega_not_written(self, monkeypatch, several_blocks):
-        rng = np.random.default_rng(24)
-        n, d = 30, 20
-        S = sparse_from(random_symmetric(n, rng))
-        om = sample_projection(n, d, seed=24)
-        keep = om.copy()
-        if several_blocks:
-            monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", 8 * n * 8)
-        cfg = EmbedConfig(L=10, d=d, b=2, seed=24)
-        emb = fast_embed_cascaded(S, indicator_above(0.1), cfg, om, n_workers=2)
-        assert emb.provenance["block_width"] == (8 if several_blocks else d)
-        assert np.array_equal(om, keep)
 
     def test_order_above_1024(self):
         # the monic terms' scale factor passes 2**1024 near this order, so
@@ -282,7 +257,7 @@ class TestFastEmbed:
         x = np.linspace(-1.0, 1.0, 41)
         om = sample_projection(41, 3, seed=25)
         f = indicator_above(0.3)
-        emb = _embed(sparse_from(np.diag(x)), f, 1200, om)
+        emb = _embed(sparse_from(np.diag(x)), f, 1200, 3, 25)
         assert np.all(np.isfinite(emb.values))
         expected = expansion_eval(legendre_coefficients(f, 1200), x)[:, None] * om
         assert np.allclose(emb.values, expected, rtol=0.0, atol=5e-12)
@@ -293,24 +268,19 @@ class TestFastEmbed:
     @pytest.mark.parametrize("d", [4, 16, 64])
     def test_diagonal_matches_scalar_sum_bit_for_bit(self, d, f, L):
         # the engine and expansion_eval weight and sum the same terms, and
-        # omega = +-2**-k scales them exactly, so the bits agree
+        # Omega = +-2**-k scales them exactly, so the bits agree
         x = np.linspace(-1.0, 1.0, 41)
         om = sample_projection(41, d, seed=26)
-        emb = _embed(sparse_from(np.diag(x)), f, L, om)
+        emb = _embed(sparse_from(np.diag(x)), f, L, d, 26)
         expected = expansion_eval(legendre_coefficients(f, L), x)[:, None] * om
         assert np.array_equal(emb.values, expected)
 
     def test_divergence_detected(self):
         S = sparse_from(10.0 * np.eye(4))
-        om = sample_projection(4, 2, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DivergenceError, match=r"stage 1 .*spectral norm > 1"):
-                _embed(S, identity(), 250, om)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            _embed(SparseMatrix.identity(4), identity(), 1, np.zeros((3, 2)))
+                _embed(S, identity(), 250, 2, 0)
 
     @pytest.mark.parametrize("case", ["asymmetric", "rounding", "rectangular"])
     def test_asymmetric_rejected_with_dilation_hint(self, case):
@@ -341,12 +311,18 @@ class TestGrowthGuard:
                            r".*sum\|a_r\| = 8\.45.*spectral norm > 1"):
             fast_embed_cascaded(scale_values(adj, 1.06), f, cfg)
 
-    def test_non_finite_column_named(self):
+    def test_non_finite_column_named(self, monkeypatch):
+        real = csemb.engine._draw_signs
+
+        def nan_in_column_2(out, seed, d, row_codes, col, t):
+            real(out, seed, d, row_codes, col, t)
+            if col <= 2 < col + out.shape[1]:
+                out[4, 2 - col] = np.nan
+
+        monkeypatch.setattr(csemb.engine, "_draw_signs", nan_in_column_2)
         S = sparse_from(random_symmetric(12, np.random.default_rng(23)))
-        om = sample_projection(12, 5, seed=23)
-        om[4, 2] = np.nan
         with pytest.raises(DivergenceError, match=r"stage 1 grew columns \[2\] by up to nanx"):
-            fast_embed_cascaded(S, constant(1.0), EmbedConfig(L=4, d=5, b=2), om)
+            fast_embed_cascaded(S, constant(1.0), EmbedConfig(L=4, d=5, b=2, seed=23))
 
 
 class TestColumnBlocks:
@@ -363,15 +339,14 @@ class TestColumnBlocks:
         rng = np.random.default_rng(19)
         n, d = 90, 29
         S = sparse_from(random_symmetric(n, rng))
-        om = sample_projection(n, d, seed=19)
         cfg = EmbedConfig(L=16, d=d, b=b, seed=19)
         f = indicator_above(0.2)
-        single = fast_embed_cascaded(S, f, cfg, om)
+        single = fast_embed_cascaded(S, f, cfg)
         assert single.provenance["block_width"] == d
         # 8 columns per block: blocks of 8, 8, 8 and a ragged 5
         monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", 8 * n * 8)
         for w in (1, 2, 4):
-            emb = fast_embed_cascaded(S, f, cfg, om, n_workers=w)
+            emb = fast_embed_cascaded(S, f, cfg, n_workers=w)
             assert emb.provenance["block_width"] == 8
             assert emb.provenance["spmv_products"] == 16
             assert np.array_equal(emb.values, single.values)
@@ -381,16 +356,14 @@ class TestColumnBlocks:
         rng = np.random.default_rng(20)
         n = 40
         S = sparse_from(random_symmetric(n, rng))
-        om = sample_projection(n, 9, seed=20)
         f = indicator_above(0.0)
-        single = _embed(S, f, 10, om).values
+        single = _embed(S, f, 10, 9, 20).values
         monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", 1)
-        assert np.array_equal(_embed(S, f, 10, om, n_workers=2).values, single)
-        assert np.array_equal(_embed(S, f, 10, om[:, :1]).values, single[:, :1])
+        assert np.array_equal(_embed(S, f, 10, 9, 20, n_workers=2).values, single)
 
 
 class TestDrawnProjection:
-    """Without omega, each column block draws its own signs in its worker."""
+    """Each column block draws its own columns of Omega in its worker."""
 
     @pytest.mark.parametrize("b", [1, 2])
     @pytest.mark.parametrize(
@@ -405,27 +378,71 @@ class TestDrawnProjection:
     )
     def test_matches_sample_projection_bit_for_bit(self, monkeypatch, b, n, d,
                                                    block_bytes, width):
+        # the blocks the workers draw tile sample_projection exactly, and the
+        # output is the one-block, one-worker run's
         rng = np.random.default_rng(27)
         S = sparse_from(random_symmetric(n, rng))
         cfg = EmbedConfig(L=16, d=d, b=b, seed=27)
         f = indicator_above(0.2)
+        single = fast_embed_cascaded(S, f, cfg)
         if block_bytes is not None:
             monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", block_bytes)
-        given = fast_embed_cascaded(S, f, cfg, sample_projection(n, d, cfg.seed))
+        om = sample_projection(n, d, cfg.seed)
+        real = csemb.engine._draw_signs
+        drawn = np.empty((n, d))
+
+        def record(out, seed, d, row_codes, col, t):
+            real(out, seed, d, row_codes, col, t)
+            drawn[:, col:col + out.shape[1]] = out
+
+        monkeypatch.setattr(csemb.engine, "_draw_signs", record)
         for w in (1, 2, 4):
-            drawn = fast_embed_cascaded(S, f, cfg, n_workers=w)
-            assert drawn.provenance == given.provenance
-            assert drawn.provenance["block_width"] == width
-            assert np.array_equal(drawn.values, given.values)
+            drawn.fill(np.nan)
+            emb = fast_embed_cascaded(S, f, cfg, n_workers=w)
+            assert emb.provenance["block_width"] == width
+            assert np.array_equal(drawn, om)
+            assert np.array_equal(emb.values, single.values)
+
+    @pytest.mark.parametrize("block_bytes, width", [(None, 64), (8 * 41 * 12, 12), (1, 8)],
+                             ids=["one-block", "twelve", "eight"])
+    @pytest.mark.parametrize("d", [4, 16, 64])
+    def test_diagonal_layouts_match_scalar_sum(self, monkeypatch, d, block_bytes, width):
+        # Omega = +-2**-k scales expansion_eval's terms exactly, so on a
+        # diagonal S every block layout and worker count gives its bits
+        x = np.linspace(-1.0, 1.0, 41)
+        f, L = indicator_above(0.3), 60
+        om = sample_projection(41, d, seed=29)
+        expected = expansion_eval(legendre_coefficients(f, L), x)[:, None] * om
+        if block_bytes is not None:
+            monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", block_bytes)
+        for w in (1, 2, 4):
+            emb = _embed(sparse_from(np.diag(x)), f, L, d, 29, n_workers=w)
+            assert emb.provenance["block_width"] == min(d, width)
+            assert np.array_equal(emb.values, expected)
+
+    def test_draw_needs_no_ufunc_buffer(self):
+        # the codes are added a column at a time, so a draw needs no ufunc
+        # buffer; a broadcast add of the column numbers takes about 132 KB here
+        n, d, w = 20_000, 80, 8
+        out, t = np.empty((n, w)), np.empty((n, w), dtype=np.uint64)
+        row_codes = np.arange(n, dtype=np.uint64) * np.uint64(d)
+        csemb.engine._draw_signs(out, 3, d, row_codes, w, t)
+        tracemalloc.start()
+        try:
+            csemb.engine._draw_signs(out, 3, d, row_codes, w, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
+        assert np.array_equal(out, sample_projection(n, d, 3)[:, w:2 * w])
 
     def test_no_n_by_d_projection(self, monkeypatch):
         # With w = 16 of d = 64 columns and two workers, a run holds the n x d
         # output and two workspaces of three n x w buffers. The slack, 1.5
-        # buffers, covers the n-length vectors (row codes, the identity
-        # pattern, each worker's weights) and numpy's fixed-size ufunc
-        # buffers, up to 0.42 MB when both workers draw at once. A fourth
-        # buffer per worker, let alone an n x d Omega, exceeds it. At w = 8
-        # those fixed buffers would be most of a buffer's size.
+        # buffers (0.77 MB), covers the n-length vectors (row codes, the
+        # identity pattern, each worker's weights) and numpy's small
+        # fixed-size allocations: the excess measures 0.16 MB. A fourth buffer
+        # per worker, let alone an n x d Omega, exceeds it.
         n, d, w = 4000, 64, 16
         S = normalized_adjacency(ring_graph(n, width=3), n)
         monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", 8 * n * w)
@@ -448,7 +465,7 @@ class TestCascade:
     def test_constant_cascade(self):
         om = sample_projection(5, 3, seed=12)
         cfg = EmbedConfig(L=2, d=3, b=2, seed=12)
-        emb = fast_embed_cascaded(SparseMatrix.identity(5), constant(4.0), cfg, om)
+        emb = fast_embed_cascaded(SparseMatrix.identity(5), constant(4.0), cfg)
         assert np.allclose(emb.values, 4.0 * om, atol=1e-12)
 
     def test_matches_dense_oracle(self):
@@ -458,7 +475,7 @@ class TestCascade:
         f = indicator_above(0.98)
         cfg = EmbedConfig(L=180, d=8, b=2, seed=13)
         om = sample_projection(n, 8, seed=13)
-        emb = fast_embed_cascaded(sparse_from(dense), f, cfg, om)
+        emb = fast_embed_cascaded(sparse_from(dense), f, cfg)
         # independent route: eigendecompose, square the stage expansion scalars
         stage = legendre_coefficients(root_function(f, 2), 90)
         lam, vec = np.linalg.eigh(dense)
