@@ -4,8 +4,9 @@ Everything here goes through a dense eigendecomposition and is capped at a
 few thousand rows; it exists to validate the compressive engine, not to
 scale. It takes the engine's input, an exactly symmetric ``SparseMatrix``.
 Where f is zero outside an interval (``support()``), only the eigenpairs
-inside it are computed, by LAPACK ``dsyevr`` from scipy's ``linalg/_flapack``
-extension.
+inside it are computed: by the LAPACK stages of ``dsyevr`` over a value range
+(DSYTRD, DSTEBZ, DSTEIN, DORMTR) from scipy's ``linalg/_flapack`` extension,
+bit for bit as ``dsyevr`` gives them but without its n x n eigenvector array.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .engine import EmbedConfig, fast_embed_cascaded, fold_seed
 from .errors import OracleCapError, OracleError
 from .functions import support_of
 from .legendre import expansion_eval, legendre_coefficients
-from .sparse import SparseMatrix, load_scipy_extension
+from .sparse import SparseMatrix, load_scipy_extension, spmv_multi
 
 ORACLE_CAP = 3000
 EIG_RESIDUAL_TOL = 1e-8
@@ -31,6 +32,9 @@ PERCENTILE_LEVELS = (1, 5, 25, 50, 75, 95, 99)
 DEFAULT_MAX_PAIRS = 100_000
 PAIR_CHUNK = 4096  # pairs whose rows are gathered at once
 CALIBRATION_BIN_WIDTH = 0.1  # bins centered on -1.0, -0.9, ..., 1.0
+# the range dsyevr keeps max|a_ij| in, from DLAMCH's safe minimum and precision
+_RMIN = math.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)  # 2^-485
+_RMAX = 1.0 / math.sqrt(math.sqrt(np.finfo(np.float64).tiny))  # 2^255.5
 
 
 @functools.cache
@@ -59,12 +63,10 @@ def exact_embedding(S: SparseMatrix, f, cap: int = ORACLE_CAP) -> np.ndarray:
         raise ValueError("oracle requires a square symmetric matrix")
     lo, hi = support_of(f)
     if (lo, hi) == (-np.inf, np.inf):
-        a = S.to_dense()
-        lam, vec = np.linalg.eigh(a)
+        lam, vec = np.linalg.eigh(S.to_dense())
     else:
         lam, vec = _eigenpairs_within(S.to_dense(), lo, hi)
-        a = S.to_dense()  # dsyevr overwrote the first
-    residual = float(np.max(np.abs(a @ vec - vec * lam), initial=0.0))
+    residual = float(np.max(np.abs(spmv_multi(S, vec) - vec * lam), initial=0.0))
     if residual > EIG_RESIDUAL_TOL:
         raise OracleError(f"eigensolver residual {residual:.3e} above {EIG_RESIDUAL_TOL}")
     weights = np.atleast_1d(np.asarray(f(lam), dtype=np.float64))
@@ -74,8 +76,8 @@ def exact_embedding(S: SparseMatrix, f, cap: int = ORACLE_CAP) -> np.ndarray:
 
 def _eigenpairs_within(a: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """The eigenpairs of the symmetric ``a`` with eigenvalues in [lo, hi],
-    and perhaps a few within rounding of it, by one LAPACK ``dsyevr`` call
-    (MRRR) over (vl, vu]. ``a`` is overwritten.
+    and perhaps a few within rounding of it, as LAPACK ``dsyevr`` computes
+    them over (vl, vu] (:func:`_dsyevr_range`). ``a`` is overwritten.
 
     vl sits a rounding margin below lo, so that an eigenvalue exactly at lo
     is kept; f then drops any pair below it. vu sits the margin above hi or
@@ -88,12 +90,66 @@ def _eigenpairs_within(a: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray,
     vl, vu = lo - margin, min(hi, bound) + margin
     if vl >= vu:
         return np.empty(0), np.empty((n, 0))
-    # a.T is a in Fortran order, so the wrapper works in place instead of copying
-    lam, vec, m, _, info = _flapack().dsyevr(a.T, range="V", lower=1, vl=vl, vu=vu, overwrite_a=1)
+    return _dsyevr_range(a, vl, vu)
+
+
+def _dsyevr_range(a: np.ndarray, vl: float, vu: float) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of the symmetric ``a`` in (vl, vu] in ascending order,
+    and their eigenvectors as the columns of a C-ordered n x m array, bit for
+    bit as ``dsyevr(a.T, range="V", lower=1, vl=vl, vu=vu)`` returns them.
+    ``a`` is overwritten, and vl < vu.
+
+    On this path ``dsyevr`` runs DSYTRD, DSTEBZ, DSTEIN and DORMTR, but
+    scipy's wrapper of it allocates n x n eigenvectors. So each stage is
+    called here with the arguments ``dsyevr`` gives it, and only the n x m
+    result is allocated: ``a``, reduced in place, is the one n x n array.
+    ``dsyevr``'s quick return for n <= 1, its scaling of a matrix whose largest
+    entry lies outside [_RMIN, _RMAX] and its final sort are repeated too.
+    """
+    n = a.shape[0]
+    if n <= 1:
+        diag = a.diagonal()
+        lam = diag[(vl < diag) & (diag <= vu)]
+        return lam, np.ones((n, len(lam)))
+    anrm = max(float(a.max()), -float(a.min()))
+    sigma = _RMIN / anrm if 0.0 < anrm < _RMIN else _RMAX / anrm if anrm > _RMAX else 1.0
+    if sigma != 1.0:
+        a *= sigma  # dsyevr scales the lower triangle; a is symmetric
+    lapack = _flapack()
+    # a.T is a in Fortran order, so the wrapper works in place instead of
+    # copying; dsyevr's 26n workspace less the 5n it keeps for itself sets
+    # DSYTRD's block size
+    refl, d, e, tau, info = lapack.dsytrd(a.T, lower=1, lwork=21 * n, overwrite_a=1)
+    _check_info("dsytrd", info)
+    # range 1 is 'V', with the wrapper's default abstol 0; order 'B' lists
+    # the eigenvalues of each diagonal block of T in turn
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 1, vl * sigma, vu * sigma, 0, 0, 0.0, b"B")
+    _check_info("dstebz", info)
+    if m == 0:
+        return np.empty(0), np.empty((n, 0))
+    z, info = lapack.dstein(d, e, w[:m], iblock, isplit)
+    _check_info("dstein", info)
+    # DORMTR('L', 'L', 'N') is DORMQR on rows 2..n, with the reflectors
+    # stored from A(2, 1) on with leading dimension n (a Fortran view of the
+    # reduced matrix, so nothing is copied) and the 24n of dsyevr's workspace
+    # that follow its first 2n; the strided rows 2..n of z go in as a copy
+    below = refl.ravel(order="F")[1 : 1 + n * (n - 1)].reshape((n, n - 1), order="F")
+    z[1:], _, info = lapack.dormqr("L", "N", below, tau, z[1:], 24 * n)
+    _check_info("dormqr", info)
+    lam = w[:m] * (1.0 / sigma)
+    # dsyevr's selection sort: the first smallest later value swaps in, so
+    # tied eigenvalues keep the order this gives, which no stable sort does
+    for j in range(m - 1):
+        i = j + int(np.argmin(lam[j:]))
+        if lam[i] < lam[j]:
+            lam[[i, j]] = lam[[j, i]]
+            z[:, [i, j]] = z[:, [j, i]]
+    return lam, np.ascontiguousarray(z)
+
+
+def _check_info(routine: str, info: int) -> None:
     if info != 0:
-        raise OracleError(f"LAPACK dsyevr failed with info {info}")
-    # copied, so that the n x n array of which dsyevr filled m columns is freed
-    return lam[:m], vec[:, :m].copy()
+        raise OracleError(f"LAPACK {routine} failed with info {info}")
 
 
 def _pair_correlations(rows: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

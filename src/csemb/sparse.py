@@ -25,6 +25,7 @@ import numpy as np
 
 GAUSSIAN_DROP_TOL = 1e-12  # kernel entries below this are not stored
 MAX_PAIR_ENDPOINT = 3_037_000_498  # largest vertex id whose pair codes fit in int64
+SYMMETRY_BLOCK = 1 << 14  # entries is_symmetric transposes at once, on average
 
 
 def load_scipy_extension(module: str, scipy_dir: str | None = None):
@@ -189,27 +190,42 @@ class SparseMatrix:
 
     def is_symmetric(self) -> bool:
         """Whether the matrix equals its transpose exactly, pattern and values.
-        The transpose's CSR comes out canonical, so one O(nnz) pass compares it."""
+
+        The rows are transposed a block at a time, and the transpose's CSR
+        comes out canonical: its row j lists the entries that row j must hold
+        next, in the block's columns. So one O(nnz) pass compares them and
+        holds O(n + SYMMETRY_BLOCK) more at once; a whole transpose would
+        hold 2 nnz, 2 n^2 for a dense pattern."""
         if self.n_rows != self.n_cols:
             return False
-        offs, cols, vals = _transpose(self)
-        return (
-            np.array_equal(offs, self.row_offsets)
-            and np.array_equal(cols, self.col_indices)
-            and np.array_equal(vals, self.values)
-        )
+        n, offs, cols, vals = self.n_rows, self.row_offsets, self.col_indices, self.values
+        start = offs[:-1].copy()  # where each row's entries in the next block's columns begin
+        step = max(1, max(SYMMETRY_BLOCK, n) * n // max(self.nnz, 1))  # rows per block
+        for r0 in range(0, n, step):
+            r1 = min(r0 + step, n)
+            k0, k1 = offs[r0], offs[r1]
+            t_offs, t_cols, t_vals = _transpose(
+                r1 - r0, n, offs[r0 : r1 + 1] - k0, cols[k0:k1], vals[k0:k1]
+            )
+            counts = np.diff(t_offs)
+            if np.any(start + counts > offs[1:]):
+                return False
+            at = np.repeat(start - t_offs[:-1], counts) + np.arange(k1 - k0)
+            if not (np.array_equal(cols[at], t_cols + r0) and np.array_equal(vals[at], t_vals)):
+                return False
+            start += counts
+        return True
 
 
-def _transpose(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR arrays (offsets, columns, values) of ``A``'s transpose. ``csr_tocsc``
-    visits the rows of ``A`` in order, so each row of the result is sorted."""
-    offs = np.empty(A.n_cols + 1, dtype=np.int64)
-    cols = np.empty(A.nnz, dtype=np.int64)
-    vals = np.empty(A.nnz)
-    _sparsetools.csr_tocsc(
-        A.n_rows, A.n_cols, A.row_offsets, A.col_indices, A.values, offs, cols, vals
-    )
-    return offs, cols, vals
+def _transpose(n_rows: int, n_cols: int, offs, cols, vals) -> tuple[np.ndarray, ...]:
+    """CSR arrays (offsets, columns, values) of the transpose of the CSR
+    matrix ``(offs, cols, vals)``. ``csr_tocsc`` visits the rows in order, so
+    each row of the result is sorted."""
+    t_offs = np.empty(n_cols + 1, dtype=np.int64)
+    t_cols = np.empty(len(vals), dtype=np.int64)
+    t_vals = np.empty(len(vals))
+    _sparsetools.csr_tocsc(n_rows, n_cols, offs, cols, vals, t_offs, t_cols, t_vals)
+    return t_offs, t_cols, t_vals
 
 
 def spmv_multi(
@@ -299,8 +315,8 @@ def dilate(A: SparseMatrix) -> SparseMatrix:
     if A.n_rows < 1 or A.n_cols < 1:
         raise ValueError("cannot dilate an empty matrix")
     # the first n rows are those of A^T shifted right by n, the last m those of A
-    at_offs, at_cols, at_vals = _transpose(A)
     m, n = A.shape
+    at_offs, at_cols, at_vals = _transpose(m, n, A.row_offsets, A.col_indices, A.values)
     at_cols += n
     return SparseMatrix(
         m + n,

@@ -21,8 +21,11 @@ from csemb import (
     sample_pairs,
 )
 from csemb.oracle import (
+    _RMAX,
+    _RMIN,
     ORACLE_CAP,
     PAIR_CHUNK,
+    _dsyevr_range,
     _pair_correlations,
     _pairwise_distances,
     _spectral_delta,
@@ -48,6 +51,16 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+LAPACK_STAGES = ("dsytrd", "dstebz", "dstein", "dormqr")
+
+
+def lapack_with(**replaced):
+    """The routines of scipy's LAPACK extension that the oracle calls, some
+    of them replaced."""
+    lapack = csemb.oracle._flapack()
+    return SimpleNamespace(**{name: getattr(lapack, name) for name in LAPACK_STAGES} | replaced)
 
 
 class TestExactEmbedding:
@@ -120,8 +133,8 @@ class TestExactEmbedding:
 
 
 class TestEigenpairSubset:
-    """An indicator's eigenpairs come from LAPACK dsyevr over its support;
-    every other function's from the full np.linalg.eigh."""
+    """An indicator's eigenpairs come from dsyevr's LAPACK stages over its
+    support; every other function's from the full np.linalg.eigh."""
 
     @pytest.mark.parametrize("spectrum", ["uniform", "repeated"])
     @pytest.mark.parametrize("seed", range(3))
@@ -169,29 +182,39 @@ class TestEigenpairSubset:
         assert exact_embedding(sparse_from(S), f).tobytes() == (vec[:, keep] * weights[keep]).tobytes()
 
     def test_residual_checked(self, monkeypatch):
-        dsyevr = csemb.oracle._flapack().dsyevr
+        lapack = csemb.oracle._flapack()
 
-        def off_by_a_little(*args, **kwargs):
-            lam, vec, m, isuppz, info = dsyevr(*args, **kwargs)
-            return lam + 1e-6, vec, m, isuppz, info
+        def off_by_a_little(*args):
+            m, w, iblock, isplit, info = lapack.dstebz(*args)
+            return m, w + 1e-6, iblock, isplit, info
 
-        monkeypatch.setattr(csemb.oracle, "_flapack", lambda: SimpleNamespace(dsyevr=off_by_a_little))
+        fake = lapack_with(dstebz=off_by_a_little)
+        monkeypatch.setattr(csemb.oracle, "_flapack", lambda: fake)
         S = sparse_from(random_symmetric(10, np.random.default_rng(3)))
         with pytest.raises(OracleError, match="residual"):
             exact_embedding(S, indicator_above(0.0))
 
-    def test_lapack_failure_raised(self, monkeypatch):
-        failed = SimpleNamespace(dsyevr=lambda a, **kwargs: (None, None, 0, None, 3))
-        monkeypatch.setattr(csemb.oracle, "_flapack", lambda: failed)
-        with pytest.raises(OracleError, match="info 3"):
+    @pytest.mark.parametrize("routine", LAPACK_STAGES)
+    def test_lapack_failure_raised(self, monkeypatch, routine):
+        call = getattr(csemb.oracle._flapack(), routine)
+
+        def failed(*args, **kwargs):
+            *out, _ = call(*args, **kwargs)
+            return (*out, 3)
+
+        fake = lapack_with(**{routine: failed})
+        monkeypatch.setattr(csemb.oracle, "_flapack", lambda: fake)
+        with pytest.raises(OracleError, match=f"LAPACK {routine} failed with info 3"):
             exact_embedding(SparseMatrix.identity(3), indicator_above(0.5))
 
     def test_subset_peak_memory(self):
-        # the dense matrix, dsyevr's n x n eigenvectors, and no third n x n
-        # array: the wrapper used to copy the matrix into Fortran order
+        # the dense matrix and no second n x n array: dsyevr's wrapper
+        # allocated n x n eigenvectors, a whole transpose for the symmetry
+        # check held two n x n arrays of this dense pattern, and the wrapper
+        # once copied the matrix into Fortran order
         n = 1500
         S = sparse_from(random_symmetric(n, np.random.default_rng(14)))
-        assert traced_peak(lambda: exact_embedding(S, indicator_above(0.8))) < 2.5 * n * n * 8
+        assert traced_peak(lambda: exact_embedding(S, indicator_above(0.8))) < 1.25 * n * n * 8
 
     def test_forced_fallback_same_bits(self, tmp_path):
         # no extension file under tmp_path, so the loader imports scipy.linalg's package
@@ -212,6 +235,86 @@ assert by_file.shape[1] > 0 and by_file.tobytes() == by_import.tobytes()
 print("ok")
 """
         assert run_python(code) == "ok"
+
+
+class TestDsyevrStages:
+    """_dsyevr_range calls the LAPACK stages of dsyevr(range="V") one by one,
+    and must give its eigenpairs bit for bit."""
+
+    def same_bits(self, a, vl, vu) -> int:
+        lam, vec, m, _, info = csemb.oracle._flapack().dsyevr(a.T, range="V", lower=1, vl=vl, vu=vu)
+        assert info == 0
+        got_lam, got_vec = _dsyevr_range(a.copy(), vl, vu)
+        assert np.array_equal(got_lam, lam[:m])
+        assert np.array_equal(got_vec, vec[:, :m]) and got_vec.flags.c_contiguous
+        return m
+
+    @pytest.mark.parametrize("spectrum", ["uniform", "repeated"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_spectra(self, spectrum, seed):
+        rng = np.random.default_rng(seed)
+        if spectrum == "uniform":
+            lam = rng.uniform(-1.02, 1.02, 60)
+        else:
+            lam = rng.choice([-0.5, 0.2, 0.7, 1.0], 60)
+        a = symmetric_with_spectrum(lam, rng)
+        a = (a + a.T) / 2
+        for vl in (-0.9, 0.0, 0.5, 0.95):
+            assert self.same_bits(a, vl, 1.1) == np.sum(lam > vl)
+
+    def test_identical_blocks(self):
+        # T splits into four equal blocks, so eigenvalues tie exactly and
+        # dsyevr's unstable selection sort decides the order of their vectors
+        blk = random_symmetric(6, np.random.default_rng(8))
+        a = np.kron(np.eye(4), blk)
+        lam, _ = _dsyevr_range(a.copy(), -1.0, 1.0)
+        assert len(lam) == 24 and len(np.unique(lam)) < 24
+        assert self.same_bits(a, -1.0, 1.0) == 24
+        assert self.same_bits(a, 0.0, 1.0) > 0
+
+    def test_eigenvalue_at_a_bound(self):
+        # (vl, vu] leaves out an eigenvalue at vl and keeps one at vu
+        a = np.diag([0.5, 0.2, 0.5, -0.3, 0.9])
+        a[3:, 3:] = [[-0.3, 0.4], [0.4, 0.9]]
+        assert self.same_bits(a, 0.5, 1.2) == 1
+        assert self.same_bits(a, 0.2, 0.5) == 2
+        assert self.same_bits(a, -1.0, 0.2) == 2
+
+    @pytest.mark.parametrize(
+        "n, vl, vu, m", [(20, 0.6, 1.0, 0), (20, -1.0, 1.0, 20), (200, -1.0, 1.0, 200)]
+    )
+    def test_none_or_all(self, n, vl, vu, m):
+        a = random_symmetric(n, np.random.default_rng(n), spectral_norm=0.5)
+        assert self.same_bits(a, vl, vu) == m
+
+    @pytest.mark.parametrize("vl, vu, m", [(0.0, 1.0, 1), (0.3, 1.0, 0), (-1.0, 0.3, 1)])
+    def test_one_row(self, vl, vu, m):
+        assert self.same_bits(np.array([[0.3]]), vl, vu) == m
+
+    @pytest.mark.parametrize("a", [[[0.0, 0.5], [0.5, 0.0]], [[0.3, -0.2], [-0.2, 0.1]]])
+    def test_two_rows(self, a):
+        a = np.array(a)
+        assert self.same_bits(a, -1.0, 1.0) == 2
+        assert self.same_bits(a, 0.0, 1.0) == 1
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e80])
+    def test_scaled_outside_the_safe_range(self, scale):
+        # dsyevr scales a matrix whose largest entry lies outside
+        # [_RMIN, _RMAX] before the reduction, and its eigenvalues back after
+        a = random_symmetric(40, np.random.default_rng(9)) * scale
+        assert not _RMIN <= np.abs(a).max() <= _RMAX
+        assert self.same_bits(a, -0.2 * scale, scale) > 0
+
+    def test_stage_signatures(self):
+        # a scipy release whose wrappers take other arguments fails here
+        # instead of computing something else
+        lapack = csemb.oracle._flapack()
+        assert [getattr(lapack, name).__doc__.splitlines()[0] for name in LAPACK_STAGES] == [
+            "c,d,e,tau,info = dsytrd(a,[lower,lwork,overwrite_a])",
+            "m,w,iblock,isplit,info = dstebz(d,e,range,vl,vu,il,iu,tol,order)",
+            "z,info = dstein(d,e,w,iblock,isplit)",
+            "cq,work,info = dormqr(side,trans,a,tau,c,lwork,[overwrite_c])",
+        ]
 
 
 def normalized_correlation(X, i, j):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+import csemb.sparse
 from csemb import (
     SparseMatrix,
     dilate,
@@ -12,7 +13,7 @@ from csemb import (
     scale_values,
     spmv_multi,
 )
-from csemb.sparse import MAX_PAIR_ENDPOINT, simple_edges, weighted_adders
+from csemb.sparse import MAX_PAIR_ENDPOINT, SYMMETRY_BLOCK, simple_edges, weighted_adders
 from helpers import random_symmetric, run_python
 
 
@@ -55,6 +56,39 @@ class TestSparseMatrix:
         m = SparseMatrix.from_coo([0, 0], [1, 1], [2.0, 3.0], 2, 2)
         assert m.nnz == 1
         assert m.to_dense()[0, 1] == 5.0
+
+    @pytest.mark.parametrize("block", [1, 5, SYMMETRY_BLOCK])
+    def test_is_symmetric_as_dense_transpose(self, monkeypatch, block):
+        # the rows are transposed a block at a time; every block size gives
+        # the dense answer, for asymmetric patterns and values alike
+        monkeypatch.setattr(csemb.sparse, "SYMMETRY_BLOCK", block)
+        rng = np.random.default_rng(block)
+        answers = set()
+        for _ in range(300):
+            n = int(rng.integers(0, 9))
+            m = n if rng.random() < 0.9 else int(rng.integers(0, 9))
+            a = (rng.random((n, m)) < rng.random()) * rng.integers(1, 3, (n, m)).astype(float)
+            if n == m and rng.random() < 0.7:
+                a = np.triu(a) + np.triu(a, 1).T
+                if n and rng.random() < 0.4:
+                    i, j = rng.integers(0, n, 2)
+                    a[i, j] = rng.integers(0, 3)
+            expected = n == m and np.array_equal(a, a.T)
+            answers.add(expected)
+            assert SparseMatrix.from_dense(a).is_symmetric() == expected
+        assert answers == {True, False}
+
+    def test_is_symmetric_peak_memory(self):
+        # a whole transpose held two n x n arrays for a dense pattern
+        n = 1500
+        S = SparseMatrix.from_dense(random_symmetric(n, np.random.default_rng(2)))
+        tracemalloc.start()
+        try:
+            assert S.is_symmetric()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * n * n * 8
 
     @pytest.mark.parametrize("presorted", [False, True], ids=["unsorted", "presorted"])
     def test_from_coo_same_bits_as_scipy(self, presorted):
