@@ -205,6 +205,7 @@ def cmd_embed(args) -> int:
         cio.write_embedding_csv(args.output_csv, rows)
 
     meta = {
+        **emb.provenance,
         "command": "embed",
         "input": args.input,
         "format": args.format,
@@ -212,15 +213,8 @@ def cmd_embed(args) -> int:
         "kernel": args.kernel if args.format == "points-csv" else None,
         "bandwidth": args.bandwidth if args.format == "points-csv" else None,
         "n_override": args.n,
-        "function": args.function.describe(),
-        "L": cfg.L,
-        "b": cfg.b,
-        "d": cfg.d,
-        "block_width": emb.provenance["block_width"],
-        "seed": cfg.seed,
+        "function": args.function.describe(),  # as --function reads it, not its odd extension
         "norm_estimate": norm_estimate,
-        "spmv_products": emb.provenance["spmv_products"],
-        "coeffs_sha256": emb.provenance.get("coeffs_sha256"),
         "n_rows": rows.shape[0],
         "wall_time_s": time.perf_counter() - t0,
         "output": args.output,

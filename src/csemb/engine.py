@@ -15,8 +15,9 @@ the result in place with scipy's CSR kernel on the identity pattern
 (:func:`~csemb.sparse.weighted_adders`): one product and two dense passes
 per order, and nothing else superlinear. gamma(r) is a scalar, renormalised
 by an exact power of two before it overflows near order 1024. Cascading
-applies a shorter expansion of the b-th root of f, b times, which deepens
-the nulls the plain expansion leaves shallow.
+applies a shorter expansion of the signed b-th root of f, b times, which
+deepens the nulls the plain expansion leaves shallow (for even b and a
+signed f the product is |f|_L(S) Omega, which has f's row Gram f(S)^2).
 
 Callers divide S by :func:`estimate_spectral_norm`, NORM_SAFETY times the
 largest |Ritz value| of a short Lanczos run. A Ritz value is a Rayleigh
@@ -327,7 +328,8 @@ def fast_embed_cascaded(
     n_workers: int = 1,
 ) -> EmbeddingMatrix:
     """Embed the rows of a symmetric S (||S|| <= 1) as f_L(S) @ Omega, by b
-    cascade stages of order L/b applied to the b-th root of f.
+    cascade stages of order L/b applied to the signed b-th root of f (the
+    product is |f|_L(S) @ Omega when b is even and f takes negative values).
 
     ``f`` may be a SpectralFunction or a plain callable on [-1, 1]. Omega is
     ``sample_projection(n, cfg.d, cfg.seed)``, drawn block by block in the

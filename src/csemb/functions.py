@@ -5,13 +5,8 @@ array, its text form, the points where it jumps or kinks, and an interval
 outside which it is zero. Each constructor checks its own argument and
 builds one: indicator steps, the commute-time weight 1/sqrt(1-x), identity,
 constants, a tabulated curve, and the two transforms the embedding pipeline
-needs, a b-th root (for cascading) and an odd extension (for dilations of
-rectangular matrices).
-
-A root is always taken inside an odd extension, whatever order the two are
-requested in. Taking the root before extending keeps the root's
-nonnegativity precondition on the base function; for f >= 0 this equals the
-signed root of the extension.
+needs, a signed b-th root (for cascading) and an odd extension (for
+dilations of rectangular matrices).
 
 Any plain callable mapping arrays in [-1, 1] to arrays is accepted wherever
 a SpectralFunction is, so ad-hoc weights (e.g. polynomials) need no wrapper;
@@ -23,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_CHECK_GRID = np.linspace(-1.0, 1.0, 2001)
 _WHOLE_LINE = (-np.inf, np.inf)
 
 DEFAULT_COMMUTE_CLIP = 1e-3
@@ -38,8 +32,6 @@ class SpectralFunction:
     f is exactly zero; the dense oracle computes only the eigenpairs inside
     it. ``text`` is the short form recorded in provenance.
     """
-
-    _odd_base = None  # f, on odd_extension(f): root_function roots f, then extends
 
     def __init__(self, values, text: str, breaks=(), support=_WHOLE_LINE):
         self._values = values
@@ -134,37 +126,25 @@ def odd_extension(f) -> SpectralFunction:
     """f'(x) = f(x) for x >= 0 and -f(-x) for x < 0. It breaks at 0 and at
     +-b for each breakpoint b of f in (0, 1); its support is the whole line."""
     pos = [b for b in breakpoints_of(f) if 0.0 < b < 1.0]
-    out = SpectralFunction(
+    return SpectralFunction(
         lambda x: np.where(x >= 0.0, f(x), -np.asarray(f(-x))),
         f"{describe(f)}|odd",
         (0.0, *pos, *(-b for b in pos)),
     )
-    out._odd_base = f
-    return out
 
 
 def root_function(f, b: int):
-    """Pointwise b-th root; even roots require a nonnegative function, odd
-    roots are signed. f^(1/b) is zero exactly where f is, so it keeps f's
-    breakpoints and support.
-
-    The root of an odd extension is the odd extension of the root, so the
-    nonnegativity check sees the base function.
-    """
+    """The signed b-th root sign(f) |f|^(1/b), which b cascade stages turn
+    into f for odd b and, for even b, into |f|, with f's row Gram f(S)^2. It
+    is zero exactly where f is, so it keeps f's breakpoints and support."""
     if b < 1:
         raise ValueError("root power must be >= 1")
     if b == 1:
         return f
-    if isinstance(f, SpectralFunction) and f._odd_base is not None:
-        return odd_extension(root_function(f._odd_base, b))
-    if b % 2 == 0 and np.min(np.asarray(f(_CHECK_GRID))) < -1e-12:
-        raise ValueError("even root of a function taking negative values")
 
     def values(x):
         y = np.atleast_1d(np.asarray(f(x), dtype=np.float64))
-        if b % 2 == 0:
-            return np.maximum(y, 0.0) ** (1.0 / b)
-        return np.sign(y) * np.abs(y) ** (1.0 / b)
+        return np.copysign(np.abs(y) ** (1.0 / b), y)
 
     return SpectralFunction(values, f"{describe(f)}|root:{b}", breakpoints_of(f), support_of(f))
 

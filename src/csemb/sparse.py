@@ -267,8 +267,10 @@ def spmv_multi(
         raise ValueError("out must not overlap the input block")
     elif not accumulate:
         out.fill(0.0)
-    # scipy's compiled CSR kernels, chosen as scipy's ``csr @ X`` chooses them
-    # (one column takes the vector kernel); both add into ``out``
+    # scipy's CSR kernels, adding into ``out``. One column takes csr_matvec,
+    # for speed: on the embed-dilation operator (248,302 entries) it took
+    # 0.39-0.48 ms to csr_matvecs' 0.70-0.90 ms at k = 1, with equal bits in
+    # 200 random cases, and the Lanczos norm estimate makes 40 such products
     csr = (S.row_offsets, S.col_indices, S.values)
     k = X.shape[1]
     if k == 1:

@@ -144,6 +144,43 @@ class TestEmbedCommand:
         assert read_embedding(rows_out).shape == (7, 6)
         assert read_embedding(cols_out).shape == (4, 6)
 
+    def test_metadata_holds_the_provenance(self, tmp_path, monkeypatch):
+        real, made = csemb.cli.fast_embed_cascaded, []
+
+        def kept(*args, **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(csemb.cli, "fast_embed_cascaded", kept)
+        p = tmp_path / "a.mtx"
+        scipy.io.mmwrite(p, scipy.sparse.coo_array(np.random.default_rng(5).standard_normal((7, 4))))
+        out = tmp_path / "rows.bin"
+        assert main([
+            "embed", "--input", str(p), "--format", "matrix-market", "--matrix", "dilation",
+            "--function", "indicator:0.5", "--L", "16", "--b", "2", "--d", "6",
+            "--output", str(out),
+        ]) == 0
+        meta = json.loads((tmp_path / "rows.bin.meta.json").read_text())
+        provenance = made[0].provenance
+        assert provenance["function"] == "indicator:0.5|odd"
+        assert meta["function"] == "indicator:0.5"  # the text --function parses
+        for key, value in provenance.items():
+            if key != "function":
+                assert meta[key] == value, key
+
+    def test_dilation_of_signed_function_with_even_cascade(self, tmp_path):
+        # |identity| has identity's row geometry, so the even cascade runs
+        p = tmp_path / "a.mtx"
+        scipy.io.mmwrite(p, scipy.sparse.coo_array(np.random.default_rng(6).standard_normal((7, 4))))
+        out = tmp_path / "rows.bin"
+        assert main([
+            "embed", "--input", str(p), "--format", "matrix-market", "--matrix", "dilation",
+            "--function", "identity", "--L", "16", "--b", "2", "--d", "6",
+            "--output", str(out),
+        ]) == 0
+        rows = read_embedding(out)
+        assert rows.shape == (7, 6) and np.all(np.isfinite(rows))
+
     def test_points_kernel_path(self, tmp_path):
         rng = np.random.default_rng(3)
         pts = rng.standard_normal((25, 2))
@@ -603,6 +640,21 @@ class TestNormCommand:
         assert code == 0
         blob = json.loads(out.read_text())
         assert blob["norm_estimate"] == pytest.approx(1.01, abs=1e-12)
+
+    def test_edgelist_estimates_on_the_adjacency(self, tmp_path):
+        # the normalized adjacency is not rescaled, so norm estimates it here
+        from csemb import estimate_spectral_norm, normalized_adjacency
+        from csemb.io import read_edgelist
+
+        graph = tmp_path / "g.txt"
+        graph.write_text("".join(f"{i} {(i + 1) % 12}\n{i} {(i + 5) % 12}\n" for i in range(12)))
+        out = tmp_path / "norm.json"
+        assert main(["norm", "--input", str(graph), "--format", "edgelist",
+                     "--output", str(out)]) == 0
+        est = json.loads(out.read_text())["norm_estimate"]
+        edges, _ = read_edgelist(graph)
+        assert est == estimate_spectral_norm(normalized_adjacency(edges, 12))
+        assert est == pytest.approx(1.01, abs=1e-12)
 
     def test_zero_matrix(self, tmp_path):
         p = tmp_path / "z.mtx"

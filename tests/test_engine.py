@@ -18,7 +18,9 @@ from csemb import (
     constant,
     default_dimension,
     dilate,
+    distortion_percentiles,
     estimate_spectral_norm,
+    exact_embedding,
     fast_embed_cascaded,
     identity,
     indicator_above,
@@ -484,6 +486,21 @@ class TestCascade:
         rel = np.linalg.norm(emb.values - oracle) / np.linalg.norm(oracle)
         assert rel <= 1e-10
 
+    def test_even_cascade_of_signed_function(self):
+        # two stages of the signed square root apply |f|, whose row Gram
+        # f(S)^2 is f's: the deviations match the single stage's
+        S = sparse_from(random_symmetric(400, np.random.default_rng(20), density=0.05))
+        exact = exact_embedding(S, identity())
+        runs = [
+            distortion_percentiles(exact, fast_embed_cascaded(
+                S, identity(), EmbedConfig(L=60, d=80, b=b, seed=20)).values).percentiles
+            for b in (1, 2)
+        ]
+        assert runs[0].keys() == runs[1].keys()
+        for p in runs[0]:
+            assert abs(runs[1][p] - runs[0][p]) <= 0.01
+        assert -0.2 < runs[1][5] and runs[1][95] < 0.2
+
     def test_spmv_counter(self):
         rng = np.random.default_rng(14)
         S = sparse_from(random_symmetric(20, rng))
@@ -573,8 +590,8 @@ class TestGeneralMatrices:
         assert rel <= 1e-10
 
     def test_plain_callable_with_even_cascade(self):
-        # the even root is taken before the odd extension, as for a
-        # SpectralFunction, so a forwarding wrapper gives the same bytes
+        # one signed root serves every callable, a SpectralFunction or
+        # not, so a forwarding wrapper gives the same bytes
         class Forward:
             def __init__(self, f):
                 self._f = f

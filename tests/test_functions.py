@@ -105,11 +105,14 @@ def test_root_of_callable_square():
     assert np.allclose(g(x), np.abs(x))
 
 
-def test_even_root_of_negative_rejected():
-    with pytest.raises(ValueError):
-        root_function(identity(), 2)
-    with pytest.raises(ValueError):
-        root_function(lambda x: np.asarray(x), 2)
+def test_even_root_of_negative_is_signed():
+    # sign(f) |f|^(1/b) for every b; b stages of it apply |f| when b is even
+    x = np.array([-0.25, -0.0, 0.0, 0.04, 1.0])
+    for f in (identity(), lambda x: np.asarray(x)):
+        g = root_function(f, 2)(x)
+        assert np.array_equal(g, [-0.5, -0.0, 0.0, 0.2, 1.0])
+        assert np.array_equal(np.signbit(g), np.signbit(x))
+    assert root_function(constant(-4.0), 2)(0.3) == -2.0
 
 
 def test_odd_root_signed():
@@ -118,7 +121,7 @@ def test_odd_root_signed():
 
 
 def test_root_then_odd_extension_order():
-    # root applies to the base; extension stays odd
+    # the signed root of an odd function is odd
     f = root_function(odd_extension(indicator_above(0.5)), 2)
     assert f(0.9) == 1.0 and f(-0.9) == -1.0
 
@@ -224,12 +227,12 @@ _PINNED = {
         "b4ccf2744684f5a771014a8d1cd35c7ba45845ddd5e590aafa9b5f8449fce864",
     ),
     "indicator:0.5/root2-odd": (
-        "indicator:0.5|root:2|odd", (-0.5, 0.0, 0.5),
+        "indicator:0.5|odd|root:2", (-0.5, 0.0, 0.5),
         "70b011fd788da888f94bb89774fcd94690bb9281b2a36e5998fd86585ce604b7",
         "0366fc8c7f3c5613ca3e00d78c87ad4de269f660cdfe00a13fc2a5fc5a2a97e8",
     ),
     "indicator:0.5/root3-odd": (
-        "indicator:0.5|root:3|odd", (-0.5, 0.0, 0.5),
+        "indicator:0.5|odd|root:3", (-0.5, 0.0, 0.5),
         "70b011fd788da888f94bb89774fcd94690bb9281b2a36e5998fd86585ce604b7",
         "0366fc8c7f3c5613ca3e00d78c87ad4de269f660cdfe00a13fc2a5fc5a2a97e8",
     ),
@@ -254,12 +257,12 @@ _PINNED = {
         "c87ea4cd161eef50f344961adead5bfe2609b69035090528c4fd2921876f3725",
     ),
     "indicator:-0.25/root2-odd": (
-        "indicator:-0.25|root:2|odd", (0.0,),
+        "indicator:-0.25|odd|root:2", (0.0,),
         "1c4a1c016b5f6547ec6abd84012e5b78e2a5ee7bd04fe6b216435c74d6d9b5e8",
         "b14b6cfba6702d6d9ef28d3e35ffdec0ee5f73180948ce503383984529f930f7",
     ),
     "indicator:-0.25/root3-odd": (
-        "indicator:-0.25|root:3|odd", (0.0,),
+        "indicator:-0.25|odd|root:3", (0.0,),
         "1c4a1c016b5f6547ec6abd84012e5b78e2a5ee7bd04fe6b216435c74d6d9b5e8",
         "b14b6cfba6702d6d9ef28d3e35ffdec0ee5f73180948ce503383984529f930f7",
     ),
@@ -284,12 +287,12 @@ _PINNED = {
         "513896ada75995ce3c79ffab9a81b80bdb7f0064134b7f0b82a2f3d873678dae",
     ),
     "commute:0.001/root2-odd": (
-        "commute:0.001|root:2|odd", (-0.999, 0.0, 0.999),
+        "commute:0.001|odd|root:2", (-0.999, 0.0, 0.999),
         "7944de158e8655b4830b7cd29576caca99fc5dd434d569aea5167f0512a29eb6",
         "2359649e5ce3d1dd5e24685eef33021cb379440b73a900079708808fc896829b",
     ),
     "commute:0.001/root3-odd": (
-        "commute:0.001|root:3|odd", (-0.999, 0.0, 0.999),
+        "commute:0.001|odd|root:3", (-0.999, 0.0, 0.999),
         "7d0421f1b9fe33f7dc7f4fa8cacb995f5ede9172d319915161fcc567f3bf94e2",
         "8c7764453b85981384be00696c336323dc78afe1924738812e345d2949bb5004",
     ),
@@ -303,15 +306,23 @@ _PINNED = {
         "c5eea70abaf0d63d900777a848be84468323bdaa435ccba7b32995402d1265a6",
         "3addcd45cd4503892f86ecf0efae47535413cea6ac933b54a38b8fdd6c53dd48",
     ),
-    "identity/root2": "even root of a function taking negative values",
+    "identity/root2": (
+        "identity|root:2", (),
+        "39d238722f853bb3408182c605bf817de5d5ad92794a49c7435e9bdf9e6f8b8b",
+        "a3953a38dd18b6be873e024068b88b257a60354447bfbb94ebee6d9667290683",
+    ),
     "identity/root3": (
         "identity|root:3", (),
         "8271af64cd0409bcef353316e973f897f39f1d559a78dd81c889250d5e5a140b",
         "1f7b951b9df3c89cac4dd37c603342b542085f8ed0592d84444c0e12a4d08200",
     ),
-    "identity/root2-odd": "even root of a function taking negative values",
+    "identity/root2-odd": (
+        "identity|odd|root:2", (0.0,),
+        "39d238722f853bb3408182c605bf817de5d5ad92794a49c7435e9bdf9e6f8b8b",
+        "0247309b1b1e3890a0ea3f6e3d2478b802b24839fa4b05fd57aec1b11752151c",
+    ),
     "identity/root3-odd": (
-        "identity|root:3|odd", (0.0,),
+        "identity|odd|root:3", (0.0,),
         "8271af64cd0409bcef353316e973f897f39f1d559a78dd81c889250d5e5a140b",
         "9c4573c5869ae3074cb9ee2d6d3801607e956c43ea97337bf5f6540120f70ea1",
     ),
@@ -336,12 +347,12 @@ _PINNED = {
         "e85976dc299b88b9f96f9fd30a51c71c3b353daa2f5e90fd953d12b63b0afc78",
     ),
     "const:2.5/root2-odd": (
-        "const:2.5|root:2|odd", (0.0,),
+        "const:2.5|odd|root:2", (0.0,),
         "41d231607ac66b90952d3835b6e20a491e950414d312d2058084422dd1be35e4",
         "295de1aa37bfb40c7c3026ccb58488783ca9313113113d318eb4776388faf6ea",
     ),
     "const:2.5/root3-odd": (
-        "const:2.5|root:3|odd", (0.0,),
+        "const:2.5|odd|root:3", (0.0,),
         "50e3d9ea726de352ecf96e130f1b61e71754384a6ad14f0ffaa21debfa3351bd",
         "8c3b9bd58876eb599fc9a2caaf1ecef1fac155ca17f6d34f85fa78827dbffbec",
     ),
@@ -355,15 +366,23 @@ _PINNED = {
         "ef8a67111b69ea90c066a5114a5566de4b13975178c84c31cd4733b2d987bb33",
         "4ef93643a4d60d1314580bec5b2ae10d2f7da6139f71439bb05c2f0ff05224d8",
     ),
-    "table:4pts/root2": "even root of a function taking negative values",
+    "table:4pts/root2": (
+        "table:4pts|root:2", (-0.3, 0.4),
+        "28b28c371bd0d1c673c8411aacb35a58bd2fc6fc28bfe98f1a4ad0b65d3eb781",
+        "b3e221cc5ced9e145d79bddd54ccabb5a7aa1c787fef43ce8087a389929554d9",
+    ),
     "table:4pts/root3": (
         "table:4pts|root:3", (-0.3, 0.4),
         "9989e61d065ba7d24dec41de6d86178f594678700c887253501f0861de7ce94f",
         "517931df9e6be2a84b10bf331ae8091e544c56cf5712420fff116bdeedcc088e",
     ),
-    "table:4pts/root2-odd": "even root of a function taking negative values",
+    "table:4pts/root2-odd": (
+        "table:4pts|odd|root:2", (-0.4, 0.0, 0.4),
+        "c8b045fd16f60962d8d2ce7b76bcc953284a3b61ffe283b0a50d360b92d10cda",
+        "cc2b87fe91fe3e19f8eb829040d71605c0bcdfce3bc79350679564df8a05248f",
+    ),
     "table:4pts/root3-odd": (
-        "table:4pts|root:3|odd", (-0.4, 0.0, 0.4),
+        "table:4pts|odd|root:3", (-0.4, 0.0, 0.4),
         "c1e6c02df9340510034638a361ef7df122876e88dd2e605bcdb3014d4ba28278",
         "ccd9801c74c56376ae4cc9d60328cec5ff4c3f02ebb0e71c3d17f93be542be3d",
     ),
@@ -377,15 +396,23 @@ _PINNED = {
         "38f2fbcc3944b9934ccd441410500b3eb68f754a91e225969b30e9f7a410f565",
         "ff3f2d9365ad4924eed3c0a726afd804a809855d4d1209cda83ab0003cdde35b",
     ),
-    "_cubic/root2": "even root of a function taking negative values",
+    "_cubic/root2": (
+        "_cubic|root:2", (),
+        "9320d23aae73c92d3b9b3b9314b12a878dd74d283efcca402c369312c0c61829",
+        "3dd1fe781e5b28e4da295346146ede71953d67bab5f72a30f0952a37adcdb72d",
+    ),
     "_cubic/root3": (
         "_cubic|root:3", (),
         "e646f176bb1b6accf655d030dd7c4aec78f3e3b354b18e96c5fda79f9f4028e7",
         "33bf0e114560d1170e4b32c73a527937495c74aa8179a9836f5a7560b8aad59e",
     ),
-    "_cubic/root2-odd": "even root of a function taking negative values",
+    "_cubic/root2-odd": (
+        "_cubic|odd|root:2", (0.0,),
+        "44ce4249dcd60b629d49ff36f2ab37503179ac806625793431fde49da5a27f1f",
+        "27c7ccc2a0027859cd8e52bd3da66c34d7f2b8db13ca9741a8e238f1ae9d5167",
+    ),
     "_cubic/root3-odd": (
-        "_cubic|root:3|odd", (0.0,),
+        "_cubic|odd|root:3", (0.0,),
         "6b7c0a1affd8a09f152d7e137d0668883390aa2c9e9e63d7ef0366154f79638f",
         "d6f65a38afea4df5d8316ec4465a8c37b35258506797eb96a8a1bb2f5cc72b34",
     ),

@@ -20,7 +20,7 @@ from csemb.io import (
     write_embedding_csv,
     write_labels_csv,
 )
-from csemb.io import _check_body
+from csemb.io import _check_body, _fmm_core
 from helpers import run_python
 
 
@@ -394,6 +394,29 @@ for a, b in zip(by_file, by_import):
 print("ok")
 """
         assert run_python(code) == "ok"
+
+    def test_core_signatures(self):
+        # as test_oracle's test_stage_signatures for LAPACK: a scipy release
+        # whose parser takes other arguments fails here instead of reading
+        # something else; these are the overloads read_matrix_market calls
+        core = _fmm_core()
+
+        def overloads(routine):  # "3. f(...) -> None" lines, without their number
+            return {line.partition(". ")[2] for line in routine.__doc__.splitlines()}
+
+        cursor = "scipy.io._fast_matrix_market._fmm_core._read_cursor"
+        array = "typing.Annotated[numpy.typing.ArrayLike, numpy.{}]".format
+        assert core.open_read_stream.__doc__.splitlines()[0] == (
+            "open_read_stream(arg0: io.BytesIO, arg1: typing.SupportsInt | "
+            f"typing.SupportsIndex) -> {cursor}"
+        )
+        assert (
+            f"read_body_coo(arg0: {cursor}, arg1: {array('int64')}, arg2: {array('int64')}, "
+            f"arg3: {array('float64')}) -> None"
+        ) in overloads(core.read_body_coo)
+        assert (
+            f"read_body_array(arg0: {cursor}, arg1: {array('float64')}) -> None"
+        ) in overloads(core.read_body_array)
 
 
 class TestPointsCsv:
