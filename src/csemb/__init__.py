@@ -10,7 +10,6 @@ for validation.
 from .cluster import (
     ClusterAssignment,
     ClusterExperiment,
-    ModularityScore,
     cluster_experiment,
     kmeans,
     modularity,
@@ -80,7 +79,6 @@ __all__ = [
     "EmbeddingMatrix",
     "InputFormatError",
     "LegendreExpansion",
-    "ModularityScore",
     "ORACLE_CAP",
     "OracleCapError",
     "OracleError",

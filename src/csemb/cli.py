@@ -7,10 +7,10 @@ stage outgrew the ||S|| <= 1 bound), 5 dense-oracle cap exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from . import io as cio
 from .cluster import cluster_experiment
@@ -24,13 +24,7 @@ from .engine import (
 )
 from .errors import DivergenceError, InputFormatError, OracleCapError, OracleError
 from .functions import odd_extension, parse_function
-from .oracle import (
-    distortion_percentiles,
-    exact_embedding,
-    write_calibration_csv,
-    write_percentiles_csv,
-    write_report_json,
-)
+from .oracle import distortion_percentiles, exact_embedding, write_report
 from .sparse import dilate, kernel_matrix, normalized_adjacency, scale_values
 
 EXIT_OK = 0
@@ -72,8 +66,9 @@ def _add_matrix_args(p: argparse.ArgumentParser) -> None:
         help="matrix construction applied to the input",
     )
     p.add_argument("--n", type=int, default=None, help="vertex count override (edgelist)")
-    p.add_argument("--kernel", choices=("gaussian", "indicator"), default="gaussian")
-    p.add_argument("--bandwidth", type=float, default=1.0, help="kernel bandwidth")
+    p.add_argument("--kernel", choices=("gaussian", "indicator"),
+                   help="kernel (points-csv; default gaussian)")
+    p.add_argument("--bandwidth", type=float, help="kernel bandwidth (points-csv; default 1.0)")
 
 
 def _add_embed_args(p: argparse.ArgumentParser) -> None:
@@ -108,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--format", choices=("edgelist", "matrix-market", "points-csv"), default=None)
     pv.add_argument("--matrix", choices=("normalized-adjacency", "raw"), default="normalized-adjacency")
     pv.add_argument("--n", type=int, default=None)
-    pv.add_argument("--kernel", choices=("gaussian", "indicator"), default="gaussian")
-    pv.add_argument("--bandwidth", type=float, default=1.0)
+    pv.add_argument("--kernel", choices=("gaussian", "indicator"))
+    pv.add_argument("--bandwidth", type=float)
     pv.add_argument("--function", type=_function, default=None, metavar="SPEC")
     pv.add_argument("--pairs", type=int, default=None)
     pv.add_argument("--seed", type=int, default=0)
@@ -143,9 +138,12 @@ def _operator(args):
     """The input matrix, the symmetric operator S that f is applied to, and
     the norm estimate S was divided by: None for the normalized adjacency,
     whose spectrum already lies in [-1, 1]. ``--matrix dilation`` makes S
-    the dilation [0 A^T; A 0] of the input."""
-    if args.n is not None and args.format != "edgelist":
-        raise ValueError("--n applies only to --format edgelist")
+    the dilation [0 A^T; A 0] of the input. An option that does not fit
+    ``--format`` is refused; points-csv gets its kernel defaults here."""
+    for option, value, fmt in [("--n", args.n, "edgelist"), ("--kernel", args.kernel, "points-csv"),
+                               ("--bandwidth", args.bandwidth, "points-csv")]:
+        if value is not None and args.format != fmt:
+            raise ValueError(f"{option} applies only to --format {fmt}")
     if args.format == "edgelist":
         if args.matrix != "normalized-adjacency":
             raise ValueError("edge lists support only --matrix normalized-adjacency")
@@ -154,8 +152,9 @@ def _operator(args):
     if args.matrix == "normalized-adjacency":
         raise ValueError("--matrix normalized-adjacency requires --format edgelist")
     if args.format == "points-csv":
-        pts = cio.read_points_csv(args.input)
-        mat = kernel_matrix(pts, args.kernel, args.bandwidth)
+        args.kernel = args.kernel or "gaussian"
+        args.bandwidth = 1.0 if args.bandwidth is None else args.bandwidth
+        mat = kernel_matrix(cio.read_points_csv(args.input), args.kernel, args.bandwidth)
     else:
         mat = cio.read_matrix_market(args.input)
         if args.matrix == "raw" and not mat.is_symmetric():
@@ -173,16 +172,6 @@ def _operator(args):
 def _make_config(args, n: int) -> EmbedConfig:
     d = args.d if args.d is not None else default_dimension(n)
     return EmbedConfig(L=args.L, d=d, b=args.b, seed=args.seed)
-
-
-def _write_json(obj, path) -> str:
-    """``obj`` as indented, key-sorted JSON with a final newline, also written
-    to ``path`` unless that is empty."""
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
 
 
 def cmd_embed(args) -> int:
@@ -210,8 +199,8 @@ def cmd_embed(args) -> int:
         "input": args.input,
         "format": args.format,
         "matrix": args.matrix,
-        "kernel": args.kernel if args.format == "points-csv" else None,
-        "bandwidth": args.bandwidth if args.format == "points-csv" else None,
+        "kernel": args.kernel,  # None unless points-csv
+        "bandwidth": args.bandwidth,
         "n_override": args.n,
         "function": args.function.describe(),  # as --function reads it, not its odd extension
         "norm_estimate": norm_estimate,
@@ -219,7 +208,7 @@ def cmd_embed(args) -> int:
         "wall_time_s": time.perf_counter() - t0,
         "output": args.output,
     }
-    _write_json(meta, args.metadata or (args.output + ".meta.json"))
+    cio.write_json(meta, args.metadata or (args.output + ".meta.json"))
     print(f"embedded {rows.shape[0]} rows into {cfg.d} dimensions -> {args.output}")
     return EXIT_OK
 
@@ -233,9 +222,7 @@ def cmd_eval(args) -> int:
             raise ValueError("eval needs either --exact or --input/--format/--function")
         exact = exact_embedding(_operator(args)[1], args.function)
     report = distortion_percentiles(exact, approx, n_pairs=args.pairs, seed=args.seed)
-    write_percentiles_csv(report, f"{args.output_prefix}_percentiles.csv")
-    write_calibration_csv(report, f"{args.output_prefix}_calibration.csv")
-    write_report_json(report, f"{args.output_prefix}_report.json")
+    write_report(report, args.output_prefix)
     print(
         "deviation percentiles: "
         + ", ".join(f"p{p}={v:+.4f}" for p, v in report.percentiles.items())
@@ -256,16 +243,13 @@ def cmd_cluster(args) -> int:
         "input": args.input,
         "n": n,
         "function": args.function.describe(),
-        "L": cfg.L,
-        "b": cfg.b,
-        "d": cfg.d,
-        "seed": cfg.seed,
+        **asdict(cfg),
         "k": args.k,
         "runs": args.runs,
         "median_modularity": result.median_modularity,
         "run_scores": list(result.run_scores),
     }
-    print(_write_json(summary, args.summary_out), end="")
+    print(cio.write_json(summary, args.summary_out), end="")
     return EXIT_OK
 
 
@@ -280,7 +264,7 @@ def cmd_norm(args) -> int:
         "safety": NORM_SAFETY,
         "steps": NORM_STEPS,
     }
-    print(_write_json(out, args.output), end="")
+    print(cio.write_json(out, args.output), end="")
     return EXIT_OK
 
 

@@ -21,15 +21,6 @@ class ClusterAssignment:
     inertia_history: tuple[float, ...] = ()
 
 
-@dataclass
-class ModularityScore:
-    Q: float
-
-    def __post_init__(self):
-        if not -0.5 - 1e-9 <= self.Q <= 1.0 + 1e-9:
-            raise ValueError(f"modularity {self.Q} outside [-0.5, 1]")
-
-
 def sq_distances(X: np.ndarray, C: np.ndarray, x_sq: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances between the rows of X and of C, as
     max(|x|^2 + |c|^2 - 2 x.c, 0). ``x_sq`` holds the precomputed
@@ -121,13 +112,13 @@ def kmeans(X: np.ndarray, K: int, seed: int = 0) -> ClusterAssignment:
     )
 
 
-def modularity(edges, labels: np.ndarray) -> ModularityScore:
+def modularity(edges, labels: np.ndarray) -> float:
     """Newman modularity Q = sum_c (intra_c / m - (degsum_c / 2m)^2) of an
     undirected simple graph under a vertex labeling."""
     return _score(simple_edges(edges), np.asarray(labels, dtype=np.int64))
 
 
-def _score(und: np.ndarray, labels: np.ndarray) -> ModularityScore:
+def _score(und: np.ndarray, labels: np.ndarray) -> float:
     """Modularity of the canonical pairs ``und`` (from :func:`simple_edges`)
     under int64 ``labels``."""
     m = len(und)
@@ -141,7 +132,9 @@ def _score(und: np.ndarray, labels: np.ndarray) -> ModularityScore:
     deg = np.bincount(und.ravel(), minlength=len(labels))
     degsum = np.bincount(labels, weights=deg, minlength=k)
     q = float(np.sum(intra / m - (degsum / (2.0 * m)) ** 2))
-    return ModularityScore(Q=q)
+    if not -0.5 - 1e-9 <= q <= 1.0 + 1e-9:
+        raise ValueError(f"modularity {q} outside [-0.5, 1]")
+    return q
 
 
 @dataclass
@@ -179,7 +172,7 @@ def cluster_experiment(
     assignments = []
     for run in range(runs):
         km = kmeans(emb.values, K, seed=fold_seed(cfg.seed, _KMEANS_SEED_TAG + run))
-        scores.append(_score(und, km.labels).Q)
+        scores.append(_score(und, km.labels))
         assignments.append(km)
     order = np.argsort(scores, kind="stable")
     median_idx = int(order[(runs - 1) // 2])

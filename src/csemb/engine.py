@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -177,7 +177,8 @@ class EmbeddingMatrix:
 
 def estimate_spectral_norm(S: SparseMatrix) -> float:
     """Lanczos estimate of ||S|| for symmetric S: ``NORM_SAFETY`` times the
-    largest |theta| over the Ritz values of k = min(NORM_STEPS, n) steps.
+    largest |theta| over the Ritz values of k = min(NORM_STEPS, n) steps. An
+    S that is not exactly symmetric is refused, as the engine refuses it.
 
     The fixed start vector is uniform on [-1, 1) by position hash, so unlike
     balanced +-1 signs it is not orthogonal to a constant top eigenvector.
@@ -185,8 +186,10 @@ def estimate_spectral_norm(S: SparseMatrix) -> float:
     rounding level (n * eps ||S v_j||) the Krylov space is invariant and the
     steps stop. Fixed-order ``np.einsum`` reductions ignore the BLAS threads.
     """
-    if S.n_rows != S.n_cols:
-        raise ValueError("spectral norm estimation requires a square matrix")
+    if not S.is_symmetric():
+        raise ValueError("estimate_spectral_norm requires a square symmetric matrix; estimate a "
+                         "rectangular or asymmetric one's largest singular value on its dilation "
+                         "(dilate)")
     if S.nnz == 0:
         return 0.0
     n = S.n_rows
@@ -350,12 +353,9 @@ def fast_embed_cascaded(
         values=values,
         provenance={
             "function": describe(f),
-            "L": cfg.L,
-            "b": cfg.b,
+            **asdict(cfg),
             "stage_order": cfg.stage_order,
-            "d": cfg.d,
             "block_width": width,
-            "seed": cfg.seed,
             "spmv_products": products,
             "coeffs_sha256": expansion.digest(),
         },

@@ -1,4 +1,5 @@
-"""Readers and writers: edge lists, Matrix Market, point clouds, embeddings.
+"""Readers and writers: edge lists, Matrix Market, point clouds, embeddings,
+labels and JSON.
 
 The embedding container is a little-endian binary file: an 8-byte magic tag,
 two uint64 header words (n_rows, d), then n_rows*d float64 values row-major.
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import io as stdio
+import json
 import os
 import re
 import struct
@@ -227,3 +229,13 @@ def write_labels_csv(path, labels: np.ndarray) -> None:
         fh.write("vertex_id,cluster_id\n")
         for i, c in enumerate(np.asarray(labels)):
             fh.write(f"{i},{int(c)}\n")
+
+
+def write_json(obj, path) -> str:
+    """``obj`` as indented, key-sorted JSON with a final newline, also written
+    to ``path`` unless that is empty."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    return text

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -23,6 +22,7 @@ from .cluster import sq_distances
 from .engine import EmbedConfig, fast_embed_cascaded, fold_seed
 from .errors import OracleCapError, OracleError
 from .functions import support_of
+from .io import write_json
 from .legendre import expansion_eval, legendre_coefficients
 from .sparse import SparseMatrix, load_scipy_extension, spmv_multi
 
@@ -44,12 +44,12 @@ def _flapack():
     return load_scipy_extension("linalg._flapack")
 
 
-def exact_embedding(S: SparseMatrix, f, cap: int = ORACLE_CAP) -> np.ndarray:
+def exact_embedding(S: SparseMatrix, f) -> np.ndarray:
     """Rows of f(S) in compact form: the eigenvector columns of S that f
     keeps, scaled by f(eigenvalue), so pairwise distances and correlations
     match the full f(S) rows.
 
-    S must have at most ``cap`` rows and be exactly symmetric, as
+    S must have at most ``ORACLE_CAP`` rows and be exactly symmetric, as
     :func:`fast_embed_cascaded` requires; both are checked before the dense
     matrix is formed. Where ``f.support()`` is narrower than the whole line,
     only the eigenpairs inside it are computed (:func:`_eigenpairs_within`).
@@ -57,8 +57,8 @@ def exact_embedding(S: SparseMatrix, f, cap: int = ORACLE_CAP) -> np.ndarray:
     the full ``np.linalg.eigh``. Every eigenpair computed must pass the
     residual check; those with f(eigenvalue) = 0 are then dropped.
     """
-    if S.n_rows > cap:
-        raise OracleCapError(f"matrix of size {S.n_rows} exceeds the dense-oracle cap {cap}")
+    if S.n_rows > ORACLE_CAP:
+        raise OracleCapError(f"matrix of size {S.n_rows} exceeds the dense-oracle cap {ORACLE_CAP}")
     if not S.is_symmetric():
         raise ValueError("oracle requires a square symmetric matrix")
     lo, hi = support_of(f)
@@ -282,8 +282,11 @@ def distance_bound_audit(
 
 def _spectral_delta(a: np.ndarray, f, L: int) -> float:
     """The worst error of f's order-L expansion over every eigenvalue of
-    ``a``, including those where f is zero."""
+    ``a``, including those where f is zero. An eigenvalue within rounding of
+    +-1, such as a bipartite graph's normalized adjacency has, counts as +-1."""
     lam = np.linalg.eigvalsh(a)
+    if np.max(np.abs(lam), initial=0.0) <= 1.0 + 4 * len(lam) * np.finfo(np.float64).eps:
+        lam = np.clip(lam, -1.0, 1.0)
     weights = np.atleast_1d(np.asarray(f(lam), dtype=np.float64))
     expansion = legendre_coefficients(f, L)
     return float(np.max(np.abs(weights - expansion_eval(expansion, lam)), initial=0.0))
@@ -296,31 +299,25 @@ def _pairwise_distances(rows: np.ndarray) -> np.ndarray:
 # -- report serialization ----------------------------------------------------
 
 
-def write_percentiles_csv(report: DistortionReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["percentile", "value"])
-        for p in PERCENTILE_LEVELS:
-            w.writerow([p, repr(report.percentiles[p])])
-
-
-def write_calibration_csv(report: DistortionReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_center"] + [f"p{p}" for p in PERCENTILE_LEVELS])
-        for b in report.bins:
-            w.writerow([b.center] + [repr(b.percentiles[p]) for p in PERCENTILE_LEVELS])
-
-
-def write_report_json(report: DistortionReport, path) -> None:
-    """Write the deviation summary as JSON; the bins are in the calibration
-    CSV. The ``mode`` key names the summary and is always ``"deviation"``."""
-    out = {
+def write_report(report: DistortionReport, prefix) -> None:
+    """Write ``<prefix>_percentiles.csv``, the deviation percentiles,
+    ``<prefix>_calibration.csv``, the percentiles of each bin, and
+    ``<prefix>_report.json``, the deviation summary without the bins; its
+    ``mode`` key names the summary and is always ``"deviation"``."""
+    levels = PERCENTILE_LEVELS
+    tables = {
+        "percentiles": [["percentile", "value"]]
+        + [[p, repr(report.percentiles[p])] for p in levels],
+        "calibration": [["bin_center"] + [f"p{p}" for p in levels]]
+        + [[b.center] + [repr(b.percentiles[p]) for p in levels] for b in report.bins],
+    }
+    for name, rows in tables.items():
+        with open(f"{prefix}_{name}.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    summary = {
         "mode": "deviation",
         "pair_sample_size": report.pair_sample_size,
         "zero_row_pairs": report.zero_row_pairs,
         "percentiles": {str(k): v for k, v in report.percentiles.items()},
     }
-    with open(path, "w") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(summary, f"{prefix}_report.json")

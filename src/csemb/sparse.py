@@ -123,16 +123,17 @@ class SparseMatrix:
         dropped. The steps are scipy's COO-to-CSR conversion: ``coo_tocsr``
         keeps each row's entries in input order, ``csr_sort_indices`` (not a
         stable sort) runs only when some row is out of order, and duplicates
-        are summed in the order that leaves."""
+        are summed in the order that leaves. No triplets give the zero matrix."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
         if not rows.ndim == cols.ndim == vals.ndim == 1 or not len(rows) == len(cols) == len(vals):
             raise ValueError("rows, cols and vals must be 1-d arrays of equal length")
         nnz = len(vals)
-        if nnz == 0:
-            return cls.zeros(n_rows, n_cols)
-        if rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols:
+        if n_rows < 0 or n_cols < 0:  # before coo_tocsr writes offs[n_rows]
+            raise ValueError("matrix dimensions must be non-negative")
+        if nnz and (rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0
+                    or cols.max() >= n_cols):
             raise ValueError("coordinate index out of range")
         offs = np.empty(n_rows + 1, dtype=np.int64)
         idx = np.empty(nnz, dtype=np.int64)
@@ -155,21 +156,6 @@ class SparseMatrix:
             raise ValueError("expected a 2-d array")
         rows, cols = np.nonzero(a)
         return cls.from_coo(rows, cols, a[rows, cols], a.shape[0], a.shape[1])
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        idx = np.arange(n, dtype=np.int64)
-        return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
-
-    @classmethod
-    def zeros(cls, n_rows: int, n_cols: int) -> "SparseMatrix":
-        return cls(
-            n_rows,
-            n_cols,
-            np.zeros(n_rows + 1, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0),
-        )
 
     # -- views --------------------------------------------------------------
 
@@ -344,8 +330,6 @@ def normalized_adjacency(edges, n: int) -> SparseMatrix:
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise ValueError("edge endpoint out of range [0, n)")
     und = simple_edges(edges)
-    if len(und) == 0:
-        return SparseMatrix.zeros(n, n)
     deg = np.bincount(und.ravel(), minlength=n).astype(np.float64)
     rows = np.concatenate([und[:, 0], und[:, 1]])
     cols = np.concatenate([und[:, 1], und[:, 0]])

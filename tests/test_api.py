@@ -9,10 +9,13 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
+
 import csemb
 
 PACKAGE_DIR = pathlib.Path(csemb.__file__).parent
 BENCH_CHILD = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC = [
     "ApproximationReport",
@@ -25,7 +28,6 @@ PUBLIC = [
     "EmbeddingMatrix",
     "InputFormatError",
     "LegendreExpansion",
-    "ModularityScore",
     "ORACLE_CAP",
     "OracleCapError",
     "OracleError",
@@ -71,6 +73,27 @@ def test_all_is_pinned():
 def test_every_public_name_resolves():
     for name in csemb.__all__:
         assert getattr(csemb, name, None) is not None, name
+
+
+def test_readme_library_sketch_runs():
+    # the README's example uses the public names, so renaming or removing
+    # one fails here rather than leaving the example broken
+    sketch = README.read_text().split("## Library sketch", 1)[1]
+    sketch = sketch.split("```python\n", 1)[1].split("```", 1)[0]
+    rng = np.random.default_rng(0)
+    n = 60
+    dense = rng.standard_normal((8, 8))
+    scope = {
+        "edges": [(i, (i + k) % n) for i in range(n) for k in (1, 7)],
+        "n": n,
+        "A": csemb.SparseMatrix.from_dense(rng.standard_normal((9, 5))),
+        "M": csemb.SparseMatrix.from_dense(dense + dense.T),
+    }
+    exec(compile(sketch, str(README), "exec"), scope)
+    assert scope["emb"].values.shape == (n, csemb.default_dimension(n))
+    assert scope["cols"].shape[0] == 5 and scope["rows"].shape[0] == 9
+    assert 0.0 <= scope["rate"] <= 1.0 and scope["norm"] > 0.0
+    assert isinstance(scope["q"], float)
 
 
 def test_no_private_names_imported_across_modules():

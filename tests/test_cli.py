@@ -197,6 +197,43 @@ class TestEmbedCommand:
         assert read_embedding(out).shape == (25, 6)
 
 
+    def test_points_kernel_defaults(self, tmp_path):
+        # without --kernel and --bandwidth a points-csv input is embedded with
+        # a gaussian kernel of bandwidth 1, and the metadata says so
+        p = tmp_path / "pts.csv"
+        np.savetxt(p, np.random.default_rng(6).standard_normal((30, 2)), delimiter=",")
+        argv = ["embed", "--input", str(p), "--format", "points-csv", "--matrix", "raw",
+                "--function", "indicator:0.3", "--L", "12", "--d", "6"]
+        assert main([*argv, "--output", str(tmp_path / "default.bin")]) == 0
+        assert main([*argv, "--kernel", "gaussian", "--bandwidth", "1.0",
+                     "--output", str(tmp_path / "explicit.bin")]) == 0
+        default = (tmp_path / "default.bin").read_bytes()
+        assert default == (tmp_path / "explicit.bin").read_bytes()
+        meta = json.loads((tmp_path / "default.bin.meta.json").read_text())
+        assert (meta["kernel"], meta["bandwidth"]) == ("gaussian", 1.0)
+
+    def test_raw_array_matrix_market(self, tmp_path):
+        # an array-format file takes the dense read; the CLI divides it by its
+        # norm estimate and embeds it as the library does
+        import csemb as cs
+        from csemb.io import read_matrix_market
+
+        a = np.random.default_rng(8).standard_normal((12, 12))
+        p = tmp_path / "a.mtx"
+        scipy.io.mmwrite(p, a + a.T)
+        assert p.read_text().split()[2] == "array"
+        out = tmp_path / "e.bin"
+        assert main(["embed", "--input", str(p), "--format", "matrix-market", "--matrix", "raw",
+                     "--function", "indicator:0.2", "--L", "16", "--b", "2", "--d", "5",
+                     "--seed", "3", "--output", str(out)]) == 0
+        M = read_matrix_market(p)
+        nu = cs.estimate_spectral_norm(M)
+        expected = cs.fast_embed_cascaded(cs.scale_values(M, 1.0 / nu), cs.indicator_above(0.2),
+                                          cs.EmbedConfig(L=16, d=5, b=2, seed=3)).values
+        assert read_embedding(out).tobytes() == expected.tobytes()
+        assert json.loads((tmp_path / "e.bin.meta.json").read_text())["norm_estimate"] == nu
+
+
 class TestErrors:
     def test_invalid_function_string_usage_error(self, small_graph, tmp_path):
         argv = _embed_argv(small_graph, tmp_path / "e.bin")
@@ -317,6 +354,67 @@ class TestErrors:
         assert exc.value.code == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "e.bin").exists()
+
+    @pytest.mark.parametrize("command", ["embed", "eval", "norm"])
+    @pytest.mark.parametrize("fmt", ["edgelist", "matrix-market"])
+    @pytest.mark.parametrize("option, value", [("--kernel", "indicator"), ("--bandwidth", "-3")])
+    def test_kernel_option_needs_points_csv(self, tmp_path, capsys, command, fmt, option, value):
+        # a kernel option is refused with any input but points-csv, not ignored
+        if fmt == "edgelist":
+            p = tmp_path / "g.txt"
+            p.write_text("0 1\n1 2\n2 3\n")
+            source = ["--input", str(p), "--format", fmt]
+        else:
+            p = tmp_path / "m.mtx"
+            scipy.io.mmwrite(p, scipy.sparse.coo_array(np.eye(4)))
+            source = ["--input", str(p), "--format", fmt, "--matrix", "raw"]
+        if command == "embed":
+            argv = ["embed", *source, "--function", "indicator:0.5", "--L", "8", "--d", "4",
+                    "--output", str(tmp_path / "e.bin")]
+        elif command == "eval":
+            emb = tmp_path / "approx.bin"
+            from csemb.io import write_embedding
+
+            write_embedding(emb, np.ones((4, 2)))
+            argv = ["eval", "--approx", str(emb), *source, "--function", "indicator:0.5",
+                    "--output-prefix", str(tmp_path / "r")]
+        else:
+            argv = ["norm", *source]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, option, value])
+        assert exc.value.code == 2
+        assert f"{option} applies only to --format points-csv" in capsys.readouterr().err
+        assert not (tmp_path / "e.bin").exists() and not (tmp_path / "r_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "fmt, matrix, named",
+        [("edgelist", "raw", "edge lists support only --matrix normalized-adjacency"),
+         ("matrix-market", "normalized-adjacency", "requires --format edgelist")],
+        ids=["edgelist-raw", "matrix-market-normalized-adjacency"],
+    )
+    def test_matrix_kind_must_fit_format(self, tmp_path, capsys, fmt, matrix, named):
+        p = tmp_path / "in.txt"
+        if fmt == "edgelist":
+            p.write_text("0 1\n1 2\n")
+        else:
+            scipy.io.mmwrite(p, scipy.sparse.coo_array(np.eye(3)))
+        with pytest.raises(SystemExit) as exc:
+            main(["embed", "--input", str(p), "--format", fmt, "--matrix", matrix,
+                  "--function", "indicator:0.5", "--L", "8", "--d", "2",
+                  "--output", str(tmp_path / "e.bin")])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["embed", "cluster"])
+    def test_empty_edge_list_input_error(self, tmp_path, capsys, command):
+        p = tmp_path / "g.txt"
+        p.write_text("# no edges\n")
+        argv = [command, "--input", str(p), "--function", "indicator:0.5", "--L", "8"]
+        if command == "embed":
+            argv += ["--format", "edgelist", "--output", str(tmp_path / "e.bin")]
+        with pytest.warns(UserWarning, match="no data"):
+            assert main(argv) == 3
+        assert "empty graph" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "threads, env, named",
@@ -502,6 +600,35 @@ class TestEvalCommand:
         assert len(calls) == 1
         for suffix in ("_percentiles.csv", "_calibration.csv", "_report.json"):
             assert (tmp_path / ("r" + suffix)).stat().st_size > 0
+
+
+    def test_identity_takes_the_full_eigh(self, small_graph, tmp_path, monkeypatch):
+        # identity keeps every eigenpair, so the oracle runs np.linalg.eigh;
+        # the report files equal the library's report of the same oracle
+        from csemb import distortion_percentiles, exact_embedding, identity, normalized_adjacency
+        from csemb.io import read_edgelist
+        from csemb.oracle import write_report
+
+        out = tmp_path / "e.bin"
+        assert main(_embed_argv(small_graph, out)) == 0
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            shapes.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        assert main(["eval", "--approx", str(out), "--input", str(small_graph), "--format",
+                     "edgelist", "--function", "identity", "--seed", "3",
+                     "--output-prefix", str(tmp_path / "cli")]) == 0
+        assert shapes == [(80, 80)]
+        edges, n = read_edgelist(small_graph)
+        exact = exact_embedding(normalized_adjacency(edges, n), identity())
+        write_report(distortion_percentiles(exact, read_embedding(out), seed=3), tmp_path / "lib")
+        for suffix in ("_percentiles.csv", "_calibration.csv", "_report.json"):
+            expected = (tmp_path / ("lib" + suffix)).read_bytes()
+            assert (tmp_path / ("cli" + suffix)).read_bytes() == expected
 
 
 class TestOperator:

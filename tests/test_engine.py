@@ -81,11 +81,21 @@ class TestSampleProjection:
 
 class TestNormEstimate:
     def test_zero_matrix(self):
-        assert estimate_spectral_norm(SparseMatrix.zeros(5, 5)) == 0.0
+        assert estimate_spectral_norm(SparseMatrix.from_coo([], [], [], 5, 5)) == 0.0
 
     def test_identity(self):
-        est = estimate_spectral_norm(SparseMatrix.identity(10))
+        est = estimate_spectral_norm(SparseMatrix.from_dense(np.eye(10)))
         assert est == pytest.approx(1.01, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "dense", [[[0.0, 2.0], [0.0, 0.0]], [[1.0, 4.0, 0.0], [0.0, 2.0, 0.0], [1.0, 0.0, 3.0]]],
+        ids=["2x2", "3x3"],
+    )
+    def test_asymmetric_refused(self, dense):
+        # the Ritz values of an asymmetric S bound nothing: these gave 0.925
+        # where ||S|| = 2, and 4.08 where ||S|| = 4.57
+        with pytest.raises(ValueError, match="square symmetric matrix.*dilate"):
+            estimate_spectral_norm(sparse_from(np.array(dense)))
 
     def test_padded_diagonal(self):
         dense = np.zeros((50, 50))
@@ -191,7 +201,7 @@ def _embed(S, f, L, d, seed, **kw):
 class TestFastEmbed:
     def test_identity_matrix_identity_function(self):
         om = sample_projection(8, 4, seed=5)
-        emb = _embed(SparseMatrix.identity(8), identity(), 1, 4, 5)
+        emb = _embed(SparseMatrix.from_dense(np.eye(8)), identity(), 1, 4, 5)
         assert np.allclose(emb.values, om, atol=1e-15)
 
     def test_square_function_on_diagonal(self):
@@ -467,7 +477,7 @@ class TestCascade:
     def test_constant_cascade(self):
         om = sample_projection(5, 3, seed=12)
         cfg = EmbedConfig(L=2, d=3, b=2, seed=12)
-        emb = fast_embed_cascaded(SparseMatrix.identity(5), constant(4.0), cfg)
+        emb = fast_embed_cascaded(SparseMatrix.from_dense(np.eye(5)), constant(4.0), cfg)
         assert np.allclose(emb.values, 4.0 * om, atol=1e-12)
 
     def test_matches_dense_oracle(self):
@@ -554,7 +564,7 @@ def _embed_dilation(A, f, cfg):
 
 class TestGeneralMatrices:
     def test_zero_matrix(self):
-        A = SparseMatrix.zeros(3, 2)
+        A = SparseMatrix.from_coo([], [], [], 3, 2)
         cfg = EmbedConfig(L=10, d=4, seed=15)
         rows, cols = _embed_dilation(A, indicator_above(0.5), cfg)
         assert np.abs(rows).max() <= 1e-12

@@ -29,14 +29,13 @@ from csemb.oracle import (
     _pair_correlations,
     _pairwise_distances,
     _spectral_delta,
-    write_calibration_csv,
-    write_percentiles_csv,
-    write_report_json,
+    write_report,
 )
 from helpers import (
     dense_weighted,
     pairwise_distances,
     random_symmetric,
+    ring_graph,
     run_python,
     sparse_from,
     symmetric_with_spectrum,
@@ -97,7 +96,9 @@ class TestExactEmbedding:
 
     def test_cap(self):
         with pytest.raises(OracleCapError):
-            exact_embedding(SparseMatrix.identity(11), identity(), cap=10)
+            exact_embedding(
+                SparseMatrix.from_coo([], [], [], ORACLE_CAP + 1, ORACLE_CAP + 1), identity()
+            )
 
     @pytest.mark.parametrize("case", ["asymmetric", "rounding", "rectangular"])
     def test_asymmetric_rejected(self, case):
@@ -161,7 +162,7 @@ class TestEigenpairSubset:
     def test_nothing_at_or_above_threshold(self):
         S = random_symmetric(20, np.random.default_rng(4), spectral_norm=0.5)
         assert exact_embedding(sparse_from(S), indicator_above(0.6)).shape == (20, 0)
-        assert exact_embedding(SparseMatrix.zeros(5, 5), indicator_above(0.1)).shape == (5, 0)
+        assert exact_embedding(SparseMatrix.from_coo([], [], [], 5, 5), indicator_above(0.1)).shape == (5, 0)
 
     def test_spectrum_slightly_above_one(self):
         # a matrix scaled by a norm estimate can reach just past 1
@@ -205,7 +206,7 @@ class TestEigenpairSubset:
         fake = lapack_with(**{routine: failed})
         monkeypatch.setattr(csemb.oracle, "_flapack", lambda: fake)
         with pytest.raises(OracleError, match=f"LAPACK {routine} failed with info 3"):
-            exact_embedding(SparseMatrix.identity(3), indicator_above(0.5))
+            exact_embedding(SparseMatrix.from_dense(np.eye(3)), indicator_above(0.5))
 
     def test_subset_peak_memory(self):
         # the dense matrix and no second n x n array: dsyevr's wrapper
@@ -495,7 +496,7 @@ class TestDistanceBoundAudit:
         for eps in (0.0, 1.0):
             with pytest.raises(ValueError, match="epsilon"):
                 distance_bound_audit(
-                    SparseMatrix.identity(3), identity(), cfg, trials=1, epsilon=eps
+                    SparseMatrix.from_dense(np.eye(3)), identity(), cfg, trials=1, epsilon=eps
                 )
 
     def test_delta_over_all_eigenvalues(self):
@@ -509,6 +510,17 @@ class TestDistanceBoundAudit:
         f = indicator_above(float(np.median(np.linalg.eigvalsh(S))))
         assert exact_embedding(sparse_from(S), f).shape == (50, 25)
         assert _spectral_delta(S, f, 200) == pytest.approx(0.04693721202734813, abs=1e-13)
+
+    def test_delta_at_unit_eigenvalues_rounded_outward(self):
+        # a 60-cycle's normalized adjacency has eigenvalues +-1, and eigvalsh
+        # puts one a rounding step outside [-1, 1]; the README's audit of a
+        # bipartite graph raised ValueError there. A spectrum beyond rounding
+        # is still refused.
+        a = csemb.normalized_adjacency(ring_graph(60, width=1), 60).to_dense()
+        assert np.abs(np.linalg.eigvalsh(a)).max() > 1.0
+        assert _spectral_delta(a, identity(), 3) <= 1e-12
+        with pytest.raises(ValueError, match="outside"):
+            _spectral_delta(1.001 * a, identity(), 3)
 
     def test_eigensolver_residual_checked(self, monkeypatch):
         eigh = np.linalg.eigh
@@ -529,10 +541,9 @@ class TestReportWriters:
         X = rng.standard_normal((30, 4))
         Y = X + 0.1 * rng.standard_normal((30, 4))
         rep = distortion_percentiles(X, Y)
-        p1, p2, p3 = tmp_path / "p.csv", tmp_path / "c.csv", tmp_path / "r.json"
-        write_percentiles_csv(rep, p1)
-        write_calibration_csv(rep, p2)
-        write_report_json(rep, p3)
+        write_report(rep, tmp_path / "r")
+        p1, p2, p3 = (tmp_path / f"r_{name}" for name in
+                      ("percentiles.csv", "calibration.csv", "report.json"))
         lines = p1.read_text().strip().splitlines()
         assert lines[0] == "percentile,value" and len(lines) == 8
         head = p2.read_text().splitlines()[0]

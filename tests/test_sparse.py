@@ -115,6 +115,25 @@ class TestSparseMatrix:
         with pytest.raises(ValueError, match="out of range"):
             SparseMatrix.from_coo(rows, cols, [1.0], 2, 2)
 
+    @pytest.mark.parametrize("shape", [(-1, 3), (3, -1)])
+    def test_from_coo_refuses_negative_dimensions(self, shape):
+        # without entries no index is checked, and coo_tocsr would write
+        # offs[n_rows] into an empty offset array
+        with pytest.raises(ValueError, match="non-negative"):
+            SparseMatrix.from_coo([], [], [], *shape)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 4), (5, 5)])
+    def test_from_coo_without_entries(self, shape):
+        # the arrays of a zero matrix built directly: int64 zero offsets,
+        # empty int64 columns and float64 values, all read-only
+        S = SparseMatrix.from_coo([], [], [], *shape)
+        assert S.shape == shape and S.nnz == 0
+        expected = (np.zeros(shape[0] + 1, dtype=np.int64), np.empty(0, dtype=np.int64),
+                    np.empty(0, dtype=np.float64))
+        for got, want in zip((S.row_offsets, S.col_indices, S.values), expected):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_from_dense_refuses_non_finite(self, bad):
         # |nan| > tol is False, so a mask on it would drop a NaN silently
@@ -166,20 +185,20 @@ print("ok")
 
 class TestSpmv:
     def test_zero_matrix(self):
-        S = SparseMatrix.zeros(3, 4)
+        S = SparseMatrix.from_coo([], [], [], 3, 4)
         X = np.random.default_rng(1).standard_normal((4, 2))
         assert np.array_equal(spmv_multi(S, X), np.zeros((3, 2)))
 
     def test_identity(self):
         X = np.random.default_rng(2).standard_normal((3, 2))
-        assert np.array_equal(spmv_multi(SparseMatrix.identity(3), X), X)
+        assert np.array_equal(spmv_multi(SparseMatrix.from_dense(np.eye(3)), X), X)
 
     def test_hand_multiplication(self):
         S = SparseMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert np.array_equal(spmv_multi(S, np.array([[1.0], [2.0]])), [[2.0], [1.0]])
 
     def test_dimension_mismatch(self):
-        S = SparseMatrix.identity(3)
+        S = SparseMatrix.from_dense(np.eye(3))
         with pytest.raises(ValueError):
             spmv_multi(S, np.zeros((4, 2)))
 
@@ -219,7 +238,7 @@ class TestSpmv:
         assert np.allclose(vec, Y[:, 0] + ref @ X[:, 0], rtol=0.0, atol=1e-13)
 
     def test_accumulate_checks_out(self):
-        S = SparseMatrix.identity(3)
+        S = SparseMatrix.from_dense(np.eye(3))
         X = np.ones((3, 2))
         with pytest.raises(ValueError, match="needs an out buffer"):
             spmv_multi(S, X, accumulate=True)
@@ -228,7 +247,7 @@ class TestSpmv:
                 spmv_multi(S, X, out=bad, accumulate=True)
 
     def test_out_buffer_rejected(self):
-        S = SparseMatrix.identity(3)
+        S = SparseMatrix.from_dense(np.eye(3))
         X = np.ones((3, 2))
         for bad in (np.empty((3, 3)), np.empty((3, 2), dtype=np.float32),
                     np.empty((2, 3)).T, X):
@@ -306,7 +325,7 @@ class TestDilate:
         assert np.array_equal(dilate(A).to_dense(), [[0.0, 2.5], [2.5, 0.0]])
 
     def test_zero_block(self):
-        A = SparseMatrix.zeros(2, 3)
+        A = SparseMatrix.from_coo([], [], [], 2, 3)
         S = dilate(A)
         assert S.shape == (5, 5) and S.nnz == 0
 
