@@ -134,16 +134,20 @@ def _read_graph(args):
     return edges, n
 
 
-def _operator(args):
-    """The input matrix, the symmetric operator S that f is applied to, and
-    the norm estimate S was divided by: None for the normalized adjacency,
-    whose spectrum already lies in [-1, 1]. ``--matrix dilation`` makes S
-    the dilation [0 A^T; A 0] of the input. An option that does not fit
-    ``--format`` is refused; points-csv gets its kernel defaults here."""
+def _refuse_options_off_format(args) -> None:
     for option, value, fmt in [("--n", args.n, "edgelist"), ("--kernel", args.kernel, "points-csv"),
                                ("--bandwidth", args.bandwidth, "points-csv")]:
         if value is not None and args.format != fmt:
             raise ValueError(f"{option} applies only to --format {fmt}")
+
+
+def _operator(args):
+    """The input matrix, the symmetric operator S that f is applied to, and
+    the norm estimate S was divided by: None for the normalized adjacency,
+    whose spectrum already lies in [-1, 1]. ``--matrix dilation`` makes S
+    the dilation [0 A^T; A 0] of the input. points-csv gets its kernel
+    defaults here."""
+    _refuse_options_off_format(args)
     if args.format == "edgelist":
         if args.matrix != "normalized-adjacency":
             raise ValueError("edge lists support only --matrix normalized-adjacency")
@@ -157,13 +161,12 @@ def _operator(args):
         mat = kernel_matrix(cio.read_points_csv(args.input), args.kernel, args.bandwidth)
     else:
         mat = cio.read_matrix_market(args.input)
-        if args.matrix == "raw" and not mat.is_symmetric():
-            raise ValueError(
-                "--matrix raw requires a square symmetric matrix; embed and norm take "
-                "a rectangular or asymmetric one with --matrix dilation"
-            )
     S = dilate(mat) if args.matrix == "dilation" else mat
-    norm_estimate = estimate_spectral_norm(S)
+    try:
+        norm_estimate = estimate_spectral_norm(S)
+    except ValueError:  # its exact symmetry check; only a raw Matrix Market input fails it
+        raise ValueError("--matrix raw requires a square symmetric matrix; embed and norm take "
+                         "a rectangular or asymmetric one with --matrix dilation") from None
     if norm_estimate > 0:
         S = scale_values(S, 1.0 / norm_estimate)
     return mat, S, norm_estimate
@@ -214,6 +217,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _refuse_options_off_format(args)
     approx = cio.read_embedding(args.approx)
     if args.exact:
         exact = cio.read_embedding(args.exact)

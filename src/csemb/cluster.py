@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import engine
 from .engine import EmbedConfig, fast_embed_cascaded, fold_seed
 from .sparse import SparseMatrix, normalized_adjacency, simple_edges, spmv_multi
 
@@ -68,20 +69,39 @@ def kmeans(X: np.ndarray, K: int, seed: int = 0) -> ClusterAssignment:
 
     Empty clusters are re-seeded at the point currently farthest from its
     centroid, which keeps the inertia sequence non-increasing.
+
+    Each iteration writes ``X @ C.T`` into one n x K buffer; the elementwise
+    and per-row passes after it run a tile of rows at a time, so no bit
+    depends on the tile. A row slice of a BLAS product need not equal the
+    same rows of the whole product, so the product itself is not tiled.
     """
     rows = np.asarray(X, dtype=np.float64)
     n = rows.shape[0]
     if not 1 <= K <= n:
         raise ValueError(f"K={K} must lie in [1, n_rows={n}]")
     rng = np.random.default_rng(seed)
-    x_sq = np.sum(rows * rows, axis=1)
+    tile = max(1, engine.BLOCK_BYTES // (8 * K))  # rows per pass over an n x K array
+    tiles = [slice(lo, lo + tile) for lo in range(0, n, tile)]
+    x_sq = np.concatenate([np.sum(rows[t] * rows[t], axis=1) for t in tiles])
     centroids = _plus_plus_init(rows, x_sq, K, rng)
+    g = np.empty((n, K))
+    d2 = np.empty((min(tile, n), K))
+    mindist = np.empty(n)
     labels = np.full(n, -1, dtype=np.int64)
+    new_labels = np.empty(n, dtype=np.int64)
     history: list[float] = []
     for _ in range(KMEANS_MAX_ITERS):
-        d2 = sq_distances(rows, centroids, x_sq)
-        new_labels = np.argmin(d2, axis=1).astype(np.int64)
-        mindist = d2[np.arange(n), new_labels]
+        np.matmul(rows, centroids.T, out=g)
+        c_sq = np.sum(centroids * centroids, axis=1)
+        for t in tiles:  # the steps of sq_distances, then argmin and gather
+            gt, lab = g[t], new_labels[t]
+            dt = d2[: len(gt)]
+            np.add(x_sq[t, None], c_sq[None, :], out=dt)
+            gt *= 2.0
+            dt -= gt
+            np.maximum(dt, 0.0, out=dt)
+            np.argmin(dt, axis=1, out=lab)
+            mindist[t] = dt[np.arange(len(dt)), lab]
         inertia = float(mindist.sum())
         if history and inertia > history[-1] * (1.0 + 1e-9) + 1e-12:
             raise RuntimeError("k-means inertia increased; numerical invariant broken")
@@ -89,18 +109,16 @@ def kmeans(X: np.ndarray, K: int, seed: int = 0) -> ClusterAssignment:
 
         counts = np.bincount(new_labels, minlength=K)
         empties = np.flatnonzero(counts == 0)
+        converged = np.array_equal(new_labels, labels)
+        labels, new_labels = new_labels, labels
         if len(empties):
             avail = mindist.copy()
             for c in empties:
                 far = int(np.argmax(avail))
                 centroids[c] = rows[far]
-                new_labels[far] = c
+                labels[far] = c
                 avail[far] = -1.0
-            labels = new_labels
             continue
-
-        converged = np.array_equal(new_labels, labels)
-        labels = new_labels
         if converged:
             break
         centroids = _centroid_sums(rows, labels, counts) / counts[:, None]
@@ -165,8 +183,7 @@ def cluster_experiment(
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    adj = normalized_adjacency(edges, n)
-    emb = fast_embed_cascaded(adj, f, cfg, n_workers=n_workers)
+    emb = fast_embed_cascaded(normalized_adjacency(edges, n), f, cfg, n_workers=n_workers)
     und = simple_edges(edges)
     scores = []
     assignments = []

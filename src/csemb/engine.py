@@ -231,8 +231,8 @@ def _check_growth(sq: np.ndarray, bound: float) -> None:
     and row i those of stage i's output.
 
     With ||S|| <= 1, |p_r(x)| <= 1 on the spectrum, so no stage can grow a
-    column by more than sum_r |a_r|. The check catches an operand whose norm
-    exceeds 1 long before overflow, and a NaN or inf fails it too.
+    column by more than sum_r |a_r|. A column norm sums over all n rows, so a
+    norm above 1 whose excess grows only a few rows can pass. NaN or inf fails.
     """
     limit = (bound * (1.0 + GROWTH_SLACK)) ** 2
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

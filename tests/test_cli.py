@@ -579,6 +579,33 @@ class TestEvalCommand:
         )
         assert code == 0
 
+    def test_exact_file_checks_the_options(self, small_graph, tmp_path, capsys):
+        out = tmp_path / "e.bin"
+        main(_embed_argv(small_graph, out))
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--approx", str(out), "--exact", str(out), "--format", "points-csv",
+                  "--kernel", "indicator", "--bandwidth", "-3", "--n", "99",
+                  "--output-prefix", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert "--n applies only to --format edgelist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [(), ("--format", "edgelist", "--n", "80")],
+                             ids=["bare", "consistent"])
+    def test_exact_file_report(self, small_graph, tmp_path, extra):
+        # options that fit the format pass; the files are the library's report
+        from csemb import distortion_percentiles
+        from csemb.oracle import write_report
+
+        out = tmp_path / "e.bin"
+        main(_embed_argv(small_graph, out))
+        assert main(["eval", "--approx", str(out), "--exact", str(out), *extra, "--seed", "2",
+                     "--output-prefix", str(tmp_path / "cli")]) == 0
+        emb = read_embedding(out)
+        write_report(distortion_percentiles(emb, emb, seed=2), tmp_path / "lib")
+        for suffix in ("_percentiles.csv", "_calibration.csv", "_report.json"):
+            expected = (tmp_path / ("lib" + suffix)).read_bytes()
+            assert (tmp_path / ("cli" + suffix)).read_bytes() == expected
+
     def test_one_distortion_pass(self, small_graph, tmp_path, monkeypatch):
         import csemb.cli
 
@@ -711,6 +738,31 @@ class TestOperator:
                          "--format", "points-csv", "--matrix", "raw", "--function",
                          "indicator:0.5", "--output-prefix", str(tmp_path / "r")]) == 0
             assert calls == ["estimate_spectral_norm"]
+
+
+    @pytest.mark.parametrize("command, checks", [("norm", 1), ("embed", 2)])
+    def test_raw_symmetry_checked_once_per_layer(self, tmp_path, monkeypatch, command,
+                                                 checks):
+        # the norm estimate's check stands for the CLI's; embed adds the engine's
+        from csemb import SparseMatrix
+
+        calls = []
+        real = SparseMatrix.is_symmetric
+
+        def counted(self):
+            calls.append(self.shape)
+            return real(self)
+
+        monkeypatch.setattr(SparseMatrix, "is_symmetric", counted)
+        dense = np.random.default_rng(5).standard_normal((12, 12))
+        mtx = tmp_path / "s.mtx"
+        scipy.io.mmwrite(mtx, scipy.sparse.coo_array(dense + dense.T))
+        argv = [command, "--input", str(mtx), "--format", "matrix-market", "--matrix", "raw"]
+        if command == "embed":
+            argv += ["--function", "indicator:0.5", "--L", "8", "--d", "4",
+                     "--output", str(tmp_path / "e.bin")]
+        assert main(argv) == 0
+        assert len(calls) == checks
 
 
 class TestProjectionNotFormed:

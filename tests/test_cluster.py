@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import csemb.engine
 from csemb import (
     EmbedConfig,
     cluster_experiment,
@@ -126,6 +129,47 @@ class TestKmeansBits:
         km = kmeans(X, 6, seed=3)
         assert np.array_equal(km.labels, labels)
         assert km.inertia_history == tuple(history)
+
+
+class TestKmeansTiles:
+    """The Lloyd passes after the product run a tile of
+    ``engine.BLOCK_BYTES // (8 K)`` rows at a time; no bit depends on it."""
+
+    @pytest.mark.parametrize("reseeds", [False, True], ids=["mixture", "reseeds"])
+    @pytest.mark.parametrize("tile_rows", [1, 7, None], ids=["tile1", "tile7", "default"])
+    def test_matches_reference(self, monkeypatch, tile_rows, reseeds):
+        K = 6 if reseeds else 17
+        if tile_rows is None:
+            tile = csemb.engine.BLOCK_BYTES // (8 * K)
+            n = tile + tile // 3 + 1
+        else:
+            monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", 8 * K * tile_rows)
+            tile, n = tile_rows, 7 * 43 + 4
+        assert n > tile and (tile == 1 or n % tile)  # a ragged last tile
+        rng = np.random.default_rng(n)
+        if reseeds:  # four distinct points and K = 6, as in TestKmeansBits
+            X = rng.standard_normal((4, 3))[rng.integers(4, size=n)]
+        else:
+            X = rng.standard_normal((n, 9)) * rng.uniform(0.1, 10.0, 9)
+        labels, history, n_reseeds = _reference_kmeans(X, K, 5)
+        assert (n_reseeds > 0) == reseeds
+        km = kmeans(X, K, seed=5)
+        assert np.array_equal(km.labels, labels)
+        assert km.inertia_history == tuple(history)
+
+    def test_peak_memory(self):
+        # one n x K product buffer and one tile; three n x K arrays were
+        # alive at once when each pass allocated its own (3.08 n K 8 bytes)
+        n, d, K = 20_000, 60, 40
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((K, d))[rng.integers(K, size=n)] + rng.standard_normal((n, d))
+        tracemalloc.start()
+        try:
+            kmeans(X, K, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * K * 8
 
 
 class TestModularity:
