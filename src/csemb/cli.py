@@ -142,17 +142,17 @@ def _refuse_options_off_format(args) -> None:
 
 
 def _operator(args):
-    """The input matrix, the symmetric operator S that f is applied to, and
+    """The input's shape, the symmetric operator S that f is applied to, and
     the norm estimate S was divided by: None for the normalized adjacency,
     whose spectrum already lies in [-1, 1]. ``--matrix dilation`` makes S
-    the dilation [0 A^T; A 0] of the input. points-csv gets its kernel
-    defaults here."""
+    the dilation [0 A^T; A 0] of the input, and A is released before the
+    norm estimate. points-csv gets its kernel defaults here."""
     _refuse_options_off_format(args)
     if args.format == "edgelist":
         if args.matrix != "normalized-adjacency":
             raise ValueError("edge lists support only --matrix normalized-adjacency")
         adj = normalized_adjacency(*_read_graph(args))
-        return adj, adj, None
+        return adj.shape, adj, None
     if args.matrix == "normalized-adjacency":
         raise ValueError("--matrix normalized-adjacency requires --format edgelist")
     if args.format == "points-csv":
@@ -161,7 +161,9 @@ def _operator(args):
         mat = kernel_matrix(cio.read_points_csv(args.input), args.kernel, args.bandwidth)
     else:
         mat = cio.read_matrix_market(args.input)
+    shape = mat.shape
     S = dilate(mat) if args.matrix == "dilation" else mat
+    del mat  # a dilation holds A's entries twice over, and A is not read again
     try:
         norm_estimate = estimate_spectral_norm(S)
     except ValueError:  # its exact symmetry check; only a raw Matrix Market input fails it
@@ -169,7 +171,7 @@ def _operator(args):
                          "a rectangular or asymmetric one with --matrix dilation") from None
     if norm_estimate > 0:
         S = scale_values(S, 1.0 / norm_estimate)
-    return mat, S, norm_estimate
+    return shape, S, norm_estimate
 
 
 def _make_config(args, n: int) -> EmbedConfig:
@@ -181,16 +183,16 @@ def cmd_embed(args) -> int:
     if args.output_cols and args.matrix != "dilation":
         raise ValueError("--output-cols requires --matrix dilation")
     t0 = time.perf_counter()
-    mat, S, norm_estimate = _operator(args)
+    (_, n_cols), S, norm_estimate = _operator(args)
     f = odd_extension(args.function) if args.matrix == "dilation" else args.function
     cfg = _make_config(args, S.n_rows)
     emb = fast_embed_cascaded(S, f, cfg, n_workers=args.threads)
     rows = emb.values
     if args.matrix == "dilation":
         # the dilation's first n rows embed the columns, the rest the rows
-        rows = emb.values[mat.n_cols:]
+        rows = emb.values[n_cols:]
         if args.output_cols:
-            cio.write_embedding(args.output_cols, emb.values[:mat.n_cols])
+            cio.write_embedding(args.output_cols, emb.values[:n_cols])
 
     cio.write_embedding(args.output, rows)
     if args.output_csv:

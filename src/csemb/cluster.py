@@ -179,10 +179,14 @@ def cluster_experiment(
 
     The normalized adjacency already has spectrum in [-1, 1], so no norm
     estimation happens here. The edges are canonicalized once and every
-    restart is scored on the same pairs.
+    restart is scored on the same pairs. A graph with no edge between two
+    distinct vertices has no modularity, and is refused before the embed.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if not np.any(edges[:, 0] != edges[:, 1]):
+        raise ValueError("modularity needs at least one edge between two distinct vertices")
     emb = fast_embed_cascaded(normalized_adjacency(edges, n), f, cfg, n_workers=n_workers)
     und = simple_edges(edges)
     scores = []

@@ -22,7 +22,6 @@ two before it can overflow.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -30,6 +29,16 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .functions import breakpoints_of
+
+# CPython's own SHA-256 (``_sha2`` from 3.12, ``_sha256`` before): hashlib's
+# import loads OpenSSL's libcrypto, 3.4 MB resident, for this one digest
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 QUAD_NODES = 64  # Gauss-Legendre nodes per quadrature panel
 QUAD_REFINE_DEGREE = 48  # polynomial degrees resolved by one sub-panel
@@ -145,7 +154,7 @@ class LegendreExpansion:
         return len(self.coeffs) - 1
 
     def digest(self) -> str:
-        return hashlib.sha256(self.coeffs.tobytes()).hexdigest()
+        return sha256(self.coeffs.tobytes()).hexdigest()
 
 
 def _panel_nodes(breaks: tuple[float, ...], degree: int) -> tuple[np.ndarray, np.ndarray]:

@@ -302,19 +302,22 @@ def dilate(A: SparseMatrix) -> SparseMatrix:
     columns of A, the last m its rows."""
     if A.n_rows < 1 or A.n_cols < 1:
         raise ValueError("cannot dilate an empty matrix")
-    # the first n rows are those of A^T shifted right by n, the last m those of A
+    # the first n rows are those of A^T shifted right by n, the last m those of
+    # A; csr_tocsc writes A^T straight into the result's first halves, so no
+    # array of the transpose's size is allocated besides the result
     m, n = A.shape
-    at_offs, at_cols, at_vals = _transpose(m, n, A.row_offsets, A.col_indices, A.values)
-    at_cols += n
-    return SparseMatrix(
-        m + n,
-        m + n,
-        *_handed_over(
-            np.concatenate([at_offs, A.row_offsets[1:] + A.nnz]),
-            np.concatenate([at_cols, A.col_indices]),
-            np.concatenate([at_vals, A.values]),
-        ),
+    nnz = A.nnz
+    offs = np.empty(m + n + 1, dtype=np.int64)
+    cols = np.empty(2 * nnz, dtype=np.int64)
+    vals = np.empty(2 * nnz)
+    _sparsetools.csr_tocsc(
+        m, n, A.row_offsets, A.col_indices, A.values, offs[: n + 1], cols[:nnz], vals[:nnz]
     )
+    cols[:nnz] += n
+    np.add(A.row_offsets[1:], nnz, out=offs[n + 1 :])
+    cols[nnz:] = A.col_indices
+    vals[nnz:] = A.values
+    return SparseMatrix(m + n, m + n, *_handed_over(offs, cols, vals))
 
 
 def normalized_adjacency(edges, n: int) -> SparseMatrix:

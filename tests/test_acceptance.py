@@ -235,6 +235,25 @@ def test_a4_cascading_benefit(sbm_instance):
     assert null_ok
 
 
+def test_a4_cascade_cuts_leakage_without_seed(sbm_instance):
+    # The bias half of A4 holds on 3 of 16 projection seeds. Since
+    # E[Omega Omega^T] = I, the expected squared weight the run puts on the
+    # suppressed eigenvectors is sum g_b(lambda)^2 over the eigenvalues below
+    # the cut, where g_b = p^b is the polynomial the run applies; no seed
+    # enters it.
+    n, edges, adj, lam = sbm_instance
+    cutoff = (lam[9] + lam[10]) / 2
+    below = np.clip(lam[lam < cutoff], -1.0, 1.0)
+    L = 180
+    leak = {}
+    for b in (1, 2):
+        stage = cs.legendre_coefficients(cs.root_function(cs.indicator_above(cutoff), b), L // b)
+        leak[b] = float(np.sum(cs.expansion_eval(stage, below) ** (2 * b)))
+    ok = leak[2] < leak[1]
+    _report("A4 cascade leakage, seed-free", ok, f"b=1 {leak[1]:.3g} > b=2 {leak[2]:.3g}")
+    assert ok
+
+
 # ---------------------------------------------------------------------------
 # A5: dilation spectrum equals signed singular values
 # ---------------------------------------------------------------------------

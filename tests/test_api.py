@@ -1,6 +1,7 @@
 """The package's public surface and its internal import discipline."""
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -183,3 +184,47 @@ def test_cli_commands_import_neither_scipy_sparse_nor_scipy_io(tmp_path):
     assert core_loaded == [False, False, False, True, True]
     assert lapack_loaded == [False, False, True, False, False]  # each command on its own
     assert loaded == []
+
+
+def test_embed_and_norm_never_load_openssl(tmp_path):
+    # hashlib's import loads OpenSSL's libcrypto, 3.4 MB resident, so the
+    # coefficient digest is taken with CPython's own SHA-256; it must still
+    # equal hashlib's
+    graph = tmp_path / "g.txt"
+    graph.write_text("".join(f"{i} {(i + 1) % 12}\n{i} {(i + 5) % 12}\n" for i in range(12)))
+    mtx = tmp_path / "a.mtx"
+    mtx.write_text(
+        "%%MatrixMarket matrix coordinate real general\n5 3 6\n"
+        "1 1 0.5\n2 2 -1.25\n3 3 2.0\n4 1 1.0\n5 2 0.75\n5 3 -0.5\n"
+    )
+    commands = [
+        ["embed", "--input", str(graph), "--format", "edgelist", "--function", "indicator:0.3",
+         "--L", "12", "--b", "2", "--d", "6", "--output", str(tmp_path / "g.bin")],
+        ["embed", "--input", str(mtx), "--format", "matrix-market", "--matrix", "dilation",
+         "--function", "indicator:0.5", "--L", "12", "--d", "4",
+         "--output", str(tmp_path / "a.bin")],
+        ["norm", "--input", str(mtx), "--format", "matrix-market", "--matrix", "dilation",
+         "--output", str(tmp_path / "n.json")],
+    ]
+    code = (
+        "import json, sys\n"
+        "from csemb.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, '_hashlib' in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    run = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    codes, openssl_loaded = json.loads(run.stdout.strip().splitlines()[-1])
+    assert codes == [0] * len(commands)
+    assert not openssl_loaded
+    for output, f in [("g.bin", csemb.parse_function("indicator:0.3")),
+                      ("a.bin", csemb.odd_extension(csemb.parse_function("indicator:0.5")))]:
+        meta = json.loads((tmp_path / (output + ".meta.json")).read_text())
+        coeffs = csemb.legendre_coefficients(
+            csemb.root_function(f, meta["b"]), meta["stage_order"]
+        ).coeffs
+        assert meta["coeffs_sha256"] == hashlib.sha256(coeffs.tobytes()).hexdigest()

@@ -6,6 +6,7 @@ import scipy.io
 import scipy.sparse
 
 import csemb.cli
+import csemb.cluster
 from csemb.cli import main
 from csemb.io import read_embedding
 from helpers import sbm
@@ -435,6 +436,21 @@ class TestErrors:
             main(argv)
         assert exc.value.code == 2
         assert named in capsys.readouterr().err
+
+    def test_cluster_self_loops_only_refused_before_embed(self, tmp_path, monkeypatch, capsys):
+        # no edge joins two distinct vertices, so there is no modularity to
+        # score: the command exits 2 before it embeds, not after every restart
+        def no_embed(*args, **kwargs):
+            raise AssertionError("embedded a graph that cannot be scored")
+
+        monkeypatch.setattr(csemb.cluster, "fast_embed_cascaded", no_embed)
+        graph = tmp_path / "loops.txt"
+        graph.write_text("0 0\n1 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", "--input", str(graph), "--function", "indicator:0.5",
+                  "--L", "4", "--k", "1", "--runs", "2"])
+        assert exc.value.code == 2
+        assert "at least one edge" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["pairs-zero", "pairs-negative", "one-vertex"])
     def test_empty_pair_sample_usage_error(self, tmp_path, capsys, case):
