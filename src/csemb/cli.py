@@ -28,7 +28,6 @@ from .oracle import distortion_percentiles, exact_embedding, write_report
 from .sparse import dilate, kernel_matrix, normalized_adjacency, scale_values
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_NUMERIC = 4
 EXIT_CAP = 5

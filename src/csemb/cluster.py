@@ -28,11 +28,17 @@ def sq_distances(X: np.ndarray, C: np.ndarray, x_sq: np.ndarray | None = None) -
     ``sum(X * X, axis=1)`` when X is reused against many C."""
     if x_sq is None:
         x_sq = np.sum(X * X, axis=1)
-    d2 = x_sq[:, None] + np.sum(C * C, axis=1)[None, :]
-    g = X @ C.T
+    out = np.empty((X.shape[0], C.shape[0]))
+    return _distances_into(x_sq, np.sum(C * C, axis=1), X @ C.T, out)
+
+
+def _distances_into(x_sq, c_sq, g, out) -> np.ndarray:
+    """Write max(|x|^2 + |c|^2 - 2 g, 0) into ``out`` and return it, where
+    ``g`` holds the rows' X @ C.T; ``g`` is doubled in place."""
+    np.add(x_sq[:, None], c_sq[None, :], out=out)
     g *= 2.0
-    d2 -= g
-    return np.maximum(d2, 0.0, out=d2)
+    out -= g
+    return np.maximum(out, 0.0, out=out)
 
 
 def _plus_plus_init(
@@ -93,13 +99,9 @@ def kmeans(X: np.ndarray, K: int, seed: int = 0) -> ClusterAssignment:
     for _ in range(KMEANS_MAX_ITERS):
         np.matmul(rows, centroids.T, out=g)
         c_sq = np.sum(centroids * centroids, axis=1)
-        for t in tiles:  # the steps of sq_distances, then argmin and gather
+        for t in tiles:
             gt, lab = g[t], new_labels[t]
-            dt = d2[: len(gt)]
-            np.add(x_sq[t, None], c_sq[None, :], out=dt)
-            gt *= 2.0
-            dt -= gt
-            np.maximum(dt, 0.0, out=dt)
+            dt = _distances_into(x_sq[t], c_sq, gt, d2[: len(gt)])
             np.argmin(dt, axis=1, out=lab)
             mindist[t] = dt[np.arange(len(dt)), lab]
         inertia = float(mindist.sum())
@@ -179,11 +181,14 @@ def cluster_experiment(
 
     The normalized adjacency already has spectrum in [-1, 1], so no norm
     estimation happens here. The edges are canonicalized once and every
-    restart is scored on the same pairs. A graph with no edge between two
-    distinct vertices has no modularity, and is refused before the embed.
+    restart is scored on the same pairs. A K outside [1, n], or a graph with
+    no edge between two distinct vertices (it has no modularity), is refused
+    before the embed.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if not 1 <= K <= n:
+        raise ValueError(f"K={K} must lie in [1, n={n}]")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if not np.any(edges[:, 0] != edges[:, 1]):
         raise ValueError("modularity needs at least one edge between two distinct vertices")

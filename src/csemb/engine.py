@@ -11,12 +11,12 @@ terms R(r) = Q(r) / gamma(r) of
 
 so each order scales the buffer holding R(r-2) by -mu(r), lets the
 multi-vector product add S R(r-1) into it, and adds a(r) gamma(r) R(r) to
-the result in place with scipy's CSR kernel on the identity pattern
-(:func:`~csemb.sparse.weighted_adders`): one product and two dense passes
-per order, and nothing else superlinear. gamma(r) is a scalar, renormalised
-by an exact power of two before it overflows near order 1024. Cascading
-applies a shorter expansion of the signed b-th root of f, b times, which
-deepens the nulls the plain expansion leaves shallow (for even b and a
+the result in place with scipy's CSR kernel on the 1 x 1 matrix
+[a(r) gamma(r)] (:func:`~csemb.sparse.weighted_add`): one product and two
+dense passes per order, and nothing else superlinear. gamma(r) is a scalar,
+renormalised by an exact power of two before it overflows near order 1024.
+Cascading applies a shorter expansion of the signed b-th root of f, b times,
+which deepens the nulls the plain expansion leaves shallow (for even b and a
 signed f the product is |f|_L(S) Omega, which has f's row Gram f(S)^2).
 
 Callers divide S by :func:`estimate_spectral_norm`, NORM_SAFETY times the
@@ -51,7 +51,7 @@ import numpy as np
 from .errors import DivergenceError
 from .functions import describe, root_function
 from .legendre import LegendreExpansion, legendre_coefficients, legendre_sum
-from .sparse import SparseMatrix, spmv_multi, weighted_adders
+from .sparse import SparseMatrix, spmv_multi
 
 BLOCK_BYTES = 1 << 20  # operand bytes per column block; see block_width
 NORM_STEPS = 40  # Lanczos steps of estimate_spectral_norm
@@ -265,14 +265,12 @@ def _apply_cascade(
 
     Returns the result and the products each block made. Each stage is one
     :func:`~csemb.legendre.legendre_sum` whose step counts the block's
-    products and whose weighted add is the worker's
-    :func:`~csemb.sparse.weighted_adders` function. Every block must make
-    exactly ``stages * expansion.order`` products (the paper's L), or
-    ``RuntimeError`` is raised; then every stage must pass
-    :func:`_check_growth`. The recursion runs to the end without
-    floating-point warnings; a term that overflows is left to the guard.
-    Each block draws its columns of the projection of ``seed`` into its
-    worker's stage input, with the idle acc buffer as hash scratch. Each
+    products. Every block must make exactly ``stages * expansion.order``
+    products (the paper's L), or ``RuntimeError`` is raised; then every
+    stage must pass :func:`_check_growth`. The recursion runs to the end
+    without floating-point warnings; a term that overflows is left to the
+    guard. Each block draws its columns of the projection of ``seed`` into
+    its worker's stage input, with the idle acc buffer as hash scratch. Each
     stage's output becomes the next stage's input by swapping the two
     buffers.
     """
@@ -286,10 +284,9 @@ def _apply_cascade(
     # and stages: the stage input, the recursion's spare term and acc.
     # A narrower last block takes a contiguous prefix of each buffer.
     spaces = np.empty((workers, 3, n * width))
-    adders = weighted_adders(n, workers)
     row_codes = np.arange(n, dtype=np.uint64) * np.uint64(d)  # so draws allocate nothing
 
-    def run(span, space, add):
+    def run(span, space):
         lo, hi = span
         piece, spare, acc = (buf[: n * (hi - lo)].reshape(n, hi - lo) for buf in space)
         _draw_signs(piece, seed, d, row_codes, lo, acc.view(np.uint64))
@@ -303,14 +300,14 @@ def _apply_cascade(
         with np.errstate(over="ignore", invalid="ignore"):
             np.einsum("ij,ij->j", piece, piece, out=sq[0, lo:hi])
             for stage in range(1, stages + 1):
-                legendre_sum(step, add, coeffs, piece, spare, acc)
+                legendre_sum(step, coeffs, piece, spare, acc)
                 np.einsum("ij,ij->j", acc, acc, out=sq[stage, lo:hi])
                 piece, acc = acc, piece
         out[:, lo:hi] = piece
         return products
 
     def work(k):
-        return [run(span, spaces[k], adders[k]) for span in spans[k::workers]]
+        return [run(span, spaces[k]) for span in spans[k::workers]]
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         counts = [c for part in pool.map(work, range(workers)) for c in part]

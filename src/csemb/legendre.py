@@ -5,10 +5,10 @@ error over [-1, 1]; coefficients are a(r) = (r + 1/2) * integral of
 p(r, x) f(x). All evaluation goes through the same recursion,
 :func:`legendre_terms`, that the matrix-level iteration uses, and an
 expansion is summed by :func:`legendre_sum` for scalars and matrices alike.
-The caller supplies the step and the weighted add (numpy's for scalars,
-scipy's CSR kernel for matrices); both adds round the product and then the
-sum, so scalar and matrix results round the same way. It runs the
-three-term recursion
+The caller supplies the step; every weighted term is added by
+:func:`~csemb.sparse.weighted_add`, scipy's CSR kernel on the 1 x 1 matrix
+[weight], which rounds the product and then the sum, so scalar and matrix
+results round the same way. It runs the three-term recursion
 
     p(r, x) = (2 - 1/r) x p(r-1, x) - (1 - 1/r) p(r-2, x),
     p(0, x) = 1,  p(1, x) = x,
@@ -29,6 +29,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .functions import breakpoints_of
+from .sparse import weighted_add
 
 # CPython's own SHA-256 (``_sha2`` from 3.12, ``_sha256`` before): hashlib's
 # import loads OpenSSL's libcrypto, 3.4 MB resident, for this one digest
@@ -92,23 +93,17 @@ def legendre_terms(step, q, spare, order: int):
         yield gamma, new
 
 
-def legendre_sum(step, add, coeffs, q, spare, acc) -> None:
+def legendre_sum(step, coeffs, q, spare, acc) -> None:
     """Leave sum_r coeffs[r] Q(r) in ``acc``: the expansion applied to
     Q(0) = ``q`` by :func:`legendre_terms`, which overwrites ``q`` and
-    ``spare``. Term 0 is multiplied into ``acc``; ``add(term, weight, acc)``
-    adds every later term times coeffs[r] gamma(r) into ``acc`` in place,
-    rounding the product and then the sum. The engine and
+    ``spare``. Term 0 is multiplied into ``acc``; every later term times
+    coeffs[r] gamma(r) is added into ``acc`` in place by
+    :func:`~csemb.sparse.weighted_add`. The engine and
     :func:`expansion_eval` both sum through here, so they round alike."""
     terms = legendre_terms(step, q, spare, len(coeffs) - 1)
     np.multiply(next(terms)[1], coeffs[0], out=acc)
     for r, (gamma, term) in enumerate(terms, start=1):
-        add(term, coeffs[r] * gamma, acc)
-
-
-def _numpy_add(term, weight, acc):
-    """numpy's multiply, then add, product first like scipy's kernel, so
-    both keep the same NaN payload."""
-    np.add(term * weight, acc, out=acc)
+        weighted_add(term, coeffs[r] * gamma, acc)
 
 
 def _scalar_step(x: np.ndarray):
@@ -203,7 +198,7 @@ def expansion_eval(expansion: LegendreExpansion, x):
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
     _check_domain(xv)
     acc, spare = np.empty_like(xv), np.empty_like(xv)
-    legendre_sum(_scalar_step(xv), _numpy_add, expansion.coeffs, np.ones_like(xv), spare, acc)
+    legendre_sum(_scalar_step(xv), expansion.coeffs, np.ones_like(xv), spare, acc)
     return float(acc[0]) if scalar else acc
 
 

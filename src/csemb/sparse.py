@@ -15,7 +15,6 @@ does not run the ``scipy.sparse`` package: that package's import costs about
 
 from __future__ import annotations
 
-import functools
 import importlib.machinery
 import importlib.util
 import os
@@ -98,10 +97,8 @@ class SparseMatrix:
             raise ValueError("row_offsets must have length n_rows + 1")
         if cols.shape != (nnz,):
             raise ValueError("col_indices and values must have equal length")
-        if nnz and (offs[0] != 0 or offs[-1] != nnz or np.any(np.diff(offs) < 0)):
+        if offs[0] != 0 or offs[-1] != nnz or np.any(np.diff(offs) < 0):
             raise ValueError("row_offsets must be non-decreasing from 0 to nnz")
-        if not nnz and (offs[0] != 0 or offs[-1] != 0):
-            raise ValueError("row_offsets of an empty matrix must be all zero")
         if nnz:
             if cols.min() < 0 or cols.max() >= self.n_cols:
                 raise ValueError("column index out of range")
@@ -266,29 +263,20 @@ def spmv_multi(
     return out
 
 
-def _weighted_add(offsets, weights, term, weight, acc):
-    n = len(weights)
-    if not (term.ndim == 2 and term.shape[0] == n and acc.shape == term.shape
-            and acc.flags.c_contiguous and acc.dtype == np.float64):
-        raise ValueError(f"term and acc must be {n}-row blocks of one shape, "
-                         "acc a C-contiguous float64 array")
-    weights.fill(weight)
-    _sparsetools.csr_matvecs(
-        n, n, term.shape[1], offsets, offsets[:-1], weights, term.ravel(), acc.ravel()
-    )
+_SCALAR_PATTERN = np.array([0, 1], dtype=np.int64)  # a 1 x 1 matrix's offsets; [:1], its column
 
 
-def weighted_adders(n: int, count: int) -> list:
-    """``count`` functions ``add(term, weight, acc)``, each doing
-    ``acc += weight * term`` in place for n x k blocks (``acc`` C-contiguous
-    float64), one per thread. The add is scipy's ``csr_matvecs`` on the n x n
-    identity pattern, built once and shared, with every stored value
-    ``weight``: its ``y += a * x`` rounds the product, then the sum
+def weighted_add(term: np.ndarray, weight: float, acc: np.ndarray) -> None:
+    """``acc += weight * term`` in place, for arrays of one shape (``acc``
+    C-contiguous float64). The add is scipy's ``csr_matvecs`` on the 1 x 1
+    matrix ``[weight]`` with the entries as one row of ``acc.size`` vectors,
+    one ``y += a * x`` over the block: it rounds the product, then the sum
     product + y, as ``np.multiply`` followed by ``np.add`` does, and needs no
-    n x k temporary. Each function refills its own n-length value vector
-    per call."""
-    offsets = np.arange(n + 1, dtype=np.int64)  # without the last, the columns
-    return [functools.partial(_weighted_add, offsets, np.empty(n)) for _ in range(count)]
+    temporary. The int64 pattern makes the kernel count the vectors in int64."""
+    if not (term.shape == acc.shape and acc.flags.c_contiguous and acc.dtype == np.float64):
+        raise ValueError("term and acc must have one shape, acc a C-contiguous float64 array")
+    _sparsetools.csr_matvecs(1, 1, acc.size, _SCALAR_PATTERN, _SCALAR_PATTERN[:1],
+                             np.array([weight], dtype=np.float64), term.ravel(), acc.ravel())
 
 
 def dilate(A: SparseMatrix) -> SparseMatrix:

@@ -452,6 +452,21 @@ class TestErrors:
         assert exc.value.code == 2
         assert "at least one edge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_cluster_k_out_of_range_refused_before_embed(self, tmp_path, monkeypatch, capsys, k):
+        # K = 0 and K = n + 1 on a 3-vertex ring exit 2 before the embed runs
+        def no_embed(*args, **kwargs):
+            raise AssertionError("embedded before checking K")
+
+        monkeypatch.setattr(csemb.cluster, "fast_embed_cascaded", no_embed)
+        graph = tmp_path / "ring.txt"
+        graph.write_text("0 1\n1 2\n2 0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", "--input", str(graph), "--function", "indicator:0.5",
+                  "--L", "4", "--k", str(k), "--runs", "2"])
+        assert exc.value.code == 2
+        assert f"K={k} must lie in [1, n=3]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("case", ["pairs-zero", "pairs-negative", "one-vertex"])
     def test_empty_pair_sample_usage_error(self, tmp_path, capsys, case):
         from csemb.io import write_embedding

@@ -451,9 +451,8 @@ class TestDrawnProjection:
     def test_no_n_by_d_projection(self, monkeypatch):
         # With w = 16 of d = 64 columns and two workers, a run holds the n x d
         # output and two workspaces of three n x w buffers. The slack, 1.5
-        # buffers (0.77 MB), covers the n-length vectors (row codes, the
-        # identity pattern, each worker's weights) and numpy's small
-        # fixed-size allocations: the excess measures 0.16 MB. A fourth buffer
+        # buffers (0.77 MB), covers the n-length row codes and numpy's small
+        # fixed-size allocations: the excess measures 0.07 MB. A fourth buffer
         # per worker, let alone an n x d Omega, exceeds it.
         n, d, w = 4000, 64, 16
         S = normalized_adjacency(ring_graph(n, width=3), n)
@@ -543,8 +542,8 @@ class TestProductCount:
     def test_short_recursion_raises(self, monkeypatch):
         real = csemb.engine.legendre_sum
 
-        def one_term_short(step, add, coeffs, *bufs):
-            real(step, add, coeffs[:-1], *bufs)  # one product too few per stage
+        def one_term_short(step, coeffs, *bufs):
+            real(step, coeffs[:-1], *bufs)  # one product too few per stage
 
         monkeypatch.setattr(csemb.engine, "legendre_sum", one_term_short)
         rng = np.random.default_rng(22)
