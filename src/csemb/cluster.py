@@ -8,7 +8,7 @@ import numpy as np
 
 from . import engine
 from .engine import EmbedConfig, fast_embed_cascaded, fold_seed
-from .sparse import SparseMatrix, normalized_adjacency, simple_edges, spmv_multi
+from .sparse import SparseMatrix, normalized_adjacency, spmv_multi
 
 _KMEANS_SEED_TAG = 0x6B6D6531  # distinct stream from projection sampling
 KMEANS_MAX_ITERS = 100
@@ -59,13 +59,13 @@ def _plus_plus_init(
     return centroids
 
 
-def _centroid_sums(rows: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _centroid_sums(rows: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
     """Per-cluster row sums through the sparse product kernel: a K x n one-hot
-    matrix whose rows list each cluster's members in increasing row order, so
-    every sum accumulates from 0.0 in row order, the bits of ``np.add.at``."""
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    order = np.argsort(labels, kind="stable")
-    members = SparseMatrix(len(counts), len(labels), offsets, order, np.ones(len(labels)))
+    matrix from ``from_coo``, whose ``coo_tocsr`` keeps each cluster's members
+    in increasing row order, so every sum accumulates from 0.0 in row order,
+    the bits of ``np.add.at``."""
+    n = len(labels)
+    members = SparseMatrix.from_coo(labels, np.arange(n), np.ones(n), K, n)
     return spmv_multi(members, rows)
 
 
@@ -123,7 +123,7 @@ def kmeans(X: np.ndarray, K: int, seed: int = 0) -> ClusterAssignment:
             continue
         if converged:
             break
-        centroids = _centroid_sums(rows, labels, counts) / counts[:, None]
+        centroids = _centroid_sums(rows, labels, K) / counts[:, None]
     return ClusterAssignment(
         labels=labels,
         inertia=history[-1],
@@ -134,22 +134,22 @@ def kmeans(X: np.ndarray, K: int, seed: int = 0) -> ClusterAssignment:
 
 def modularity(edges, labels: np.ndarray) -> float:
     """Newman modularity Q = sum_c (intra_c / m - (degsum_c / 2m)^2) of an
-    undirected simple graph under a vertex labeling."""
-    return _score(simple_edges(edges), np.asarray(labels, dtype=np.int64))
+    undirected simple graph under a labeling of its ``len(labels)`` vertices."""
+    S = normalized_adjacency(edges, len(labels))
+    return _score(S.row_offsets, S.col_indices, np.asarray(labels, dtype=np.int64))
 
 
-def _score(und: np.ndarray, labels: np.ndarray) -> float:
-    """Modularity of the canonical pairs ``und`` (from :func:`simple_edges`)
-    under int64 ``labels``."""
-    m = len(und)
+def _score(offs: np.ndarray, cols: np.ndarray, labels: np.ndarray) -> float:
+    """Modularity under int64 ``labels`` of the pattern ``(offs, cols)`` of
+    :func:`normalized_adjacency`, which stores each edge once per end: the
+    intra-cluster entries count each edge twice, and halving them is exact."""
+    m = len(cols) // 2
     if m == 0:
         raise ValueError("modularity needs at least one edge")
-    if und.max() >= len(labels):
-        raise ValueError("labels must cover all vertices")
-    u, v = und[:, 0], und[:, 1]
+    deg = np.diff(offs)
     k = int(labels.max()) + 1
-    intra = np.bincount(labels[u][labels[u] == labels[v]], minlength=k)
-    deg = np.bincount(und.ravel(), minlength=len(labels))
+    row_labels = np.repeat(labels, deg)
+    intra = np.bincount(row_labels[row_labels == labels[cols]], minlength=k) // 2
     degsum = np.bincount(labels, weights=deg, minlength=k)
     q = float(np.sum(intra / m - (degsum / (2.0 * m)) ** 2))
     if not -0.5 - 1e-9 <= q <= 1.0 + 1e-9:
@@ -180,25 +180,26 @@ def cluster_experiment(
     ``runs`` seeded K-means restarts by modularity and report the median.
 
     The normalized adjacency already has spectrum in [-1, 1], so no norm
-    estimation happens here. The edges are canonicalized once and every
-    restart is scored on the same pairs. A K outside [1, n], or a graph with
-    no edge between two distinct vertices (it has no modularity), is refused
-    before the embed.
+    estimation happens here. Every restart is scored on the adjacency's
+    pattern, whose offsets and columns are all that is kept after the embed.
+    A K outside [1, n], or a graph with no edge between two distinct
+    vertices (it has no modularity), is refused before the embed.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     if not 1 <= K <= n:
         raise ValueError(f"K={K} must lie in [1, n={n}]")
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if not np.any(edges[:, 0] != edges[:, 1]):
+    S = normalized_adjacency(edges, n)
+    if S.nnz == 0:
         raise ValueError("modularity needs at least one edge between two distinct vertices")
-    emb = fast_embed_cascaded(normalized_adjacency(edges, n), f, cfg, n_workers=n_workers)
-    und = simple_edges(edges)
+    offs, cols = S.row_offsets, S.col_indices
+    emb = fast_embed_cascaded(S, f, cfg, n_workers=n_workers)
+    del S
     scores = []
     assignments = []
     for run in range(runs):
         km = kmeans(emb.values, K, seed=fold_seed(cfg.seed, _KMEANS_SEED_TAG + run))
-        scores.append(_score(und, km.labels))
+        scores.append(_score(offs, cols, km.labels))
         assignments.append(km)
     order = np.argsort(scores, kind="stable")
     median_idx = int(order[(runs - 1) // 2])

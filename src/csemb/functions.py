@@ -112,7 +112,7 @@ def tabulated(xs, ys) -> SpectralFunction:
     ys = np.array(ys, dtype=np.float64)
     if xs.ndim != 1 or xs.shape != ys.shape or len(xs) < 2:
         raise ValueError("tabulated xs/ys must be 1-d arrays of equal length >= 2")
-    if np.any(np.diff(xs) <= 0) or xs[0] < -1.0 or xs[-1] > 1.0:
+    if not (np.all(np.diff(xs) > 0) and -1.0 <= xs[0] and xs[-1] <= 1.0):  # NaN fails each
         raise ValueError("tabulated xs must be strictly increasing within [-1, 1]")
     if not np.all(np.isfinite(ys)):
         raise ValueError("tabulated ys must be finite")
@@ -168,6 +168,8 @@ def parse_function(text: str) -> SpectralFunction:
             return constant(float(arg))
         if name == "table":
             data = np.loadtxt(arg, delimiter=",", ndmin=2)
+            if data.shape[1] < 2:
+                raise ValueError("a table needs rows of two columns, x,y")
             return tabulated(data[:, 0], data[:, 1])
     except (ValueError, OSError) as exc:
         raise ValueError(f"bad function string {text!r}: {exc}") from exc

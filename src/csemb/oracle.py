@@ -55,7 +55,7 @@ def exact_embedding(S: SparseMatrix, f) -> np.ndarray:
     only the eigenpairs inside it are computed (:func:`_eigenpairs_within`).
     A function without ``support``, or whose support is the whole line, gets
     the full ``np.linalg.eigh``. Every eigenpair computed must pass the
-    residual check; those with f(eigenvalue) = 0 are then dropped.
+    residual check; those with f(eigenvalue) = 0 are dropped, a non-finite one refused.
     """
     if S.n_rows > ORACLE_CAP:
         raise OracleCapError(f"matrix of size {S.n_rows} exceeds the dense-oracle cap {ORACLE_CAP}")
@@ -70,6 +70,8 @@ def exact_embedding(S: SparseMatrix, f) -> np.ndarray:
     if residual > EIG_RESIDUAL_TOL:
         raise OracleError(f"eigensolver residual {residual:.3e} above {EIG_RESIDUAL_TOL}")
     weights = np.atleast_1d(np.asarray(f(lam), dtype=np.float64))
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("function produced non-finite values on the eigenvalues")
     keep = weights != 0.0
     return vec[:, keep] * weights[keep]
 

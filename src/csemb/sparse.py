@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 GAUSSIAN_DROP_TOL = 1e-12  # kernel entries below this are not stored
-MAX_PAIR_ENDPOINT = 3_037_000_498  # largest vertex id whose pair codes fit in int64
 SYMMETRY_BLOCK = 1 << 14  # entries is_symmetric transposes at once, on average
 
 
@@ -313,42 +312,25 @@ def normalized_adjacency(edges, n: int) -> SparseMatrix:
 
     Edges are pairs ``(u, v)``; duplicates are collapsed and self-loops
     dropped. Each stored entry is 1/sqrt(deg(u) deg(v)), so the spectrum lies
-    in [-1, 1]. Isolated vertices keep all-zero rows.
+    in [-1, 1]. Isolated vertices keep all-zero rows. The pattern, built by
+    :meth:`SparseMatrix.from_coo` from both orientations of each edge, is the
+    graph's one canonical edge set, and row u's length is deg(u).
     """
     if n < 1:
         raise ValueError("vertex count must be positive")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise ValueError("edge endpoint out of range [0, n)")
-    und = simple_edges(edges)
-    deg = np.bincount(und.ravel(), minlength=n).astype(np.float64)
-    rows = np.concatenate([und[:, 0], und[:, 1]])
-    cols = np.concatenate([und[:, 1], und[:, 0]])
-    vals = 1.0 / np.sqrt(deg[rows] * deg[cols])
-    return SparseMatrix.from_coo(rows, cols, vals, n, n)
-
-
-def simple_edges(edges) -> np.ndarray:
-    """Canonicalize an edge list: drop self-loops, collapse duplicates.
-
-    Returns the distinct pairs (min, max) in lexicographic order. Each pair
-    is sorted as the one code ``lo * n + hi`` (n = largest endpoint + 1),
-    which needs n^2 < 2^63, so endpoints must lie in [0, MAX_PAIR_ENDPOINT].
-    """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    u, v = edges[:, 0], edges[:, 1]
-    keep = u != v
-    u, v = u[keep], v[keep]
-    if len(u) == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    if lo.min() < 0 or hi.max() > MAX_PAIR_ENDPOINT:
-        raise ValueError(f"edge endpoints must lie in [0, {MAX_PAIR_ENDPOINT}]")
-    n = int(hi.max()) + 1
-    codes = lo * n + hi
-    codes.sort()
-    codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
-    return np.stack([codes // n, codes % n], axis=1)
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    pattern = SparseMatrix.from_coo(edges.T.ravel(), edges[:, ::-1].T.ravel(),
+                                    np.ones(2 * len(edges)), n, n)
+    offs, cols = pattern.row_offsets, pattern.col_indices
+    del edges, pattern  # its count values go before the weights are computed
+    deg = np.diff(offs)
+    vals = np.repeat(deg.astype(np.float64), deg)  # deg(u) for each entry (u, v)
+    vals *= deg[cols]
+    np.divide(1.0, np.sqrt(vals, out=vals), out=vals)
+    return SparseMatrix(n, n, offs, cols, *_handed_over(vals))
 
 
 def kernel_matrix(points, kind: str, bandwidth: float) -> SparseMatrix:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +256,36 @@ class TestErrors:
             main(argv)
         assert exc.value.code == 2
         assert shown in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["embed", "eval"])
+    @pytest.mark.parametrize(
+        "table, shown",
+        [("0.5\n0.7\n", "two columns"), ("", "two columns"),
+         ("-1,0\nnan,3\n1,1\n", "strictly increasing")],
+        ids=["one-column", "empty", "nan-breakpoint"],
+    )
+    def test_bad_table_file_usage_error(self, small_graph, tmp_path, capsys, command, table,
+                                        shown):
+        # each is refused while the options are parsed, so eval writes no report
+        path = tmp_path / "t.csv"
+        path.write_text(table)
+        if command == "embed":
+            argv = _embed_argv(small_graph, tmp_path / "e2.bin")
+            argv[argv.index("indicator:0.3")] = f"table:{path}"
+        else:
+            emb = tmp_path / "e.bin"
+            main(_embed_argv(small_graph, emb))
+            capsys.readouterr()
+            argv = ["eval", "--approx", str(emb), "--input", str(small_graph),
+                    "--format", "edgelist", "--function", f"table:{path}",
+                    "--output-prefix", str(tmp_path / "r")]
+        with pytest.raises(SystemExit) as exc, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"bad function string 'table:{path}'" in err and shown in err
+        assert not list(tmp_path.glob("r_*")) and not (tmp_path / "e2.bin").exists()
 
     @pytest.mark.parametrize(
         "command, option, value",

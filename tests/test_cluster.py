@@ -211,6 +211,27 @@ class TestModularity:
         q2 = modularity([(0, 1), (1, 0), (0, 0), (2, 3)], np.array([0, 0, 1, 1]))
         assert q1 == q2
 
+    @pytest.mark.parametrize("K", [1, 2, 9, 40])
+    def test_equals_formula_on_distinct_pairs(self, K):
+        # the score counts each edge from both of its ends and halves the
+        # intra-cluster count; the formula on the distinct pairs counts once
+        rng = np.random.default_rng(K)
+        n = 300
+        edges = rng.integers(0, n, size=(1500, 2))
+        edges = np.concatenate([edges, edges[:400, ::-1], edges[:50, [0, 0]]])
+        labels = rng.integers(0, K, size=n)
+        pairs = np.unique(np.sort(edges[edges[:, 0] != edges[:, 1]], axis=1), axis=0)
+        m, k = len(pairs), int(labels.max()) + 1
+        lu, lv = labels[pairs[:, 0]], labels[pairs[:, 1]]
+        intra = np.bincount(lu[lu == lv], minlength=k)
+        degsum = np.bincount(labels, weights=np.bincount(pairs.ravel(), minlength=n), minlength=k)
+        expected = float(np.sum(intra / m - (degsum / (2.0 * m)) ** 2))
+        assert modularity(edges, labels) == expected
+
+    def test_endpoint_beyond_labels_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            modularity([(0, 1), (1, 3)], np.zeros(3, dtype=int))
+
 
 class TestClusterExperiment:
     def test_single_run_equals_one_kmeans(self):

@@ -63,6 +63,12 @@ def test_validation():
         tabulated([0.5, 2.0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("xs", [[-1.0, np.nan, 1.0], [np.nan, 0.5], [-0.5, np.nan]])
+def test_tabulated_nan_breakpoint_refused(xs):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        tabulated(xs, np.zeros(len(xs)))
+
+
 def test_odd_extension_indicator():
     f = odd_extension(indicator_above(0.98))
     assert f(0.99) == 1.0
@@ -148,6 +154,18 @@ def test_parse_function_table(tmp_path):
     p.write_text("-1.0,0.0\n0.0,1.0\n1.0,0.0\n")
     f = parse_function(f"table:{p}")
     assert f(0.5) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("text", ["0.5\n0.7\n", ""], ids=["one-column", "empty"])
+def test_parse_function_table_needs_two_columns(tmp_path, text):
+    p = tmp_path / "t.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError, match="bad function string .* two columns"):
+        if text:
+            parse_function(f"table:{p}")
+        else:
+            with pytest.warns(UserWarning, match="no data"):
+                parse_function(f"table:{p}")
 
 
 def test_parse_function_unknown_lists_kinds():

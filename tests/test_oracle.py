@@ -94,6 +94,13 @@ class TestExactEmbedding:
             <= 1e-8
         )
 
+    def test_non_finite_weights_refused(self):
+        # NaN at the positive eigenvalue of a 2-cycle; the oracle used to
+        # return NaN rows for it, while legendre_coefficients refused it
+        S = sparse_from(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            exact_embedding(S, lambda x: np.where(np.asarray(x) > 0, np.nan, 1.0))
+
     def test_cap(self):
         with pytest.raises(OracleCapError):
             exact_embedding(

@@ -13,7 +13,7 @@ from csemb import (
     scale_values,
     spmv_multi,
 )
-from csemb.sparse import MAX_PAIR_ENDPOINT, SYMMETRY_BLOCK, simple_edges, weighted_add
+from csemb.sparse import SYMMETRY_BLOCK, weighted_add
 from helpers import random_symmetric, run_python
 
 
@@ -416,7 +416,11 @@ class TestNormalizedAdjacency:
         assert np.abs(np.linalg.eigvalsh(m)).max() <= 1.0 + 1e-9
 
 
-class TestSimpleEdges:
+class TestAdjacencyPattern:
+    """The adjacency's CSR pattern is the graph's canonical edge set: its
+    upper triangle lists the distinct pairs, and any list with the same pairs
+    gives the same arrays."""
+
     @staticmethod
     def _reference(edges):
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -424,6 +428,19 @@ class TestSimpleEdges:
         if len(e) == 0:
             return np.empty((0, 2), dtype=np.int64)
         return np.unique(np.sort(e, axis=1), axis=0)
+
+    def _check(self, edges, n):
+        S = normalized_adjacency(edges, n)
+        canonical = normalized_adjacency(self._reference(edges), n)
+        for got, want in zip(
+            (S.row_offsets, S.col_indices, S.values),
+            (canonical.row_offsets, canonical.col_indices, canonical.values),
+        ):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        rows = np.repeat(np.arange(n), np.diff(S.row_offsets))
+        upper = rows < S.col_indices
+        assert np.array_equal(np.stack([rows[upper], S.col_indices[upper]], axis=1),
+                              self._reference(edges))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_row_unique(self, seed):
@@ -434,26 +451,18 @@ class TestSimpleEdges:
         loops = np.repeat(rng.integers(0, n, size=(5, 1)), 2, axis=1)
         edges = np.concatenate([edges, edges[:, ::-1], loops])
         edges = edges[rng.permutation(len(edges))]
-        got = simple_edges(edges)
-        assert got.dtype == np.int64 and got.shape[1] == 2
-        assert np.array_equal(got, self._reference(edges))
+        self._check(edges, n)
 
     @pytest.mark.parametrize(
         "edges",
         [[(3, 1)], [(1, 3), (3, 1), (1, 3)], [(2, 2)], [(0, 0), (4, 4)], np.empty((0, 2))],
     )
     def test_small_cases(self, edges):
-        assert np.array_equal(simple_edges(edges), self._reference(edges))
+        self._check(edges, 5)
 
-    def test_endpoint_range(self):
-        top = MAX_PAIR_ENDPOINT
-        assert top == 3_037_000_498  # (top + 1)^2 < 2^63 <= (top + 2)^2
-        assert np.array_equal(simple_edges([(top, 0), (top - 1, top)]),
-                              [[0, top], [top - 1, top]])
-        with pytest.raises(ValueError, match="endpoints"):
-            simple_edges([(0, top + 1)])
-        with pytest.raises(ValueError, match="endpoints"):
-            simple_edges([(-1, 2)])
+    def test_negative_endpoint(self):
+        with pytest.raises(ValueError, match="out of range"):
+            normalized_adjacency([(-1, 2)], 3)
 
 
 class TestKernelMatrix:
