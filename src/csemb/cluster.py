@@ -8,7 +8,7 @@ import numpy as np
 
 from . import engine
 from .engine import EmbedConfig, fast_embed_cascaded, fold_seed
-from .sparse import SparseMatrix, normalized_adjacency, spmv_multi
+from .sparse import SparseMatrix, adjacency_pattern, normalized_adjacency, spmv_multi
 
 _KMEANS_SEED_TAG = 0x6B6D6531  # distinct stream from projection sampling
 KMEANS_MAX_ITERS = 100
@@ -135,8 +135,7 @@ def kmeans(X: np.ndarray, K: int, seed: int = 0) -> ClusterAssignment:
 def modularity(edges, labels: np.ndarray) -> float:
     """Newman modularity Q = sum_c (intra_c / m - (degsum_c / 2m)^2) of an
     undirected simple graph under a labeling of its ``len(labels)`` vertices."""
-    S = normalized_adjacency(edges, len(labels))
-    return _score(S.row_offsets, S.col_indices, np.asarray(labels, dtype=np.int64))
+    return _score(*adjacency_pattern(edges, len(labels)), np.asarray(labels, dtype=np.int64))
 
 
 def _score(offs: np.ndarray, cols: np.ndarray, labels: np.ndarray) -> float:

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .io import loadtxt
+
 _WHOLE_LINE = (-np.inf, np.inf)
 
 DEFAULT_COMMUTE_CLIP = 1e-3
@@ -167,7 +169,7 @@ def parse_function(text: str) -> SpectralFunction:
         if name == "const":
             return constant(float(arg))
         if name == "table":
-            data = np.loadtxt(arg, delimiter=",", ndmin=2)
+            data = loadtxt(arg, delimiter=",", ndmin=2)
             if data.shape[1] < 2:
                 raise ValueError("a table needs rows of two columns, x,y")
             return tabulated(data[:, 0], data[:, 1])

@@ -7,42 +7,41 @@ two uint64 header words (n_rows, d), then n_rows*d float64 values row-major.
 
 from __future__ import annotations
 
-import functools
 import io as stdio
 import json
 import os
 import re
 import struct
-from collections import Counter
-from itertools import repeat
-from types import SimpleNamespace
+import warnings
 
 import numpy as np
 
 from .errors import InputFormatError
-from .sparse import SparseMatrix, load_scipy_extension
+from .sparse import SparseMatrix
 
 EMBEDDING_MAGIC = b"CSEMB001"
 _HEADER = struct.Struct("<QQ")
 # the Matrix Market fields each format is read with, and the symmetries
 _MM_FIELDS = {"coordinate": ("real", "integer", "pattern"), "array": ("real", "integer")}
 _MM_SYMMETRIES = ("general", "symmetric", "skew-symmetric")
-_CR = re.compile(rb"\r")
-# the banner line, then comment and blank lines, then the size line
-_MM_HEADER = re.compile(rb"(.*)\n?(?:(?:%.*|[^\S\n]*)\n)*(.*)\n?")
-# a line's shape: each digit made 0, a tab a space, - a + and E an e
-_SHAPE = bytes.maketrans(b"123456789-E\t", b"000000000+e ")
-# the README grammar of a number and an index, on shapes
-_NUM, _IDX = rb"\+?(?:0+\.?0*|\.0+)(?:e\+?0+)?", rb"\+?0+"
-_MM_ENTRY = {kind: re.compile(rb" *" + rb" +".join(tokens) + rb" *\n?") for kind, tokens in
-             [("coordinate", [_IDX, _IDX, _NUM]), ("pattern", [_IDX, _IDX]), ("array", [_NUM])]}
+# the banner line, then comment and blank lines, then the size line; a line
+# ends in LF, CRLF or CR
+_MM_HEADER = re.compile(
+    rb"([^\r\n]*)(?:\r\n?|\n)?(?:(?:%[^\r\n]*|[ \t\f\v]*)(?:\r\n?|\n))*([^\r\n]*)"
+)
+# the columns of a coordinate, pattern and array entry
+_MM_ENTRY = {"coordinate": "i8,i8,f8", "pattern": "i8,i8", "array": "f8,"}
+# the bytes besides space, tab, CR and LF that np.loadtxt, reading latin-1,
+# takes for blanks; the README grammar does not
+_LOADTXT_BLANKS = b"\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0"
 
 
-@functools.cache
-def _fmm_core():
-    """The C++ Matrix Market parser behind ``scipy.io.mmread``, loaded by the
-    first Matrix Market read, so that other commands do not pay for it."""
-    return load_scipy_extension("io._fast_matrix_market._fmm_core")
+def loadtxt(source, **kwargs) -> np.ndarray:
+    """``np.loadtxt(source, **kwargs)`` without numpy's warning that the input
+    holds no data: each caller decides what no data means."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(source, **kwargs)
 
 
 def read_edgelist(path) -> tuple[np.ndarray, int]:
@@ -52,7 +51,7 @@ def read_edgelist(path) -> tuple[np.ndarray, int]:
     duplicate/self-loop handling happens downstream.
     """
     try:
-        edges = np.loadtxt(path, comments="#", usecols=(0, 1), dtype=np.int64, ndmin=2)
+        edges = loadtxt(path, comments="#", usecols=(0, 1), dtype=np.int64, ndmin=2)
     except (ValueError, OSError) as exc:
         raise InputFormatError(f"cannot parse edge list {path}: {exc}") from exc
     if edges.size == 0:
@@ -72,10 +71,8 @@ def read_matrix_market(path) -> SparseMatrix:
     blank lines allowed between. Each number is a whole decimal token,
     ``[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?``, and an index is ``[+-]?\d+``.
     Numbers are separated by spaces and tabs, and lines end in LF, CRLF or
-    CR. The body is checked against that grammar once per distinct line
-    shape, then parsed by the C++ core of ``scipy.io.mmread``
-    (fast_matrix_market), so values carry its bits; an integer field is read
-    as real.
+    CR. The body is parsed by ``np.loadtxt``, an index as int64 and a value
+    as float64; an integer field is read as real.
 
     Symmetric files hold one triangle, and each off-diagonal entry is
     mirrored, negated for skew-symmetric, as ``scipy.io.mmread`` does.
@@ -84,23 +81,11 @@ def read_matrix_market(path) -> SparseMatrix:
     non-finite value raise :class:`InputFormatError`.
     """
     try:
-        # one buffer holds the file and a final LF: without one, the core
-        # crashes on a last line that ends in a space
-        buf = stdio.BytesIO()
         with open(path, "rb") as fh:
-            buf.seek(os.fstat(fh.fileno()).st_size)
-            buf.write(b"\n")
-            with buf.getbuffer() as view:
-                buf.seek(fh.readinto(view[:-1]))
-            buf.write(fh.read() + b"\n")  # a pipe holds more than its size says
-            buf.truncate()
-        with buf.getbuffer() as view:
-            if _CR.search(view):  # the core crashes on a lone CR
-                chars = np.frombuffer(view, np.uint8)
-                chars[chars == ord("\r")] = ord("\n")  # a CRLF becomes an LF and a blank line
-                del chars
-            header = _MM_HEADER.match(view)
-            banner_line, size_line, start = header[1], header[2], header.end()
+            data = fh.read()  # the one copy of the file; to its end, as a pipe has no size
+        header = _MM_HEADER.match(data)
+        banner_line, size_line, start = header[1], header[2], header.end()
+        del header  # it holds the file's bytes
         banner = banner_line.decode("latin-1").lower().split()
         if banner[:2] != ["%%matrixmarket", "matrix"] or len(banner) != 5:
             raise InputFormatError(f"{path} has no Matrix Market banner")
@@ -118,68 +103,41 @@ def read_matrix_market(path) -> SparseMatrix:
         else:
             triangle = n * (n + 1) // 2  # values of a symmetric array file
             count = {"general": m * n, "symmetric": triangle}.get(symmetry, triangle - n)
-        _check_body(buf, start, count, "pattern" if field == "pattern" else fmt)
-        # a canonical header, written over the end of the file's own header,
-        # which is never shorter: the file's tokens are the same or longer, and
-        # an LF ends each of its lines (the final LF ends a size line that
-        # ends the file)
-        canonical = ["%%MatrixMarket matrix", fmt, field.replace("integer", "real"), symmetry]
-        head = f"{' '.join(canonical)}\n{' '.join(map(str, size))}\n".encode()
-        buf.seek(start - len(head))
-        buf.write(head)
-        buf.seek(start - len(head))
-        # the core reads a chunk at a time, and refuses a leading plus sign;
-        # the check has passed each one
-        stream = SimpleNamespace(read=lambda n=-1: buf.read(n).replace(b"+", b""))
-        core = _fmm_core()
-        cursor = core.open_read_stream(stream, 1)  # one thread
-        if fmt == "array":
-            vals = np.zeros((m, n))  # the core fills both triangles of a symmetric file
-            core.read_body_array(cursor, vals)
+        for byte in _LOADTXT_BLANKS:
+            if data.find(byte, start) >= 0:
+                raise ValueError(f"byte {byte:#04x} in the body, where only spaces and tabs "
+                                 "separate numbers")
+        body = stdio.BytesIO(data)  # shares the file's bytes, and frees them when closed
+        del data
+        body.seek(start)
+        with stdio.TextIOWrapper(body, encoding="latin-1") as lines:  # a lone CR ends a line
+            entries = loadtxt(lines, dtype=_MM_ENTRY[field if field == "pattern" else fmt],
+                              comments=None, ndmin=1)
+        if len(entries) != count:
+            raise ValueError(f"the header declares {count} entries, the file holds {len(entries)}")
+        if fmt == "array":  # column-major, a symmetric file's lower triangle
+            cols, rows = (np.indices((n, m)).reshape(2, -1) if symmetry == "general"
+                          else np.triu_indices(n, symmetry == "skew-symmetric"))
+            vals = entries["f0"]
         else:
-            rows, cols = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
-            vals = np.ones(count)
-            core.read_body_coo(cursor, rows, cols, vals)
-        buf.close()
+            rows, cols = entries["f0"] - 1, entries["f1"] - 1
+            vals = np.ones(count) if field == "pattern" else entries["f2"]
+        if not np.all(np.isfinite(vals)):
+            raise InputFormatError(f"{path}: non-finite value")
+        if symmetry != "general":
+            off = rows != cols
+            sign = -1.0 if symmetry == "skew-symmetric" else 1.0
+            rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
+            vals = np.concatenate([vals, sign * vals[off]])
+        return SparseMatrix.from_coo(rows, cols, vals, m, n)
     except (ValueError, OverflowError, OSError) as exc:
         raise InputFormatError(f"cannot parse Matrix Market file {path}: {exc}") from exc
-    if not np.all(np.isfinite(vals)):
-        raise InputFormatError(f"{path}: non-finite value")
-    if fmt == "array":
-        return SparseMatrix.from_dense(vals)
-    if symmetry != "general":
-        off = rows != cols
-        sign = -1.0 if symmetry == "skew-symmetric" else 1.0
-        rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
-        vals = np.concatenate([vals, sign * vals[off]])
-    return SparseMatrix.from_coo(rows, cols, vals, m, n)
-
-
-def _check_body(data: bytes | stdio.BytesIO, start: int, count: int, kind: str) -> None:
-    """Raise ``ValueError`` unless the lines of ``data`` from ``start`` on
-    hold ``count`` entries of ``kind`` (``coordinate``, ``pattern`` or
-    ``array``), one to a non-blank line. The core reads the longest numeric
-    prefix of a token and ignores the rest of its line, so this is what
-    rejects ``1.0abc``, ``1-2``, an extra column or an entry that spills onto
-    the next line. Each distinct line shape is matched once; lines are
-    translated one by one, so that no translated copy of the body is held.
-    ``data`` is the file's bytes, or a BytesIO that holds them."""
-    lines = data if isinstance(data, stdio.BytesIO) else stdio.BytesIO(data)
-    lines.seek(start)
-    entry, held = _MM_ENTRY[kind], 0
-    for shape, times in Counter(map(bytes.translate, lines, repeat(_SHAPE))).items():
-        if shape.strip(b" \n"):  # not strip(): a form feed is no blank
-            if not entry.fullmatch(shape):
-                raise ValueError(f"a line that is not one {kind} entry of whole decimal numbers")
-            held += times
-    if held != count:
-        raise ValueError(f"the header declares {count} entries, the file holds {held}")
 
 
 def read_points_csv(path) -> np.ndarray:
     """One point per line, comma-separated real coordinates."""
     try:
-        pts = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+        pts = loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     except (ValueError, OSError) as exc:
         raise InputFormatError(f"cannot parse point cloud {path}: {exc}") from exc
     if pts.size == 0:

@@ -316,6 +316,17 @@ def normalized_adjacency(edges, n: int) -> SparseMatrix:
     :meth:`SparseMatrix.from_coo` from both orientations of each edge, is the
     graph's one canonical edge set, and row u's length is deg(u).
     """
+    offs, cols = adjacency_pattern(edges, n)
+    deg = np.diff(offs)
+    vals = np.repeat(deg.astype(np.float64), deg)  # deg(u) for each entry (u, v)
+    vals *= deg[cols]
+    np.divide(1.0, np.sqrt(vals, out=vals), out=vals)
+    return SparseMatrix(n, n, offs, cols, *_handed_over(vals))
+
+
+def adjacency_pattern(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row offsets and column indices of :func:`normalized_adjacency`,
+    without its values."""
     if n < 1:
         raise ValueError("vertex count must be positive")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -324,13 +335,7 @@ def normalized_adjacency(edges, n: int) -> SparseMatrix:
     edges = edges[edges[:, 0] != edges[:, 1]]
     pattern = SparseMatrix.from_coo(edges.T.ravel(), edges[:, ::-1].T.ravel(),
                                     np.ones(2 * len(edges)), n, n)
-    offs, cols = pattern.row_offsets, pattern.col_indices
-    del edges, pattern  # its count values go before the weights are computed
-    deg = np.diff(offs)
-    vals = np.repeat(deg.astype(np.float64), deg)  # deg(u) for each entry (u, v)
-    vals *= deg[cols]
-    np.divide(1.0, np.sqrt(vals, out=vals), out=vals)
-    return SparseMatrix(n, n, offs, cols, *_handed_over(vals))
+    return pattern.row_offsets, pattern.col_indices
 
 
 def kernel_matrix(points, kind: str, bandwidth: float) -> SparseMatrix:

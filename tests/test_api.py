@@ -134,10 +134,11 @@ def test_benchmark_untraced_names_resolve():
 
 def test_cli_commands_import_neither_scipy_sparse_nor_scipy_io(tmp_path):
     # Start-up cost: each command runs in a fresh process, and importing
-    # scipy.sparse and scipy.io costs about 0.3 s of CPU there. Loading the
-    # Matrix Market core costs 1.5 ms and 1.6 MB, so only a Matrix Market
-    # read loads it. Loading LAPACK's extension adds about 2.5 MB of RSS, so
-    # only eval loads it, and no command runs the scipy.linalg package.
+    # scipy.sparse and scipy.io costs about 0.3 s of CPU there. csemb loads
+    # two private extensions from their files: sparse._sparsetools at import,
+    # and linalg._flapack, which adds about 2.5 MB of RSS, in eval alone. No
+    # command runs the scipy.linalg package. The README's "Known limits" lists
+    # the same two.
     graph = tmp_path / "g.txt"
     graph.write_text("".join(f"{i} {(i + 1) % 12}\n{i} {(i + 5) % 12}\n" for i in range(12)))
     mtx = tmp_path / "a.mtx"
@@ -147,7 +148,6 @@ def test_cli_commands_import_neither_scipy_sparse_nor_scipy_io(tmp_path):
     )
     emb = tmp_path / "e.bin"
     graph_args = ["--input", str(graph), "--function", "indicator:0.3", "--L", "12", "--d", "6"]
-    # the edge-list commands first: they must not load the Matrix Market core
     commands = [
         ["embed", *graph_args, "--format", "edgelist", "--output", str(emb)],
         ["cluster", *graph_args, "--k", "2", "--runs", "2",
@@ -160,18 +160,25 @@ def test_cli_commands_import_neither_scipy_sparse_nor_scipy_io(tmp_path):
         ["norm", "--input", str(mtx), "--format", "matrix-market", "--matrix", "dilation",
          "--output", str(tmp_path / "n.json")],
     ]
+    # every load_scipy_extension call, wherever a csemb module holds the loader
     code = (
         "import json, sys\n"
-        "import csemb.io, csemb.oracle\n"
+        "import csemb.oracle, csemb.sparse\n"
         "from csemb.cli import main\n"
-        "codes, core_loaded, lapack_loaded = [], [], []\n"
+        "codes, calls, load = [], [], csemb.sparse.load_scipy_extension\n"
+        "def recording(module, *args):\n"
+        "    calls[-1].append(module)\n"
+        "    return load(module, *args)\n"
+        "for name, m in list(sys.modules.items()):\n"
+        "    if name.startswith('csemb.') and hasattr(m, 'load_scipy_extension'):\n"
+        "        m.load_scipy_extension = recording\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    csemb.oracle._flapack.cache_clear()\n"
+        "    calls.append([])\n"
         "    codes.append(main(argv))\n"
-        "    core_loaded.append(csemb.io._fmm_core.cache_info().currsize == 1)\n"
-        "    lapack_loaded.append(csemb.oracle._flapack.cache_info().currsize == 1)\n"
+        "at_import = csemb.sparse._sparsetools.__name__\n"
         "loaded = [m for m in ('scipy.sparse', 'scipy.io', 'scipy.linalg') if m in sys.modules]\n"
-        "print(json.dumps([codes, core_loaded, lapack_loaded, loaded]))\n"
+        "print(json.dumps([codes, calls, at_import, loaded]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     run = subprocess.run(
@@ -179,10 +186,10 @@ def test_cli_commands_import_neither_scipy_sparse_nor_scipy_io(tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr
-    codes, core_loaded, lapack_loaded, loaded = json.loads(run.stdout.strip().splitlines()[-1])
+    codes, calls, at_import, loaded = json.loads(run.stdout.strip().splitlines()[-1])
     assert codes == [0] * len(commands)
-    assert core_loaded == [False, False, False, True, True]
-    assert lapack_loaded == [False, False, True, False, False]  # each command on its own
+    assert at_import == "scipy.sparse._sparsetools"
+    assert calls == [[], [], ["linalg._flapack"], [], []]  # each command on its own
     assert loaded == []
 
 
