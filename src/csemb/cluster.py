@@ -41,19 +41,24 @@ def _distances_into(x_sq, c_sq, g, out) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-def _plus_plus_init(
-    X: np.ndarray, x_sq: np.ndarray, K: int, rng: np.random.Generator
-) -> np.ndarray:
+def _plus_plus_init(X: np.ndarray, x_sq: np.ndarray, K: int, seed: int) -> np.ndarray:
+    """k-means++ seeding by draws u_0..u_{K-1} of ``seed``: row floor(u_0 n),
+    then each row with chance D^2 / sum D^2 by numpy's ``choice`` arithmetic
+    (the first row whose normalised cumulative D^2 exceeds u_k), so a chosen
+    row, at D^2 = 0, is never picked again; row floor(u_k n) if all D^2 = 0."""
     n = X.shape[0]
+    u = engine.uniform_draws(seed, np.arange(K, dtype=np.uint64))
     centroids = np.empty((K, X.shape[1]))
-    centroids[0] = X[rng.integers(n)]
+    centroids[0] = X[int(u[0] * n)]
     closest = sq_distances(X, centroids[:1], x_sq)[:, 0]
+    cdf = np.empty(n)
     for k in range(1, K):
-        total = closest.sum()
-        if total <= 0.0:
-            pick = int(rng.integers(n))
+        np.cumsum(closest, out=cdf)
+        if cdf[-1] <= 0.0:
+            pick = int(u[k] * n)
         else:
-            pick = int(rng.choice(n, p=closest / total))
+            cdf /= cdf[-1]
+            pick = int(np.searchsorted(cdf, u[k], side="right"))
         centroids[k] = X[pick]
         np.minimum(closest, sq_distances(X, centroids[k : k + 1], x_sq)[:, 0], out=closest)
     return centroids
@@ -85,11 +90,10 @@ def kmeans(X: np.ndarray, K: int, seed: int = 0) -> ClusterAssignment:
     n = rows.shape[0]
     if not 1 <= K <= n:
         raise ValueError(f"K={K} must lie in [1, n_rows={n}]")
-    rng = np.random.default_rng(seed)
     tile = max(1, engine.BLOCK_BYTES // (8 * K))  # rows per pass over an n x K array
     tiles = [slice(lo, lo + tile) for lo in range(0, n, tile)]
     x_sq = np.concatenate([np.sum(rows[t] * rows[t], axis=1) for t in tiles])
-    centroids = _plus_plus_init(rows, x_sq, K, rng)
+    centroids = _plus_plus_init(rows, x_sq, K, seed)
     g = np.empty((n, K))
     d2 = np.empty((min(tile, n), K))
     mindist = np.empty(n)

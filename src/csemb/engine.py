@@ -32,10 +32,12 @@ stage input, which doubles as one of the recursion's two terms, the other
 term, and the stage output, into which the weighted terms are added. Every
 block and stage of that worker reuses them, so a run allocates no n x w
 array in its workers. Omega is the sign block of the run's seed
-(:func:`sample_projection`), and every random entry (the norm's start vector
-too) is a pure function of (seed, position). So a block draws its own
-columns of Omega into its stage input, hashing in place there and in the
-stage output, which is idle until stage 1: the n x d Omega is never formed.
+(:func:`sample_projection`), and every random draw (the norm's start
+vector, k-means seeding and the eval pair sample too, by
+:func:`uniform_draws`) is a pure function of (seed, position) through one
+SplitMix64 hash. So a block draws its own columns of Omega into its stage
+input, hashing in place there and in the stage output, which is idle until
+stage 1: the n x d Omega is never formed.
 Columns never mix, so results are bit-identical for any block width and
 worker count.
 """
@@ -86,6 +88,16 @@ def fold_seed(seed: int, index: int) -> int:
     return int(_mix64(np.array(((seed & _U64) + (index & _U64)) & _U64, dtype=np.uint64)))
 
 
+def uniform_draws(seed: int, index: np.ndarray) -> np.ndarray:
+    """Doubles uniform on [0, 1) at the uint64 positions ``index``: the 53
+    high bits of the SplitMix64 hash of each position xor the hashed seed.
+    Every draw but the projection's signs (the same hash's top bit, taken in
+    place by :func:`_draw_signs`) is made here."""
+    z = _mix64(np.bitwise_xor(index, np.uint64(fold_seed(seed, 0)), dtype=np.uint64))
+    z >>= np.uint64(11)
+    return z * 2.0**-53
+
+
 def default_dimension(n: int) -> int:
     """The practical operating point ceil(6 ln n), well below the worst-case
     Johnson-Lindenstrauss bound, the smallest d strictly above
@@ -114,7 +126,7 @@ def _draw_signs(out: np.ndarray, seed: int, d: int, row_codes: np.ndarray, col: 
     z = out.view(np.uint64)
     for j in range(out.shape[1]):
         np.add(row_codes, np.uint64(col + j), out=z[:, j])
-    z ^= _mix64(np.array(seed & _U64, dtype=np.uint64))
+    z ^= np.uint64(fold_seed(seed, 0))
     _mix64(z, t)
     np.invert(z, out=z)  # a set top bit means +1/sqrt(d), a clear sign bit
     z &= _SIGN_BIT
@@ -195,8 +207,7 @@ def estimate_spectral_norm(S: SparseMatrix) -> float:
     n = S.n_rows
     k = min(NORM_STEPS, n)
     V = np.empty((k + 1, n))  # the Krylov basis; row j + 1 is built in place
-    h = _mix64(np.arange(n, dtype=np.uint64) ^ np.uint64(fold_seed(0, _NORM_SEED_TAG)))
-    v = (h >> np.uint64(11)) * 2.0**-52 - 1.0  # 53 high bits, uniform on [-1, 1)
+    v = 2.0 * uniform_draws(_NORM_SEED_TAG, np.arange(n, dtype=np.uint64)) - 1.0
     V[0] = v / math.sqrt(np.einsum("i,i->", v, v))
     alpha, beta = [], []
     for j in range(k):

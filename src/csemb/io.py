@@ -29,6 +29,8 @@ _MM_SYMMETRIES = ("general", "symmetric", "skew-symmetric")
 _MM_HEADER = re.compile(
     rb"([^\r\n]*)(?:\r\n?|\n)?(?:(?:%[^\r\n]*|[ \t\f\v]*)(?:\r\n?|\n))*([^\r\n]*)"
 )
+# a size-line token, in the index grammar; int() would also take "2_0"
+_MM_INDEX = re.compile(rb"[+-]?[0-9]+")
 # the columns of a coordinate, pattern and array entry
 _MM_ENTRY = {"coordinate": "i8,i8,f8", "pattern": "i8,i8", "array": "f8,"}
 # the bytes besides space, tab, CR and LF that np.loadtxt, reading latin-1,
@@ -69,10 +71,10 @@ def read_matrix_market(path) -> SparseMatrix:
     The header is read here: a banner in any case, then comment (``%``) and
     blank lines, then the size line. Each entry is on a line of its own, with
     blank lines allowed between. Each number is a whole decimal token,
-    ``[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?``, and an index is ``[+-]?\d+``.
-    Numbers are separated by spaces and tabs, and lines end in LF, CRLF or
-    CR. The body is parsed by ``np.loadtxt``, an index as int64 and a value
-    as float64; an integer field is read as real.
+    ``[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?``, and an index or a size is
+    ``[+-]?\d+``. Numbers are separated by spaces and tabs, and lines end in
+    LF, CRLF or CR. The body is parsed by ``np.loadtxt``, an index as int64
+    and a value as float64; an integer field is read as real.
 
     Symmetric files hold one triangle, and each off-diagonal entry is
     mirrored, negated for skew-symmetric, as ``scipy.io.mmread`` does.
@@ -92,7 +94,9 @@ def read_matrix_market(path) -> SparseMatrix:
         fmt, field, symmetry = banner[2:]
         if field not in _MM_FIELDS.get(fmt, ()) or symmetry not in _MM_SYMMETRIES:
             raise InputFormatError(f"{path}: unsupported Matrix Market {' '.join(banner[2:])}")
-        size = [int(x) for x in size_line.split()]
+        # a token outside the index grammar reads as -1, which is refused
+        size = [int(x) if _MM_INDEX.fullmatch(x) else -1
+                for x in re.split(rb"[ \t]+", size_line.strip(b" \t"))]
         if len(size) != (3 if fmt == "coordinate" else 2) or min(size) < 0:
             raise InputFormatError(f"{path}: bad size line {size_line.decode('latin-1')!r}")
         m, n = size[:2]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cluster import sq_distances
-from .engine import EmbedConfig, fast_embed_cascaded, fold_seed
+from .engine import EmbedConfig, fast_embed_cascaded, fold_seed, uniform_draws
 from .errors import OracleCapError, OracleError
 from .functions import support_of
 from .io import write_json
@@ -32,6 +32,7 @@ PERCENTILE_LEVELS = (1, 5, 25, 50, 75, 95, 99)
 DEFAULT_MAX_PAIRS = 100_000
 PAIR_CHUNK = 4096  # pairs whose rows are gathered at once
 CALIBRATION_BIN_WIDTH = 0.1  # bins centered on -1.0, -0.9, ..., 1.0
+_PAIR_KEY_TAG = 0x70616972  # "pair": the stream that orders the distinct pairs drawn
 # the range dsyevr keeps max|a_ij| in, from DLAMCH's safe minimum and precision
 _RMIN = math.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)  # 2^-485
 _RMAX = 1.0 / math.sqrt(math.sqrt(np.finfo(np.float64).tiny))  # 2^255.5
@@ -171,8 +172,34 @@ def _pair_correlations(rows: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray,
     return out, zero
 
 
+def _vertex_draws(seed: int, start: int, size: int, n: int) -> np.ndarray:
+    """Vertex ids floor(u n) by draws start..start+size-1 of ``seed``."""
+    u = uniform_draws(seed, np.arange(start, start + size, dtype=np.uint64))
+    u *= n
+    return u.astype(np.uint64)
+
+
+def _pair_codes(seed: int, start: int, size: int, n: int) -> np.ndarray:
+    """Codes i n + j (i < j) of the pairs of distinct vertices whose ends are
+    ``size`` draws of ``seed`` from ``start`` and ``size`` more after them."""
+    i = _vertex_draws(seed, start, size, n)
+    hi = _vertex_draws(seed, start + size, size, n)
+    lo = np.minimum(i, hi)
+    np.maximum(i, hi, out=hi)
+    del i
+    keep = lo != hi
+    lo *= np.uint64(n)
+    lo += hi
+    return lo[keep]
+
+
 def sample_pairs(n: int, n_pairs: int | None, seed: int) -> np.ndarray:
-    """Uniform vertex pairs (i < j) without replacement, deterministic per seed."""
+    """Uniform vertex pairs (i < j) without replacement, deterministic per seed.
+
+    Each round draws twice the missing count plus 16 candidates, i then j,
+    from the next draws of ``seed``. Of the distinct pairs drawn, those whose
+    codes i n + j have the smallest hash keys are kept: a uniform subset,
+    where the smallest codes would favour low ids."""
     total = n * (n - 1) // 2
     asked = DEFAULT_MAX_PAIRS if n_pairs is None else n_pairs
     n_pairs = min(asked, total)
@@ -184,20 +211,16 @@ def sample_pairs(n: int, n_pairs: int | None, seed: int) -> np.ndarray:
     if n_pairs == total:
         iu = np.triu_indices(n, k=1)
         return np.stack(iu, axis=1).astype(np.int64)
-    rng = np.random.default_rng(seed)
     codes = np.empty(0, dtype=np.uint64)
+    drawn = 0
     while len(codes) < n_pairs:
-        want = n_pairs - len(codes)
-        i = rng.integers(0, n, size=2 * want + 16)
-        j = rng.integers(0, n, size=2 * want + 16)
-        ok = i != j
-        lo = np.minimum(i[ok], j[ok]).astype(np.uint64)
-        hi = np.maximum(i[ok], j[ok]).astype(np.uint64)
-        codes = np.concatenate([codes, lo * np.uint64(n) + hi])
+        size = 2 * (n_pairs - len(codes)) + 16
+        codes = np.concatenate([codes, _pair_codes(seed, drawn, size, n)])
+        drawn += 2 * size
         codes.sort()
         codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
-    # a uniform subset of the distinct codes; the smallest ones would favour low ids
-    codes = np.sort(rng.choice(codes, n_pairs, replace=False))
+    keys = uniform_draws(fold_seed(seed, _PAIR_KEY_TAG), codes)
+    codes = np.sort(codes[np.argpartition(keys, n_pairs - 1)[:n_pairs]])
     return np.stack([codes // np.uint64(n), codes % np.uint64(n)], axis=1).astype(np.int64)
 
 

@@ -138,7 +138,8 @@ def test_cli_commands_import_neither_scipy_sparse_nor_scipy_io(tmp_path):
     # two private extensions from their files: sparse._sparsetools at import,
     # and linalg._flapack, which adds about 2.5 MB of RSS, in eval alone. No
     # command runs the scipy.linalg package. The README's "Known limits" lists
-    # the same two.
+    # the same two. No command loads numpy.random either (about 6 MB of RSS):
+    # every random draw is a SplitMix64 hash of (seed, position).
     graph = tmp_path / "g.txt"
     graph.write_text("".join(f"{i} {(i + 1) % 12}\n{i} {(i + 5) % 12}\n" for i in range(12)))
     mtx = tmp_path / "a.mtx"
@@ -165,7 +166,7 @@ def test_cli_commands_import_neither_scipy_sparse_nor_scipy_io(tmp_path):
         "import json, sys\n"
         "import csemb.oracle, csemb.sparse\n"
         "from csemb.cli import main\n"
-        "codes, calls, load = [], [], csemb.sparse.load_scipy_extension\n"
+        "codes, calls, rand, load = [], [], [], csemb.sparse.load_scipy_extension\n"
         "def recording(module, *args):\n"
         "    calls[-1].append(module)\n"
         "    return load(module, *args)\n"
@@ -176,9 +177,10 @@ def test_cli_commands_import_neither_scipy_sparse_nor_scipy_io(tmp_path):
         "    csemb.oracle._flapack.cache_clear()\n"
         "    calls.append([])\n"
         "    codes.append(main(argv))\n"
+        "    rand.append('numpy.random' in sys.modules)\n"
         "at_import = csemb.sparse._sparsetools.__name__\n"
         "loaded = [m for m in ('scipy.sparse', 'scipy.io', 'scipy.linalg') if m in sys.modules]\n"
-        "print(json.dumps([codes, calls, at_import, loaded]))\n"
+        "print(json.dumps([codes, calls, at_import, loaded, rand]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     run = subprocess.run(
@@ -186,11 +188,12 @@ def test_cli_commands_import_neither_scipy_sparse_nor_scipy_io(tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr
-    codes, calls, at_import, loaded = json.loads(run.stdout.strip().splitlines()[-1])
+    codes, calls, at_import, loaded, rand = json.loads(run.stdout.strip().splitlines()[-1])
     assert codes == [0] * len(commands)
     assert at_import == "scipy.sparse._sparsetools"
     assert calls == [[], [], ["linalg._flapack"], [], []]  # each command on its own
     assert loaded == []
+    assert rand == [False] * len(commands)
 
 
 def test_embed_and_norm_never_load_openssl(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,8 @@ from csemb import (
     normalized_adjacency,
     fast_embed_cascaded,
 )
-from csemb.cluster import _KMEANS_SEED_TAG, KMEANS_MAX_ITERS
+from csemb.cluster import _KMEANS_SEED_TAG, KMEANS_MAX_ITERS, _plus_plus_init
+from csemb.engine import uniform_draws
 from helpers import sbm
 
 
@@ -64,20 +66,25 @@ class TestKmeans:
 
 def _reference_kmeans(X, K, seed):
     """k-means as first written: full distance formula on every call and
-    centroid sums by np.add.at. Returns (labels, inertia history, reseeds)."""
+    centroid sums by np.add.at, seeded by draws 0..K-1 of ``seed`` with the
+    arithmetic of numpy's ``choice``. Returns (labels, inertia history,
+    reseeds)."""
 
     def sq(X, C):
         d2 = np.sum(X * X, axis=1)[:, None] + np.sum(C * C, axis=1)[None, :] - 2.0 * (X @ C.T)
         return np.maximum(d2, 0.0)
 
     n = X.shape[0]
-    rng = np.random.default_rng(seed)
+    u = uniform_draws(seed, np.arange(K, dtype=np.uint64))
     centroids = np.empty((K, X.shape[1]))
-    centroids[0] = X[rng.integers(n)]
+    centroids[0] = X[int(np.floor(u[0] * n))]
     closest = sq(X, centroids[:1])[:, 0]
     for k in range(1, K):
-        total = closest.sum()
-        pick = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=closest / total))
+        cdf = np.cumsum(closest)
+        if cdf[-1] <= 0.0:
+            pick = int(np.floor(u[k] * n))
+        else:
+            pick = int(np.searchsorted(cdf / cdf[-1], u[k], side="right"))
         centroids[k] = X[pick]
         closest = np.minimum(closest, sq(X, centroids[k : k + 1])[:, 0])
     labels = np.full(n, -1, dtype=np.int64)
@@ -105,6 +112,39 @@ def _reference_kmeans(X, K, seed):
         np.add.at(sums, labels, X)
         centroids = sums / np.bincount(labels, minlength=K)[:, None]
     return labels, history, reseeds
+
+
+class TestPlusPlusSeeding:
+    def test_picks_in_proportion_to_squared_distance(self):
+        # five points on a line: the first centroid is each row with chance
+        # 1/5, and after row a the second is row b with chance
+        # D^2(a, b) / sum D^2. Over 20,000 seeds each first pick holds about
+        # 4,000 draws, so a chance reads within 0.008 (one binomial standard
+        # error at worst); the bound is 5 standard errors.
+        X = np.array([[0.0], [1.0], [3.0], [4.0], [8.0]])
+        n, seeds = len(X), 20_000
+        x_sq = np.sum(X * X, axis=1)
+        counts = np.zeros((n, n))
+        for seed in range(seeds):
+            first, second = _plus_plus_init(X, x_sq, 2, seed)[:, 0]
+            counts[np.flatnonzero(X[:, 0] == first)[0], np.flatnonzero(X[:, 0] == second)[0]] += 1
+        d2 = (X - X.T) ** 2
+        for a in range(n):
+            drawn = counts[a].sum()
+            assert abs(drawn / seeds - 1 / n) <= 5 * math.sqrt(1 / n * (1 - 1 / n) / seeds)
+            expected = d2[a] / d2[a].sum()
+            se = np.sqrt(expected * (1 - expected) / drawn)
+            assert counts[a, a] == 0
+            assert np.all(np.abs(counts[a] / drawn - expected) <= 5 * se + 1e-12)
+
+    def test_chosen_point_never_picked_again(self):
+        # K = n distinct points of a small integer grid, whose distances are
+        # exact: a chosen row is at D^2 = 0, so the centroids are the n rows
+        X = np.indices((4, 3)).reshape(2, -1).T.astype(np.float64)
+        x_sq = np.sum(X * X, axis=1)
+        for seed in range(200):
+            centroids = _plus_plus_init(X, x_sq, len(X), seed)
+            assert np.array_equal(np.unique(centroids, axis=0), X)
 
 
 class TestKmeansBits:

@@ -112,8 +112,8 @@ CASES = {
           "--b", "2", "--d", "10", "--seed", "5", "--k", "4", "--runs", "3",
           "--labels-out", "labels.csv", "--summary-out", "summary.json"]],
         {
-            "labels.csv": "9063065d76ab60bbfb83546fce0ebfdc8a706557297de2f2cf2be6f70235981d",
-            "summary.json": "a3d5cc51f4e3379dc74390a8819900ca37d8ccb9aa81eba1fda65d3ddd009a58",
+            "labels.csv": "50bfc8ee6dbc03dedca27918d06a5521fbeb0c4c218723673827a2f581ecfb29",
+            "summary.json": "dc61c295da412320fe89df0ebe2a58eb3455f6136ea14e51411f2a25c66dd2b2",
         },
     ),
     # --pairs 1000 of the 3160 vertex pairs, so sample_pairs draws a random subset
@@ -123,9 +123,9 @@ CASES = {
          ["eval", "--approx", "out.bin", "--input", "graph.txt", "--format", "edgelist",
           "--function", "indicator:0.3", "--pairs", "1000", "--output-prefix", "rep"]],
         {
-            "rep_percentiles.csv": "a5f3da3699d5d3d9cfa674a4fa1bfe89a857e19c67472f2bb7cfd97564eaa596",
-            "rep_calibration.csv": "1ed9815ba8fb1cb7086e1f1acbb94cf05c6de0ddce579b6ed529347849b03f0d",
-            "rep_report.json": "4d2ae439678abfe9bdb955b682aa628bf59afdd3b1c904fcabc369080ee11ad0",
+            "rep_percentiles.csv": "a063d2ba3f490650a16a71ad453d9fe32c94eaef005bad638ebf2867a490e100",
+            "rep_calibration.csv": "2d12394e06c8bbd746ec65ca885dfe5517481b339c9b7dc56036d17d10093579",
+            "rep_report.json": "189b9d7ab3caace90c7a98b49d3faa85047497a376d8e05ac6efd3e7c13fd0f6",
         },
     ),
     "norm-raw": (

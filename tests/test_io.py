@@ -119,7 +119,7 @@ class TestMatrixMarket:
         p.write_text(_REAL_GENERAL + f"2000 2000 {count}\n" + "".join(
             f"{' ' * 40}{i} {j} {x!r}\n" for i, j, x in zip(rows, cols, values)
         ))
-        read_matrix_market(p)  # the core is loaded outside the measurement
+        read_matrix_market(p)  # a first read, so one-time allocations are not measured
         size = p.stat().st_size
         tracemalloc.start()
         try:
@@ -252,6 +252,9 @@ class TestMatrixMarketAgainstScipy:
             "%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 1 1 2\n2 2\n",
             "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1\n1 2 2\n",
             "%%MatrixMarket matrix array real general\n2 2\n1\n2 3\n4\n",
+            # a size token outside the index grammar, which int() would read
+            _REAL_GENERAL + "2_0 1_0 1\n1 1 1.0\n",
+            _REAL_GENERAL + "2 2 0_1\n1 1 1.0\n",
         ],
         ids=["complex", "hermitian", "complex-array", "fewer-entries", "more-entries",
              "entries-after-zero", "short-array", "zero-based", "row-out-of-range",
@@ -263,7 +266,7 @@ class TestMatrixMarketAgainstScipy:
              "double-exponent-sign", "no-mantissa-digit", "two-exponents", "overflow",
              "two-values-a-line", "two-values-one-line", "pattern-with-value", "row-1.0", "column-1e0",
              "pattern-column-2.", "ragged-real", "ragged-integer", "ragged-pattern",
-             "ragged-array"],
+             "ragged-array", "size-underscores", "count-underscore"],
     )
     def test_rejected(self, tmp_path, text):
         p = tmp_path / "m.mtx"
@@ -288,6 +291,7 @@ class TestMatrixMarketAgainstScipy:
             (_REAL_GENERAL + "2 2 3\n1 1 .5\n2 2 5.\n1 2 -.5e-1\n",
              {(0, 0): 0.5, (1, 1): 5.0, (0, 1): -0.05}),
             (_REAL_GENERAL + "2 2 1\n0001 02 00012\n", {(0, 1): 12.0}),
+            (_REAL_GENERAL + " +2\t2  01 \n1 2 4\n", {(0, 1): 4.0}),
             ("%%MatrixMarket matrix array real general\n2 1\n+.25\n\n-4E0",
              {(0, 0): 0.25, (1, 0): -4.0}),
             ("%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n2 +1\n",
@@ -302,7 +306,7 @@ class TestMatrixMarketAgainstScipy:
              {(0, 1): 4.0}),
         ],
         ids=["crlf", "cr", "no-final-newline", "blank-lines", "plus-signs", "plus-index",
-             "upper-case-banner", "bare-dots", "leading-zeros", "array-signs",
+             "upper-case-banner", "bare-dots", "leading-zeros", "size-line-blanks", "array-signs",
              "pattern-plus-index", "array-last-line-tab", "coordinate-last-line-space",
              "pattern-last-line-blanks", "comment-any-byte"],
     )

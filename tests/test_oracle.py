@@ -16,16 +16,20 @@ from csemb import (
     distance_bound_audit,
     distortion_percentiles,
     exact_embedding,
+    fold_seed,
     identity,
     indicator_above,
     sample_pairs,
 )
+from csemb.engine import uniform_draws
 from csemb.oracle import (
+    _PAIR_KEY_TAG,
     _RMAX,
     _RMIN,
     ORACLE_CAP,
     PAIR_CHUNK,
     _dsyevr_range,
+    _pair_codes,
     _pair_correlations,
     _pairwise_distances,
     _spectral_delta,
@@ -393,22 +397,35 @@ class TestSamplePairs:
     @pytest.mark.parametrize("n, m, seed", [(50, 1200, 1), (50, 1224, 2)])
     def test_matches_unique_reference_over_many_rounds(self, n, m, seed):
         # a sample close to all n(n-1)/2 pairs takes many draw rounds; each
-        # round's distinct codes must be those np.unique gives
-        rng = np.random.default_rng(seed)
+        # round continues the draw counter, i before j, and its distinct codes
+        # must be those np.unique gives
         codes = np.empty(0, dtype=np.uint64)
-        rounds = 0
+        drawn = rounds = 0
         while len(codes) < m:
-            want = m - len(codes)
-            i = rng.integers(0, n, size=2 * want + 16)
-            j = rng.integers(0, n, size=2 * want + 16)
+            size = 2 * (m - len(codes)) + 16
+            u = uniform_draws(seed, np.arange(drawn, drawn + 2 * size, dtype=np.uint64))
+            drawn += 2 * size
+            i, j = np.floor(u * n).astype(np.int64).reshape(2, size)
             ok = i != j
             lo = np.minimum(i[ok], j[ok]).astype(np.uint64)
             hi = np.maximum(i[ok], j[ok]).astype(np.uint64)
             codes = np.unique(np.concatenate([codes, lo * np.uint64(n) + hi]))
             rounds += 1
-        codes = np.sort(rng.choice(codes, m, replace=False))
+        keys = uniform_draws(fold_seed(seed, _PAIR_KEY_TAG), codes)
+        codes = np.sort(codes[np.argsort(keys, kind="stable")[:m]])
         expected = np.stack([codes // np.uint64(n), codes % np.uint64(n)], axis=1)
         assert rounds > 10
+        assert np.array_equal(sample_pairs(n, m, seed), expected.astype(np.int64))
+
+    def test_keeps_the_smallest_hash_keys(self):
+        # one round draws about twice the pairs asked for; those kept are the
+        # distinct pairs with the smallest keys, not the smallest codes
+        n, m, seed = 300, 5000, 1
+        codes = np.unique(_pair_codes(seed, 0, 2 * m + 16, n))
+        assert len(codes) > 1.5 * m
+        keys = uniform_draws(fold_seed(seed, _PAIR_KEY_TAG), codes)
+        kept = np.sort(codes[np.argsort(keys, kind="stable")[:m]])
+        expected = np.stack([kept // np.uint64(n), kept % np.uint64(n)], axis=1)
         assert np.array_equal(sample_pairs(n, m, seed), expected.astype(np.int64))
 
 
