@@ -144,8 +144,8 @@ def _operator(args):
     """The input's shape, the symmetric operator S that f is applied to, and
     the norm estimate S was divided by: None for the normalized adjacency,
     whose spectrum already lies in [-1, 1]. ``--matrix dilation`` makes S
-    the dilation [0 A^T; A 0] of the input, and A is released before the
-    norm estimate. points-csv gets its kernel defaults here."""
+    the dilation [0 A^T; A 0] of the input, an operator over A's own
+    arrays. points-csv gets its kernel defaults here."""
     _refuse_options_off_format(args)
     if args.format == "edgelist":
         if args.matrix != "normalized-adjacency":
@@ -162,7 +162,6 @@ def _operator(args):
         mat = cio.read_matrix_market(args.input)
     shape = mat.shape
     S = dilate(mat) if args.matrix == "dilation" else mat
-    del mat  # a dilation holds A's entries twice over, and A is not read again
     try:
         norm_estimate = estimate_spectral_norm(S)
     except ValueError:  # its exact symmetry check; only a raw Matrix Market input fails it

@@ -77,13 +77,20 @@ def describe(f) -> str:
 # -- constructors -----------------------------------------------------------
 
 
+def _text(x: float) -> str:
+    """``x`` as text that parses back to ``x``: the ``:g`` form where that
+    is exact, else the shortest round-trip form."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 def indicator_above(threshold: float) -> SpectralFunction:
     """f(x) = 1 if x >= threshold else 0; zero below the threshold."""
     t = float(threshold)
     if not -1.0 <= t <= 1.0:
         raise ValueError("indicator threshold must lie in [-1, 1]")
     return SpectralFunction(
-        lambda x: (x >= t).astype(np.float64), f"indicator:{t:g}", (t,), (t, np.inf)
+        lambda x: (x >= t).astype(np.float64), f"indicator:{_text(t)}", (t,), (t, np.inf)
     )
 
 
@@ -92,9 +99,8 @@ def commute_time(clip: float = DEFAULT_COMMUTE_CLIP) -> SpectralFunction:
     eta = float(clip)
     if not 0.0 < eta < 1.0:
         raise ValueError("commute-time clip must lie in (0, 1)")
-    return SpectralFunction(
-        lambda x: 1.0 / np.sqrt(1.0 - np.minimum(x, 1.0 - eta)), f"commute:{eta:g}", (1.0 - eta,)
-    )
+    return SpectralFunction(lambda x: 1.0 / np.sqrt(1.0 - np.minimum(x, 1.0 - eta)),
+                            f"commute:{_text(eta)}", (1.0 - eta,))
 
 
 def identity() -> SpectralFunction:
@@ -105,7 +111,7 @@ def constant(value: float) -> SpectralFunction:
     c = float(value)
     if not np.isfinite(c):
         raise ValueError("constant value must be finite")
-    return SpectralFunction(lambda x: np.full_like(x, c, dtype=np.float64), f"const:{c:g}")
+    return SpectralFunction(lambda x: np.full_like(x, c, dtype=np.float64), f"const:{_text(c)}")
 
 
 def tabulated(xs, ys) -> SpectralFunction:

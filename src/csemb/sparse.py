@@ -2,11 +2,15 @@
 
 The matrix type is a thin immutable CSR container with 64-bit indices.
 Canonical CSR from (row, column, value) triplets, the transpose, the dense
-form and the multi-vector product run the compiled CSR routines of scipy's
+form and the multi-vector product run the compiled routines of scipy's
 ``_sparsetools`` extension, in the order ``scipy.sparse`` calls them, so
 results carry scipy's bits. The product accumulates each row in stored
 column order and therefore gives deterministic, column-subset-consistent
 output.
+
+A rectangular A is embedded through its dilation [0 A^T; A 0], a
+:class:`Dilation` that holds A alone; its product has the bits of the
+explicit dilation's.
 
 The extension is loaded from its file (:func:`load_scipy_extension`), which
 does not run the ``scipy.sparse`` package: that package's import costs about
@@ -210,9 +214,8 @@ def _transpose(n_rows: int, n_cols: int, offs, cols, vals) -> tuple[np.ndarray, 
     return t_offs, t_cols, t_vals
 
 
-def spmv_multi(
-    S: SparseMatrix, X: np.ndarray, out: np.ndarray | None = None, *, accumulate: bool = False
-) -> np.ndarray:
+def spmv_multi(S: SparseMatrix | Dilation, X: np.ndarray, out: np.ndarray | None = None, *,
+               accumulate: bool = False) -> np.ndarray:
     """Multiply ``S`` with a dense block of column vectors.
 
     Each output entry is accumulated over the row's stored entries in column
@@ -249,17 +252,32 @@ def spmv_multi(
         raise ValueError("out must not overlap the input block")
     elif not accumulate:
         out.fill(0.0)
-    # scipy's CSR kernels, adding into ``out``. One column takes csr_matvec,
-    # for speed: on the embed-dilation operator (248,302 entries) it took
-    # 0.39-0.48 ms to csr_matvecs' 0.70-0.90 ms at k = 1, with equal bits in
-    # 200 random cases, and the Lanczos norm estimate makes 40 such products
-    csr = (S.row_offsets, S.col_indices, S.values)
-    k = X.shape[1]
-    if k == 1:
-        _sparsetools.csr_matvec(S.n_rows, S.n_cols, *csr, X.ravel(), out.ravel())
-    elif k > 1:
-        _sparsetools.csr_matvecs(S.n_rows, S.n_cols, k, *csr, X.ravel(), out.ravel())
+    if isinstance(S, Dilation):
+        # the top n rows add A^T X[n:], the bottom m rows A X[:n]. The CSC
+        # kernel visits A's rows in ascending order, the order in which the
+        # explicit dilation stores each of its top rows, so every row adds
+        # the same products in the same order and the bits are the same
+        n = S.A.n_cols
+        _add_product("csc", S.A, X[n:], out[:n])
+        _add_product("csr", S.A, X[:n], out[n:])
+    else:
+        _add_product("csr", S, X, out)
     return out
+
+
+def _add_product(kind: str, A: SparseMatrix, x: np.ndarray, y: np.ndarray) -> None:
+    """``y += A @ x`` (``kind`` "csr") or ``y += A^T @ x`` ("csc": A's CSR
+    arrays read as A^T's CSC form) by scipy's kernel, for a block ``x`` of k
+    columns. One column takes ``*_matvec``, for speed, with equal bits: on the
+    embed-dilation input's A (125k entries), csc_matvec took 0.25 ms to
+    csc_matvecs' 0.43 ms, and the Lanczos norm estimate makes 40 such products."""
+    shape = A.shape if kind == "csr" else A.shape[::-1]
+    arrays = (A.row_offsets, A.col_indices, A.values)
+    k = x.shape[1]
+    if k == 1:
+        getattr(_sparsetools, kind + "_matvec")(*shape, *arrays, x.ravel(), y.ravel())
+    elif k > 1:
+        getattr(_sparsetools, kind + "_matvecs")(*shape, k, *arrays, x.ravel(), y.ravel())
 
 
 _SCALAR_PATTERN = np.array([0, 1], dtype=np.int64)  # a 1 x 1 matrix's offsets; [:1], its column
@@ -278,10 +296,39 @@ def weighted_add(term: np.ndarray, weight: float, acc: np.ndarray) -> None:
                              np.array([weight], dtype=np.float64), term.ravel(), acc.ravel())
 
 
-def dilate(A: SparseMatrix) -> SparseMatrix:
-    """Symmetric (m+n) x (m+n) matrix with A^T in the top-right block and A in
-    the bottom-left; the first n indices correspond to columns of ``A``, the
-    last m to its rows.
+@dataclass(frozen=True)
+class Dilation:
+    """The symmetric (m+n) x (m+n) dilation [0 A^T; A 0] of an m x n matrix
+    A, held as A alone: no array of the dilation's 2 nnz entries exists.
+    The first n indices correspond to columns of A, the last m to its rows.
+
+    It is read as a matrix is: ``n_rows``, ``n_cols``, ``shape`` and ``nnz``
+    are the dilation's, and ``row_offsets``, ``col_indices`` and ``values``
+    are A's arrays, the ones :func:`spmv_multi` reads. It is symmetric by
+    construction."""
+
+    A: SparseMatrix
+
+    n_rows = n_cols = property(lambda self: self.A.n_rows + self.A.n_cols)
+    shape = property(lambda self: (self.n_rows, self.n_cols))
+    nnz = property(lambda self: 2 * self.A.nnz)
+    row_offsets = property(lambda self: self.A.row_offsets)
+    col_indices = property(lambda self: self.A.col_indices)
+    values = property(lambda self: self.A.values)
+
+    def is_symmetric(self) -> bool:
+        return True
+
+    def to_dense(self) -> np.ndarray:
+        n = self.A.n_cols
+        out = np.zeros(self.shape)
+        out[n:, :n] = self.A.to_dense()
+        out[:n, n:] = out[n:, :n].T
+        return out
+
+
+def dilate(A: SparseMatrix) -> Dilation:
+    """The dilation [0 A^T; A 0] of A, as an operator over A's own arrays.
 
     This is how a rectangular A is embedded: estimate nu on the dilation,
     divide it by nu (:func:`scale_values`), and embed it with
@@ -289,22 +336,7 @@ def dilate(A: SparseMatrix) -> SparseMatrix:
     columns of A, the last m its rows."""
     if A.n_rows < 1 or A.n_cols < 1:
         raise ValueError("cannot dilate an empty matrix")
-    # the first n rows are those of A^T shifted right by n, the last m those of
-    # A; csr_tocsc writes A^T straight into the result's first halves, so no
-    # array of the transpose's size is allocated besides the result
-    m, n = A.shape
-    nnz = A.nnz
-    offs = np.empty(m + n + 1, dtype=np.int64)
-    cols = np.empty(2 * nnz, dtype=np.int64)
-    vals = np.empty(2 * nnz)
-    _sparsetools.csr_tocsc(
-        m, n, A.row_offsets, A.col_indices, A.values, offs[: n + 1], cols[:nnz], vals[:nnz]
-    )
-    cols[:nnz] += n
-    np.add(A.row_offsets[1:], nnz, out=offs[n + 1 :])
-    cols[nnz:] = A.col_indices
-    vals[nnz:] = A.values
-    return SparseMatrix(m + n, m + n, *_handed_over(offs, cols, vals))
+    return Dilation(A)
 
 
 def normalized_adjacency(edges, n: int) -> SparseMatrix:
@@ -366,9 +398,12 @@ def kernel_matrix(points, kind: str, bandwidth: float) -> SparseMatrix:
     return SparseMatrix.from_dense(K)
 
 
-def scale_values(S: SparseMatrix, factor: float) -> SparseMatrix:
-    """Return ``S * factor`` (used to divide a matrix by its norm estimate)."""
+def scale_values(S: SparseMatrix | Dilation, factor: float) -> SparseMatrix | Dilation:
+    """Return ``S * factor`` (used to divide a matrix by its norm estimate).
+    A dilation scales A's values, once."""
     if factor == 0.0 or not np.isfinite(factor):
         raise ValueError("scale factor must be finite and nonzero")
+    if isinstance(S, Dilation):
+        return Dilation(scale_values(S.A, factor))
     values = S.values * factor
     return SparseMatrix(S.n_rows, S.n_cols, S.row_offsets, S.col_indices, *_handed_over(values))

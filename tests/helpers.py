@@ -75,6 +75,16 @@ def sparse_from(dense: np.ndarray) -> SparseMatrix:
     return SparseMatrix.from_dense(dense)
 
 
+def explicit_dilation(A: SparseMatrix) -> SparseMatrix:
+    """The dilation [0 A^T; A 0] stored as a matrix of 2 nnz entries, the
+    reference for the ``dilate`` operator's products."""
+    m, n = A.shape
+    rows = np.repeat(np.arange(m), np.diff(A.row_offsets))
+    cols = A.col_indices
+    return SparseMatrix.from_coo(np.concatenate([cols, rows + n]), np.concatenate([rows + n, cols]),
+                                 np.concatenate([A.values, A.values]), m + n, m + n)
+
+
 def pairwise_distances(rows: np.ndarray) -> np.ndarray:
     sq = np.sum(rows * rows, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (rows @ rows.T)

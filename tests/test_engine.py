@@ -34,6 +34,7 @@ from csemb import (
 from csemb.legendre import expansion_eval
 from helpers import (
     dense_weighted,
+    explicit_dilation,
     norm_input,
     pairwise_distances,
     random_symmetric,
@@ -597,6 +598,27 @@ class TestGeneralMatrices:
         oracle = (vec * weights) @ vec.T @ om
         rel = np.linalg.norm(np.vstack([cols, rows]) - oracle) / np.linalg.norm(oracle)
         assert rel <= 1e-10
+
+    def test_operator_bytes_across_workers_and_explicit_dilation(self, monkeypatch):
+        # the dilation operator gives one set of bytes for every worker count
+        # over several column blocks, and they are the explicit dilation's;
+        # so is its norm estimate
+        rng = np.random.default_rng(33)
+        a = rng.standard_normal((900, 400)) * (rng.random((900, 400)) < 0.02)
+        A = sparse_from(a)
+        D, E = dilate(A), explicit_dilation(A)
+        norm = estimate_spectral_norm(D)
+        assert norm == estimate_spectral_norm(E)
+        D, E = scale_values(D, 1.0 / norm), scale_values(E, 1.0 / norm)
+        monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", 8 * D.n_rows * 8)  # 8-column blocks
+        cfg = EmbedConfig(L=12, d=24, b=2, seed=33)
+        f = odd_extension(indicator_above(0.3))
+        reference = fast_embed_cascaded(E, f, cfg)
+        assert reference.provenance["block_width"] == 8
+        for w in (1, 2, 3):
+            emb = fast_embed_cascaded(D, f, cfg, n_workers=w)
+            assert emb.provenance == reference.provenance
+            assert emb.values.tobytes() == reference.values.tobytes()
 
     def test_plain_callable_with_even_cascade(self):
         # one signed root serves every callable, a SpectralFunction or

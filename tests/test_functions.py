@@ -178,6 +178,36 @@ def test_describe_round_trip():
         assert parse_function(f.describe().split("|")[0]).describe() == f.describe()
 
 
+def _bits(x: float) -> int:
+    return int(np.array(x, dtype=np.float64).view(np.uint64))
+
+
+def test_describe_parses_to_the_same_parameter():
+    # the recorded text gives back the parameter's float, bit for bit, and
+    # keeps the :g form wherever that is exact
+    rng = np.random.default_rng(41)
+    special = [0.0, -0.0, 1.0, -1.0, 1e-5, 0.1234567, -0.1234567, 3.14159265]
+    cases = {
+        "indicator": ([p for p in special if abs(p) <= 1] + rng.uniform(-1, 1, 50).tolist(),
+                      lambda f: f.support()[0]),
+        "commute": ([1e-5, 0.1234567, 0.5, 1e-3] + rng.uniform(0, 1, 50).tolist(),
+                    lambda f: f.breakpoints()),
+        "const": (special + (rng.standard_normal(50) * 10.0 ** rng.integers(-9, 9, 50)).tolist(),
+                  lambda f: f(0.0)),
+    }
+    for kind, (params, read) in cases.items():
+        for p in params:
+            text = f"{kind}:{p!r}"
+            f = parse_function(text)
+            recorded = f.describe()
+            assert _bits(float(recorded.partition(":")[2])) == _bits(p), (text, recorded)
+            assert np.array_equal(read(parse_function(recorded)), read(f))
+    assert parse_function("indicator:0.1234567").describe() == "indicator:0.1234567"
+    assert parse_function("const:3.14159265").describe() == "const:3.14159265"
+    for text in ("indicator:0.3", "indicator:1", "commute:0.001", "const:-2", "indicator:-0"):
+        assert parse_function(text).describe() == text
+
+
 def _cubic(x):
     return np.asarray(x) ** 3
 

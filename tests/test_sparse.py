@@ -14,7 +14,7 @@ from csemb import (
     spmv_multi,
 )
 from csemb.sparse import SYMMETRY_BLOCK, weighted_add
-from helpers import random_symmetric, run_python
+from helpers import explicit_dilation, random_symmetric, run_python
 
 
 def _scipy_csr(S: SparseMatrix) -> scipy.sparse.csr_array:
@@ -145,13 +145,16 @@ class TestSparseMatrix:
             SparseMatrix.from_dense(np.array([[bad, 1.0], [1.0, 0.0]]))
 
 
-# a 50 x 50 dilation and a block of four columns, built in a subprocess
+# a 50 x 50 symmetric matrix, the dilation D of a 30 x 20 matrix, and a
+# block of four columns, built in a subprocess
 _OPERAND = """
 import sys
 import numpy as np
 from csemb import SparseMatrix, dilate, spmv_multi
 rng = np.random.default_rng(7)
-S = dilate(SparseMatrix.from_dense(rng.standard_normal((30, 20)) * (rng.random((30, 20)) < 0.3)))
+a = rng.standard_normal((50, 50)) * (rng.random((50, 50)) < 0.15)
+S = SparseMatrix.from_dense(a + a.T)
+D = dilate(SparseMatrix.from_dense(rng.standard_normal((30, 20)) * (rng.random((30, 20)) < 0.3)))
 X = rng.standard_normal((50, 4))
 """
 
@@ -162,13 +165,15 @@ class TestSparsetoolsLoader:
         code = _OPERAND + f"""
 import csemb.sparse
 assert "scipy.sparse" not in sys.modules
-by_file = spmv_multi(S, X), spmv_multi(S, X[:, 0])
+by_file = spmv_multi(S, X), spmv_multi(S, X[:, 0]), spmv_multi(D, X), spmv_multi(D, X[:, 0])
 csemb.sparse._sparsetools = csemb.sparse.load_scipy_extension(
     "sparse._sparsetools", {str(tmp_path)!r}
 )
 assert "scipy.sparse" in sys.modules
 assert np.array_equal(spmv_multi(S, X), by_file[0])
 assert np.array_equal(spmv_multi(S, X[:, 0]), by_file[1])
+assert np.array_equal(spmv_multi(D, X), by_file[2])
+assert np.array_equal(spmv_multi(D, X[:, 0]), by_file[3])
 print("ok")
 """
         assert run_python(code) == "ok"
@@ -343,43 +348,74 @@ class TestDilate:
         expected = np.sort(np.concatenate([sv, -sv, np.zeros(2)]))
         assert np.abs(ev - expected).max() <= 1e-8
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_scipy_bmat(self, seed):
+    @staticmethod
+    def _random_input(seed: int) -> np.ndarray:
         # random shapes and densities, so that some rows and columns are empty
         rng = np.random.default_rng(seed)
         m, n = (int(k) for k in rng.integers(1, 40, size=2))
         a = rng.standard_normal((m, n)) * (rng.random((m, n)) < rng.uniform(0.02, 0.3))
         a[rng.integers(0, m)] = 0.0
         a[:, rng.integers(0, n)] = 0.0
-        S = dilate(SparseMatrix.from_dense(a))
+        return a
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_scipy_bmat(self, seed):
+        a = self._random_input(seed)
         ref = scipy.sparse.bmat(
             [[None, scipy.sparse.csr_matrix(a).T], [scipy.sparse.csr_matrix(a), None]],
             format="csr",
         )
-        for got, want in [(S.row_offsets, ref.indptr), (S.col_indices, ref.indices),
-                          (S.values, ref.data)]:
-            assert np.array_equal(got, want)
-            assert got.dtype == (np.float64 if got is S.values else np.int64)
-            assert got.flags.owndata and not got.flags.writeable
+        assert np.array_equal(dilate(SparseMatrix.from_dense(a)).to_dense(), ref.toarray())
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("seed", [*range(6), "zero", "scalar"])
+    def test_product_matches_explicit_dilation(self, seed, k):
+        # the CSC and CSR kernels on A's arrays give the bits of the explicit
+        # 2 nnz-entry dilation's product, written and added into out
+        if seed == "zero":
+            a = np.zeros((4, 3))
+        elif seed == "scalar":
+            a = np.array([[-1.5]])
+        else:
+            a = self._random_input(seed)
+        A = SparseMatrix.from_dense(a)
+        D, E = dilate(A), explicit_dilation(A)
+        assert D.shape == E.shape and D.nnz == E.nnz
+        rng = np.random.default_rng(len(a))
+        X = rng.standard_normal((D.n_rows, k))
+        Y = rng.standard_normal((D.n_rows, k))
+        assert np.array_equal(spmv_multi(D, X), spmv_multi(E, X))
+        assert np.array_equal(spmv_multi(D, X[:, 0]), spmv_multi(E, X[:, 0]))
+        got, want = Y.copy(), Y.copy()
+        spmv_multi(D, X, out=got, accumulate=True)
+        spmv_multi(E, X, out=want, accumulate=True)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_arrays_handed_over_uncopied(self):
-        # A^T is written straight into the result's arrays, which go to the
-        # constructor as they are, so the peak is the result plus the
-        # constructor's checks
+        # the operator holds A's arrays themselves, and scaling it allocates
+        # one array of A's values besides the constructor's checks
         rng = np.random.default_rng(6)
         m, n, nnz = 12_500, 6_250, 125_000
         A = SparseMatrix.from_coo(
             rng.integers(0, m, nnz), rng.integers(0, n, nnz), rng.standard_normal(nnz), m, n
         )
-        assert A.col_indices.flags.owndata and A.values.flags.owndata
         tracemalloc.start()
         try:
             S = dilate(A)
-            _, peak = tracemalloc.get_traced_memory()
+            _, built = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            T = scale_values(S, 0.5)
+            _, scaled = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        held = S.row_offsets.nbytes + S.col_indices.nbytes + S.values.nbytes
-        assert peak < 1.25 * held
+        assert built < 8 * (m + n)
+        for got, held in [(S.row_offsets, A.row_offsets), (S.col_indices, A.col_indices),
+                          (S.values, A.values)]:
+            assert np.shares_memory(got, held)
+        assert S.nnz == 2 * A.nnz and T.nnz == S.nnz
+        assert np.shares_memory(T.col_indices, A.col_indices)
+        assert not np.shares_memory(T.values, A.values) and np.array_equal(T.values, A.values / 2)
+        assert A.values.nbytes <= scaled < 1.5 * A.values.nbytes
 
 
 class TestNormalizedAdjacency:
