@@ -1,7 +1,8 @@
 """Command-line driver: embed / eval / cluster / norm.
 
-Exit codes: 0 success, 2 usage, 3 input parse, 4 numeric failure (a cascade
-stage outgrew the ||S|| <= 1 bound), 5 dense-oracle cap exceeded.
+Exit codes: 0 success, 2 usage, 3 input parse or a file that cannot be read
+or written, 4 numeric failure (a cascade stage outgrew the ||S|| <= 1 bound),
+5 dense-oracle cap exceeded.
 """
 
 from __future__ import annotations
@@ -43,6 +44,13 @@ def _worker_count(text: str) -> int:
     return value
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _function(text: str):
     try:
         return parse_function(text)
@@ -82,8 +90,8 @@ def _add_embed_args(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="csemb", description=__doc__)
     ap.add_argument("--threads", type=_worker_count, default=None,
-                    help="worker cap, default $CSEMB_THREADS or 1 "
-                         "(results are identical for any value)")
+                    help="worker cap, default $CSEMB_THREADS or the CPUs this process "
+                         "may use (results are identical for any value)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("embed", help="compute a compressive embedding")
@@ -279,8 +287,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.threads is None:
+        env = os.environ.get("CSEMB_THREADS")
         try:
-            args.threads = _worker_count(os.environ.get("CSEMB_THREADS", "1"))
+            args.threads = _usable_cpus() if env is None else _worker_count(env)
         except argparse.ArgumentTypeError as exc:
             parser.error(f"environment variable CSEMB_THREADS: {exc}")
     try:

@@ -7,6 +7,8 @@ Where f is zero outside an interval (``support()``), only the eigenpairs
 inside it are computed: by the LAPACK stages of ``dsyevr`` over a value range
 (DSYTRD, DSTEBZ, DSTEIN, DORMTR) from scipy's ``linalg/_flapack`` extension,
 bit for bit as ``dsyevr`` gives them but without its n x n eigenvector array.
+That path writes and reads only the row tails a[j, j:] of its n x n array,
+the triangle ``dsyevr`` references.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import OracleCapError, OracleError
 from .functions import support_of
 from .io import write_json
 from .legendre import expansion_eval, legendre_coefficients
-from .sparse import SparseMatrix, load_scipy_extension, spmv_multi
+from .sparse import Dilation, SparseMatrix, load_scipy_extension, spmv_multi
 
 ORACLE_CAP = 3000
 EIG_RESIDUAL_TOL = 1e-8
@@ -66,7 +68,7 @@ def exact_embedding(S: SparseMatrix, f) -> np.ndarray:
     if (lo, hi) == (-np.inf, np.inf):
         lam, vec = np.linalg.eigh(S.to_dense())
     else:
-        lam, vec = _eigenpairs_within(S.to_dense(), lo, hi)
+        lam, vec = _eigenpairs_within(_dense_row_tails(S), lo, hi)
     residual = float(np.max(np.abs(spmv_multi(S, vec) - vec * lam), initial=0.0))
     if residual > EIG_RESIDUAL_TOL:
         raise OracleError(f"eigensolver residual {residual:.3e} above {EIG_RESIDUAL_TOL}")
@@ -77,10 +79,44 @@ def exact_embedding(S: SparseMatrix, f) -> np.ndarray:
     return vec[:, keep] * weights[keep]
 
 
+def _dense_row_tails(S: SparseMatrix | Dilation) -> np.ndarray:
+    """An n x n array whose row tails a[j, j:] hold those of S; nothing else
+    is written. The tails are the lower triangle of the Fortran view a.T
+    that ``dsyevr`` references with lower=1.
+
+    The array lies in an anonymous mapping of its own, released with it.
+    Its 4 KB pages are zero-filled on first write and get none of the
+    huge-page advice numpy gives a large array, so the pages that hold only
+    row heads are never backed. S's entries are put a block of rows at a
+    time, about n entries on average, so the fill holds O(n) more."""
+    import mmap  # here, so that commands without an oracle run do not load it
+
+    n = S.n_rows
+    a = np.frombuffer(mmap.mmap(-1, max(8 * n * n, 8)), count=n * n).reshape(n, n)
+    offs, cols, vals = S.row_offsets, S.col_indices, S.values
+    rows = len(offs) - 1  # A's, for a dilation
+    step = max(1, rows * n // max(len(vals), 1))
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        k0, k1 = offs[r0], offs[r1]
+        i = np.repeat(np.arange(r0, r1), np.diff(offs[r0 : r1 + 1]))
+        j = cols[k0:k1]
+        if isinstance(S, Dilation):  # A's entry (i, j) is the dilation's (j, n - rows + i)
+            i, j = j, i + (n - rows)
+        tail = j >= i
+        np.put(a, (i * n + j)[tail], vals[k0:k1][tail])
+    return a
+
+
+def _row_tails(a: np.ndarray):
+    return (a[j, j:] for j in range(a.shape[0]))
+
+
 def _eigenpairs_within(a: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenpairs of the symmetric ``a`` with eigenvalues in [lo, hi],
-    and perhaps a few within rounding of it, as LAPACK ``dsyevr`` computes
-    them over (vl, vu] (:func:`_dsyevr_range`). ``a`` is overwritten.
+    """The eigenpairs of the symmetric matrix held in the row tails of ``a``
+    with eigenvalues in [lo, hi], and perhaps a few within rounding of it, as
+    LAPACK ``dsyevr`` computes them over (vl, vu] (:func:`_dsyevr_range`).
+    The tails are overwritten; the row heads are never read.
 
     vl sits a rounding margin below lo, so that an eigenvalue exactly at lo
     is kept; f then drops any pair below it. vu sits the margin above hi or
@@ -88,7 +124,9 @@ def _eigenpairs_within(a: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray,
     eigenvalue, and a matrix scaled by a norm estimate may exceed 1.
     """
     n = a.shape[0]
-    bound = float(np.linalg.norm(a))
+    # the Frobenius norm: each tail counts twice, less its diagonal entry once
+    diag = a.diagonal()
+    bound = math.sqrt(2.0 * sum(float(t @ t) for t in _row_tails(a)) - float(diag @ diag))
     margin = 4 * n * np.finfo(np.float64).eps * max(bound, 1.0)
     vl, vu = lo - margin, min(hi, bound) + margin
     if vl >= vu:
@@ -97,10 +135,11 @@ def _eigenpairs_within(a: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray,
 
 
 def _dsyevr_range(a: np.ndarray, vl: float, vu: float) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues of the symmetric ``a`` in (vl, vu] in ascending order,
-    and their eigenvectors as the columns of a C-ordered n x m array, bit for
-    bit as ``dsyevr(a.T, range="V", lower=1, vl=vl, vu=vu)`` returns them.
-    ``a`` is overwritten, and vl < vu.
+    """The eigenvalues in (vl, vu], in ascending order, of the symmetric
+    matrix whose row tails a[j, j:] ``a`` holds, and their eigenvectors as
+    the columns of a C-ordered n x m array, bit for bit as
+    ``dsyevr(a.T, range="V", lower=1, vl=vl, vu=vu)`` returns them. The
+    tails are overwritten, the row heads never read, and vl < vu.
 
     On this path ``dsyevr`` runs DSYTRD, DSTEBZ, DSTEIN and DORMTR, but
     scipy's wrapper of it allocates n x n eigenvectors. So each stage is
@@ -114,10 +153,11 @@ def _dsyevr_range(a: np.ndarray, vl: float, vu: float) -> tuple[np.ndarray, np.n
         diag = a.diagonal()
         lam = diag[(vl < diag) & (diag <= vu)]
         return lam, np.ones((n, len(lam)))
-    anrm = max(float(a.max()), -float(a.min()))
+    anrm = max(float(np.abs(t).max()) for t in _row_tails(a))
     sigma = _RMIN / anrm if 0.0 < anrm < _RMIN else _RMAX / anrm if anrm > _RMAX else 1.0
     if sigma != 1.0:
-        a *= sigma  # dsyevr scales the lower triangle; a is symmetric
+        for t in _row_tails(a):  # the triangle dsyevr scales
+            t *= sigma
     lapack = _flapack()
     # a.T is a in Fortran order, so the wrapper works in place instead of
     # copying; dsyevr's 26n workspace less the 5n it keeps for itself sets

@@ -68,6 +68,33 @@ class TestEmbedCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    @pytest.mark.parametrize(
+        "threads, env, workers",
+        [(None, None, 3), ("1", None, 1), (None, "1", 1)],
+        ids=["default", "flag", "env"],
+    )
+    def test_default_workers_are_the_usable_cpus(
+        self, small_graph, tmp_path, monkeypatch, threads, env, workers
+    ):
+        # without --threads or CSEMB_THREADS, as many workers as CPUs the
+        # process may run on
+        class Recorded(Exception):
+            pass
+
+        def record(*args, n_workers):
+            raise Recorded(n_workers)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(csemb.cli, "fast_embed_cascaded", record)
+        if env is None:
+            monkeypatch.delenv("CSEMB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("CSEMB_THREADS", env)
+        argv = _embed_argv(small_graph, tmp_path / "e.bin")
+        with pytest.raises(Recorded) as got:
+            main(argv if threads is None else ["--threads", threads] + argv)
+        assert got.value.args == (workers,)
+
     def test_block_width_does_not_change_bytes(self, small_graph, tmp_path, monkeypatch):
         import csemb.engine
 
@@ -581,6 +608,28 @@ class TestErrors:
                      "--output", str(tmp_path / "n.json")])
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["embed", "norm", "eval"])
+    def test_unwritable_output_exit_code(self, small_graph, tmp_path, command):
+        # a file that cannot be written is exit 3, one error line, no
+        # traceback; embed meets it only after the engine has run
+        missing = tmp_path / "absent" / "out"
+        argv = {
+            "embed": _embed_argv(small_graph, missing),
+            "norm": ["norm", "--input", str(small_graph), "--format", "edgelist",
+                     "--output", str(missing)],
+            "eval": ["eval", "--approx", str(tmp_path / "e.bin"), "--input", str(small_graph),
+                     "--format", "edgelist", "--function", "indicator:0.3",
+                     "--output-prefix", str(missing)],
+        }[command]
+        if command == "eval":
+            assert main(_embed_argv(small_graph, tmp_path / "e.bin")) == 0
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(csemb.__path__[0]))
+        run = subprocess.run([sys.executable, "-m", "csemb.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 3, run.stderr
+        assert run.stderr.startswith("error: [Errno 2] ")
+        assert len(run.stderr.splitlines()) == 1 and "Traceback" not in run.stderr
 
     def test_missing_file(self, tmp_path):
         assert main(_embed_argv(tmp_path / "absent.txt", tmp_path / "e.bin")) == 3

@@ -28,7 +28,9 @@ from csemb.oracle import (
     _RMIN,
     ORACLE_CAP,
     PAIR_CHUNK,
+    _dense_row_tails,
     _dsyevr_range,
+    _eigenpairs_within,
     _pair_codes,
     _pair_correlations,
     _pairwise_distances,
@@ -37,6 +39,7 @@ from csemb.oracle import (
 )
 from helpers import (
     dense_weighted,
+    explicit_dilation,
     pairwise_distances,
     random_symmetric,
     ring_graph,
@@ -220,13 +223,44 @@ class TestEigenpairSubset:
             exact_embedding(SparseMatrix.from_dense(np.eye(3)), indicator_above(0.5))
 
     def test_subset_peak_memory(self):
-        # the dense matrix and no second n x n array: dsyevr's wrapper
+        # no n x n array beyond the matrix, which is a mapping of its own that
+        # tracemalloc does not see (0.13 n^2 8 bytes traced): dsyevr's wrapper
         # allocated n x n eigenvectors, a whole transpose for the symmetry
         # check held two n x n arrays of this dense pattern, and the wrapper
-        # once copied the matrix into Fortran order
+        # once copied the matrix into Fortran order. The fill puts about n
+        # entries at a time; nnz-length index arrays would take 18 MB each
         n = 1500
         S = sparse_from(random_symmetric(n, np.random.default_rng(14)))
-        assert traced_peak(lambda: exact_embedding(S, indicator_above(0.8))) < 1.25 * n * n * 8
+        assert traced_peak(lambda: exact_embedding(S, indicator_above(0.8))) < 0.25 * n * n * 8
+
+    def test_subset_resident_memory(self):
+        # the row heads of a sparse matrix's array are never written or read,
+        # so their 4 KB pages stay unbacked; numpy's huge-page-advised
+        # to_dense array made all of it resident (1.03 n^2 8 bytes)
+        code = """
+import numpy as np
+from csemb import exact_embedding, indicator_above, normalized_adjacency
+
+def vm_hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM"))
+
+def planted(n, blocks, rng):  # about 10 edges a vertex within its block, 2 across
+    size = n // blocks
+    u = rng.integers(0, n, 12 * n)
+    v = u // size * size + rng.integers(0, size, 12 * n)
+    v[10 * n :] = rng.integers(0, n, 2 * n)
+    return normalized_adjacency(np.stack([u, v], axis=1), n)
+
+rng = np.random.default_rng(3)
+n = 1500
+S = planted(n, 20, rng)
+exact_embedding(planted(60, 3, rng), indicator_above(0.5))
+before = vm_hwm()
+assert exact_embedding(S, indicator_above(0.5)).shape[1] > 0
+print((vm_hwm() - before) / (n * n * 8))
+"""
+        assert float(run_python(code)) < 0.9
 
     def test_forced_fallback_same_bits(self, tmp_path):
         # no extension file under tmp_path, so the loader imports scipy.linalg's package
@@ -247,6 +281,50 @@ assert by_file.shape[1] > 0 and by_file.tobytes() == by_import.tobytes()
 print("ok")
 """
         assert run_python(code) == "ok"
+
+
+class TestRowTails:
+    """The subset path writes and reads only the row tails a[j, j:], the
+    triangle dsyevr references."""
+
+    @pytest.mark.parametrize("density", [1.0, 0.3, 0.02])
+    def test_fill_is_the_upper_triangle(self, density):
+        a = random_symmetric(50, np.random.default_rng(11), density=density)
+        assert np.array_equal(_dense_row_tails(sparse_from(a)), np.triu(a))
+
+    @pytest.mark.parametrize("shape", [(7, 4), (4, 7), (5, 5)])
+    def test_fill_of_a_dilation(self, shape):
+        A = sparse_from(np.random.default_rng(12).standard_normal(shape))
+        upper = np.triu(explicit_dilation(A).to_dense())
+        assert np.array_equal(_dense_row_tails(dilate(A)), upper)
+
+    @pytest.mark.parametrize("case", ["uniform-0", "uniform-1", "repeated-0", "repeated-1",
+                                      "scaled-1e-150", "scaled-1e80"])
+    def test_row_heads_never_read(self, case):
+        # NaN in the row heads changes no bit of the eigenpairs; a Frobenius
+        # bound, scale or largest entry taken over the whole array reads it
+        kind, value = case.split("-", 1)
+        if kind == "scaled":
+            scale = float(value)
+            a = random_symmetric(40, np.random.default_rng(9)) * scale
+            assert not _RMIN <= np.abs(a).max() <= _RMAX
+            lo, his = -0.2 * scale, [scale]
+        else:
+            rng = np.random.default_rng(int(value))
+            if kind == "uniform":
+                lam = rng.uniform(-1.02, 1.02, 60)
+            else:
+                lam = rng.choice([-0.5, 0.2, 0.7, 1.0], 60)
+            a = symmetric_with_spectrum(lam, rng)
+            a = (a + a.T) / 2
+            lo, his = -0.9, [0.0, 0.5, 0.95, np.inf]
+        for hi in his:
+            heads = a.copy()
+            heads[np.tril_indices(len(a), -1)] = np.nan
+            lam, vec = _eigenpairs_within(a.copy(), lo, hi)
+            got_lam, got_vec = _eigenpairs_within(heads, lo, hi)
+            assert len(lam) > 0
+            assert got_lam.tobytes() == lam.tobytes() and got_vec.tobytes() == vec.tobytes()
 
 
 class TestDsyevrStages:
