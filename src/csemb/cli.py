@@ -34,7 +34,7 @@ EXIT_NUMERIC = 4
 EXIT_CAP = 5
 
 
-def _worker_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -72,7 +72,7 @@ def _add_matrix_args(p: argparse.ArgumentParser) -> None:
         choices=("normalized-adjacency", "raw", "dilation"),
         help="matrix construction applied to the input",
     )
-    p.add_argument("--n", type=int, default=None, help="vertex count override (edgelist)")
+    p.add_argument("--n", type=_positive_int, help="vertex count override (edgelist)")
     p.add_argument("--kernel", choices=("gaussian", "indicator"),
                    help="kernel (points-csv; default gaussian)")
     p.add_argument("--bandwidth", type=float, help="kernel bandwidth (points-csv; default 1.0)")
@@ -89,9 +89,9 @@ def _add_embed_args(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="csemb", description=__doc__)
-    ap.add_argument("--threads", type=_worker_count, default=None,
-                    help="worker cap, default $CSEMB_THREADS or the CPUs this process "
-                         "may use (results are identical for any value)")
+    ap.add_argument("--threads", type=_positive_int, default=_usable_cpus(),
+                    help="worker cap, default the CPUs this process may use "
+                         "(results are identical for any value)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("embed", help="compute a compressive embedding")
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--input", default=None)
     pv.add_argument("--format", choices=("edgelist", "matrix-market", "points-csv"), default=None)
     pv.add_argument("--matrix", choices=("normalized-adjacency", "raw"), default="normalized-adjacency")
-    pv.add_argument("--n", type=int, default=None)
+    pv.add_argument("--n", type=_positive_int, default=None)
     pv.add_argument("--kernel", choices=("gaussian", "indicator"))
     pv.add_argument("--bandwidth", type=float)
     pv.add_argument("--function", type=_function, default=None, metavar="SPEC")
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("cluster", help="embed, cluster, and score by modularity")
     pc.add_argument("--input", required=True)
-    pc.add_argument("--n", type=int, default=None)
+    pc.add_argument("--n", type=_positive_int, default=None)
     _add_embed_args(pc)
     pc.add_argument("--k", type=int, default=200)
     pc.add_argument("--runs", type=int, default=25)
@@ -149,17 +149,16 @@ def _refuse_options_off_format(args) -> None:
 
 
 def _operator(args):
-    """The input's shape, the symmetric operator S that f is applied to, and
-    the norm estimate S was divided by: None for the normalized adjacency,
-    whose spectrum already lies in [-1, 1]. ``--matrix dilation`` makes S
-    the dilation [0 A^T; A 0] of the input, an operator over A's own
-    arrays. points-csv gets its kernel defaults here."""
+    """The symmetric operator S that f is applied to, and the norm estimate
+    S was divided by: None for the normalized adjacency, whose spectrum
+    already lies in [-1, 1]. ``--matrix dilation`` makes S the dilation
+    [0 A^T; A 0] of the input, an operator over A's own arrays. points-csv
+    gets its kernel defaults here."""
     _refuse_options_off_format(args)
     if args.format == "edgelist":
         if args.matrix != "normalized-adjacency":
             raise ValueError("edge lists support only --matrix normalized-adjacency")
-        adj = normalized_adjacency(*_read_graph(args))
-        return adj.shape, adj, None
+        return normalized_adjacency(*_read_graph(args)), None
     if args.matrix == "normalized-adjacency":
         raise ValueError("--matrix normalized-adjacency requires --format edgelist")
     if args.format == "points-csv":
@@ -168,7 +167,6 @@ def _operator(args):
         mat = kernel_matrix(cio.read_points_csv(args.input), args.kernel, args.bandwidth)
     else:
         mat = cio.read_matrix_market(args.input)
-    shape = mat.shape
     S = dilate(mat) if args.matrix == "dilation" else mat
     try:
         norm_estimate = estimate_spectral_norm(S)
@@ -177,7 +175,7 @@ def _operator(args):
                          "a rectangular or asymmetric one with --matrix dilation") from None
     if norm_estimate > 0:
         S = scale_values(S, 1.0 / norm_estimate)
-    return shape, S, norm_estimate
+    return S, norm_estimate
 
 
 def _make_config(args, n: int) -> EmbedConfig:
@@ -189,16 +187,16 @@ def cmd_embed(args) -> int:
     if args.output_cols and args.matrix != "dilation":
         raise ValueError("--output-cols requires --matrix dilation")
     t0 = time.perf_counter()
-    (_, n_cols), S, norm_estimate = _operator(args)
+    S, norm_estimate = _operator(args)
     f = odd_extension(args.function) if args.matrix == "dilation" else args.function
     cfg = _make_config(args, S.n_rows)
     emb = fast_embed_cascaded(S, f, cfg, n_workers=args.threads)
     rows = emb.values
     if args.matrix == "dilation":
         # the dilation's first n rows embed the columns, the rest the rows
-        rows = emb.values[n_cols:]
+        cols, rows = rows[: S.A.n_cols], rows[S.A.n_cols :]
         if args.output_cols:
-            cio.write_embedding(args.output_cols, emb.values[:n_cols])
+            cio.write_embedding(args.output_cols, cols)
 
     cio.write_embedding(args.output, rows)
     if args.output_csv:
@@ -232,7 +230,7 @@ def cmd_eval(args) -> int:
     else:
         if not (args.input and args.format and args.function):
             raise ValueError("eval needs either --exact or --input/--format/--function")
-        exact = exact_embedding(_operator(args)[1], args.function)
+        exact = exact_embedding(_operator(args)[0], args.function)
     report = distortion_percentiles(exact, approx, n_pairs=args.pairs, seed=args.seed)
     write_report(report, args.output_prefix)
     print(
@@ -266,7 +264,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    _, S, estimate = _operator(args)
+    S, estimate = _operator(args)
     if estimate is None:
         estimate = estimate_spectral_norm(S)
     out = {
@@ -286,12 +284,6 @@ _HANDLERS = {"embed": cmd_embed, "eval": cmd_eval, "cluster": cmd_cluster, "norm
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is None:
-        env = os.environ.get("CSEMB_THREADS")
-        try:
-            args.threads = _usable_cpus() if env is None else _worker_count(env)
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"environment variable CSEMB_THREADS: {exc}")
     try:
         return _HANDLERS[args.command](args)
     except ValueError as exc:

@@ -3,12 +3,12 @@
 Everything here goes through a dense eigendecomposition and is capped at a
 few thousand rows; it exists to validate the compressive engine, not to
 scale. It takes the engine's input, an exactly symmetric ``SparseMatrix``.
+Every eigensolve reads S from the row tails a[j, j:] of one n x n array: the
+lower triangle of a.T, which LAPACK reads with lower=1 and numpy by default.
 Where f is zero outside an interval (``support()``), only the eigenpairs
 inside it are computed: by the LAPACK stages of ``dsyevr`` over a value range
 (DSYTRD, DSTEBZ, DSTEIN, DORMTR) from scipy's ``linalg/_flapack`` extension,
 bit for bit as ``dsyevr`` gives them but without its n x n eigenvector array.
-That path writes and reads only the row tails a[j, j:] of its n x n array,
-the triangle ``dsyevr`` references.
 """
 
 from __future__ import annotations
@@ -65,10 +65,12 @@ def exact_embedding(S: SparseMatrix, f) -> np.ndarray:
     if not S.is_symmetric():
         raise ValueError("oracle requires a square symmetric matrix")
     lo, hi = support_of(f)
+    a = _dense_row_tails(S)
     if (lo, hi) == (-np.inf, np.inf):
-        lam, vec = np.linalg.eigh(S.to_dense())
+        lam, vec = np.linalg.eigh(a.T)  # it copies a.T whole, reads its lower triangle
     else:
-        lam, vec = _eigenpairs_within(_dense_row_tails(S), lo, hi)
+        lam, vec = _eigenpairs_within(a, lo, hi)
+    del a  # not held through the residual check
     residual = float(np.max(np.abs(spmv_multi(S, vec) - vec * lam), initial=0.0))
     if residual > EIG_RESIDUAL_TOL:
         raise OracleError(f"eigensolver residual {residual:.3e} above {EIG_RESIDUAL_TOL}")
@@ -81,8 +83,8 @@ def exact_embedding(S: SparseMatrix, f) -> np.ndarray:
 
 def _dense_row_tails(S: SparseMatrix | Dilation) -> np.ndarray:
     """An n x n array whose row tails a[j, j:] hold those of S; nothing else
-    is written. The tails are the lower triangle of the Fortran view a.T
-    that ``dsyevr`` references with lower=1.
+    is written. The tails are the lower triangle of the Fortran view a.T,
+    the triangle every eigensolve here reads.
 
     The array lies in an anonymous mapping of its own, released with it.
     Its 4 KB pages are zero-filled on first write and get none of the
@@ -329,7 +331,7 @@ def distance_bound_audit(
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     exact = exact_embedding(S, f)
-    delta = _spectral_delta(S.to_dense(), f, cfg.L)
+    delta = _spectral_delta(_dense_row_tails(S).T, f, cfg.L)
 
     d_exact = _pairwise_distances(exact)
     slack = delta * math.sqrt(2.0)
@@ -346,9 +348,9 @@ def distance_bound_audit(
 
 
 def _spectral_delta(a: np.ndarray, f, L: int) -> float:
-    """The worst error of f's order-L expansion over every eigenvalue of
-    ``a``, including those where f is zero. An eigenvalue within rounding of
-    +-1, such as a bipartite graph's normalized adjacency has, counts as +-1."""
+    """The worst error of f's order-L expansion at every eigenvalue of the
+    symmetric matrix in a's lower triangle, where f is zero too. An eigenvalue
+    within rounding of +-1 (a bipartite graph's normalized adjacency has one) counts as +-1."""
     lam = np.linalg.eigvalsh(a)
     if np.max(np.abs(lam), initial=0.0) <= 1.0 + 4 * len(lam) * np.finfo(np.float64).eps:
         lam = np.clip(lam, -1.0, 1.0)

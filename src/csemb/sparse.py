@@ -190,9 +190,12 @@ class SparseMatrix:
         for r0 in range(0, n, step):
             r1 = min(r0 + step, n)
             k0, k1 = offs[r0], offs[r1]
-            t_offs, t_cols, t_vals = _transpose(
-                r1 - r0, n, offs[r0 : r1 + 1] - k0, cols[k0:k1], vals[k0:k1]
-            )
+            # the block's transpose; csr_tocsc visits rows in order, so its rows come out sorted
+            t_offs = np.empty(n + 1, dtype=np.int64)
+            t_cols = np.empty(k1 - k0, dtype=np.int64)
+            t_vals = np.empty(k1 - k0)
+            _sparsetools.csr_tocsc(r1 - r0, n, offs[r0 : r1 + 1] - k0, cols[k0:k1], vals[k0:k1],
+                                   t_offs, t_cols, t_vals)
             counts = np.diff(t_offs)
             if np.any(start + counts > offs[1:]):
                 return False
@@ -201,17 +204,6 @@ class SparseMatrix:
                 return False
             start += counts
         return True
-
-
-def _transpose(n_rows: int, n_cols: int, offs, cols, vals) -> tuple[np.ndarray, ...]:
-    """CSR arrays (offsets, columns, values) of the transpose of the CSR
-    matrix ``(offs, cols, vals)``. ``csr_tocsc`` visits the rows in order, so
-    each row of the result is sorted."""
-    t_offs = np.empty(n_cols + 1, dtype=np.int64)
-    t_cols = np.empty(len(vals), dtype=np.int64)
-    t_vals = np.empty(len(vals))
-    _sparsetools.csr_tocsc(n_rows, n_cols, offs, cols, vals, t_offs, t_cols, t_vals)
-    return t_offs, t_cols, t_vals
 
 
 def spmv_multi(S: SparseMatrix | Dilation, X: np.ndarray, out: np.ndarray | None = None, *,

@@ -11,7 +11,7 @@ import scipy.sparse
 import csemb.cli
 import csemb.cluster
 from csemb.cli import main
-from csemb.io import read_embedding
+from csemb.io import read_embedding, write_embedding
 import csemb
 from helpers import sbm
 
@@ -70,14 +70,14 @@ class TestEmbedCommand:
 
     @pytest.mark.parametrize(
         "threads, env, workers",
-        [(None, None, 3), ("1", None, 1), (None, "1", 1)],
+        [(None, None, 3), ("1", None, 1), (None, "1", 3)],
         ids=["default", "flag", "env"],
     )
     def test_default_workers_are_the_usable_cpus(
         self, small_graph, tmp_path, monkeypatch, threads, env, workers
     ):
-        # without --threads or CSEMB_THREADS, as many workers as CPUs the
-        # process may run on
+        # without --threads, as many workers as CPUs the process may run on;
+        # a set CSEMB_THREADS is not read
         class Recorded(Exception):
             pass
 
@@ -503,25 +503,33 @@ class TestErrors:
         assert run.returncode == code, run.stderr
         assert "Warning" not in run.stderr
 
-    @pytest.mark.parametrize(
-        "threads, env, named",
-        [("0", None, "--threads"), ("-3", None, "--threads"), (None, "abc", "CSEMB_THREADS")],
-        ids=["flag-zero", "flag-negative", "env-not-a-number"],
-    )
-    def test_bad_worker_count_usage_error(
-        self, small_graph, tmp_path, monkeypatch, capsys, threads, env, named
-    ):
-        if env is None:
-            monkeypatch.delenv("CSEMB_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("CSEMB_THREADS", env)
-        argv = _embed_argv(small_graph, tmp_path / "e.bin")
-        if threads is not None:
-            argv = ["--threads", threads] + argv
+    @pytest.mark.parametrize("threads", ["0", "-3"], ids=["flag-zero", "flag-negative"])
+    def test_bad_worker_count_usage_error(self, small_graph, tmp_path, capsys, threads):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", threads] + _embed_argv(small_graph, tmp_path / "e.bin"))
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["embed", "eval", "norm", "cluster"])
+    def test_vertex_count_below_one_usage_error(self, small_graph, tmp_path, capsys, command, n):
+        # a bad option value, not an empty graph: the edge list is not empty
+        write_embedding(tmp_path / "e.bin", np.zeros((80, 2)))  # eval's --approx
+        common = ["--input", str(small_graph), "--n", n]
+        edgelist = ["--format", "edgelist"]
+        argv = {
+            "embed": ["embed", *common, *edgelist, "--function", "indicator:0.5", "--L", "8",
+                      "--output", str(tmp_path / "e.bin")],
+            "eval": ["eval", *common, *edgelist, "--function", "indicator:0.5",
+                     "--approx", str(tmp_path / "e.bin"), "--output-prefix", str(tmp_path / "r")],
+            "norm": ["norm", *common, *edgelist],
+            "cluster": ["cluster", *common, "--function", "indicator:0.5", "--L", "8"],
+        }[command]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--n" in err and "empty graph" not in err
 
     def test_cluster_self_loops_only_refused_before_embed(self, tmp_path, monkeypatch, capsys):
         # no edge joins two distinct vertices, so there is no modularity to

@@ -19,7 +19,9 @@ from csemb import (
     fold_seed,
     identity,
     indicator_above,
+    normalized_adjacency,
     sample_pairs,
+    scale_values,
 )
 from csemb.engine import uniform_draws
 from csemb.oracle import (
@@ -37,6 +39,7 @@ from csemb.oracle import (
     _spectral_delta,
     write_report,
 )
+from csemb.sparse import Dilation
 from helpers import (
     dense_weighted,
     explicit_dilation,
@@ -44,6 +47,7 @@ from helpers import (
     random_symmetric,
     ring_graph,
     run_python,
+    sbm,
     sparse_from,
     symmetric_with_spectrum,
 )
@@ -325,6 +329,71 @@ class TestRowTails:
             got_lam, got_vec = _eigenpairs_within(heads, lo, hi)
             assert len(lam) > 0
             assert got_lam.tobytes() == lam.tobytes() and got_vec.tobytes() == vec.tobytes()
+
+
+def oracle_inputs():
+    """A normalized adjacency and the dilation of a 40 x 25 matrix scaled
+    into [-1, 1], the two kinds of operator the oracle takes."""
+    rng = np.random.default_rng(35)
+    adj = normalized_adjacency(sbm(60, 3, 0.3, 0.05, rng)[0], 60)
+    A = rng.standard_normal((40, 25))
+    return {"adjacency": adj,
+            "dilation": scale_values(dilate(sparse_from(A)), 1.0 / np.linalg.norm(A, 2))}
+
+
+def full_path_bits(S: SparseMatrix) -> bytes:
+    """exact_embedding(S, identity()) as np.linalg.eigh gives it from S's dense form."""
+    lam, vec = np.linalg.eigh(S.to_dense())
+    keep = lam != 0.0
+    return (vec[:, keep] * lam[keep]).tobytes()
+
+
+class TestOneDenseForm:
+    """Every oracle eigensolve reads S from the row tails of one array."""
+
+    @pytest.mark.parametrize("kind", ["adjacency", "dilation"])
+    def test_no_path_calls_to_dense(self, monkeypatch, kind):
+        S = oracle_inputs()[kind]
+        f = indicator_above(0.2)
+        cfg = EmbedConfig(L=12, d=6, seed=3)
+        full = full_path_bits(S)
+        subset = exact_embedding(S, f).tobytes()
+        audit = distance_bound_audit(S, f, cfg, trials=2)
+
+        def refuse(self):
+            raise AssertionError("the oracle formed a second dense matrix")
+
+        monkeypatch.setattr(SparseMatrix, "to_dense", refuse)
+        monkeypatch.setattr(Dilation, "to_dense", refuse)
+        assert exact_embedding(S, identity()).tobytes() == full
+        assert exact_embedding(S, f).tobytes() == subset
+        assert distance_bound_audit(S, f, cfg, trials=2) == audit
+
+    @pytest.mark.parametrize("kind", ["adjacency", "dilation"])
+    def test_full_path_reads_only_row_tails(self, monkeypatch, kind):
+        # NaN in the row heads, the strict lower triangle of a, changes no
+        # bit of eigh's eigenpairs, of eigvalsh's eigenvalues or of the audit
+        S = oracle_inputs()[kind]
+        f = indicator_above(0.2)
+        cfg = EmbedConfig(L=12, d=6, seed=3)
+        dense = S.to_dense()
+        full, delta = full_path_bits(S), _spectral_delta(dense, f, 30)
+        audit = distance_bound_audit(S, f, cfg, trials=2)
+        filled = []
+
+        def nan_heads(S):
+            a = _dense_row_tails(S)
+            a[np.tril_indices(len(a), -1)] = np.nan
+            filled.append(len(a))
+            return a
+
+        monkeypatch.setattr(csemb.oracle, "_dense_row_tails", nan_heads)
+        assert exact_embedding(S, identity()).tobytes() == full
+        assert len(filled) == 1  # the full path took the array
+        assert distance_bound_audit(S, f, cfg, trials=2) == audit
+        assert len(filled) == 3  # the audit's subset path and its eigvalsh took it
+        assert np.linalg.eigvalsh(nan_heads(S).T).tobytes() == np.linalg.eigvalsh(dense).tobytes()
+        assert _spectral_delta(nan_heads(S).T, f, 30) == delta
 
 
 class TestDsyevrStages:
