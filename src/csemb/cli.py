@@ -25,7 +25,7 @@ from .engine import (
 )
 from .errors import DivergenceError, InputFormatError, OracleCapError, OracleError
 from .functions import odd_extension, parse_function
-from .oracle import distortion_percentiles, exact_embedding, write_report
+from .oracle import ORACLE_CAP, distortion_percentiles, exact_embedding, write_report
 from .sparse import dilate, kernel_matrix, normalized_adjacency, scale_values
 
 EXIT_OK = 0
@@ -224,14 +224,18 @@ def cmd_embed(args) -> int:
 
 def cmd_eval(args) -> int:
     _refuse_options_off_format(args)
-    approx = cio.read_embedding(args.approx)
+    rows = cio.embedding_shape(args.approx)[0]  # its payload is read once the oracle is done
     if args.exact:
         exact = cio.read_embedding(args.exact)
     else:
         if not (args.input and args.format and args.function):
             raise ValueError("eval needs either --exact or --input/--format/--function")
-        exact = exact_embedding(_operator(args)[0], args.function)
-    report = distortion_percentiles(exact, approx, n_pairs=args.pairs, seed=args.seed)
+        S = _operator(args)[0]
+        if S.n_rows != rows and S.n_rows <= ORACLE_CAP:  # past the cap, the oracle's exit 5
+            raise ValueError(f"--approx has {rows} rows, the matrix {S.n_rows}")
+        exact = exact_embedding(S, args.function)
+    report = distortion_percentiles(exact, cio.read_embedding(args.approx),
+                                    n_pairs=args.pairs, seed=args.seed)
     write_report(report, args.output_prefix)
     print(
         "deviation percentiles: "
@@ -241,11 +245,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    edges, n = _read_graph(args)
+    # only normalized_adjacency sees the edges, and no name holds S during
+    # the call (from CPython 3.11 a call takes over its arguments), so the
+    # call's release of S after the embed frees its values before k-means
+    held = [normalized_adjacency(*_read_graph(args))]
+    n = held[0].n_rows
     cfg = _make_config(args, n)
-    result = cluster_experiment(
-        edges, n, args.function, cfg, K=args.k, runs=args.runs, n_workers=args.threads
-    )
+    result = cluster_experiment(held.pop(), args.function, cfg, K=args.k, runs=args.runs,
+                                n_workers=args.threads)
     if args.labels_out:
         cio.write_labels_csv(args.labels_out, result.median_labels)
     summary = {

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import engine
 from .engine import EmbedConfig, fast_embed_cascaded, fold_seed
-from .sparse import SparseMatrix, adjacency_pattern, normalized_adjacency, spmv_multi
+from .sparse import SparseMatrix, adjacency_pattern, spmv_multi
 
 _KMEANS_SEED_TAG = 0x6B6D6531  # distinct stream from projection sampling
 KMEANS_MAX_ITERS = 100
@@ -171,28 +171,28 @@ class ClusterExperiment:
 
 
 def cluster_experiment(
-    edges,
-    n: int,
+    S: SparseMatrix,
     f,
     cfg: EmbedConfig,
     K: int,
     runs: int = 25,
     n_workers: int = 1,
 ) -> ClusterExperiment:
-    """Embed the graph's normalized adjacency compressively, then score
-    ``runs`` seeded K-means restarts by modularity and report the median.
+    """Embed a graph compressively, then score ``runs`` seeded K-means
+    restarts by modularity and report the median.
 
-    The normalized adjacency already has spectrum in [-1, 1], so no norm
-    estimation happens here. Every restart is scored on the adjacency's
-    pattern, whose offsets and columns are all that is kept after the embed.
-    A K outside [1, n], or a graph with no edge between two distinct
-    vertices (it has no modularity), is refused before the embed.
+    S is the graph's :func:`normalized_adjacency`, whose spectrum already lies
+    in [-1, 1], so no norm estimation happens here. Its pattern is the edge
+    set that modularity is scored on: every restart is scored on S's offsets
+    and columns, all this call keeps of S after the embed. A K outside
+    [1, n], or a graph with no edge between two distinct vertices (it has no
+    modularity), is refused before the embed.
     """
+    n = S.n_rows
     if runs < 1:
         raise ValueError("runs must be >= 1")
     if not 1 <= K <= n:
         raise ValueError(f"K={K} must lie in [1, n={n}]")
-    S = normalized_adjacency(edges, n)
     if S.nnz == 0:
         raise ValueError("modularity needs at least one edge between two distinct vertices")
     offs, cols = S.row_offsets, S.col_indices

@@ -7,6 +7,7 @@ two uint64 header words (n_rows, d), then n_rows*d float64 values row-major.
 
 from __future__ import annotations
 
+import contextlib
 import io as stdio
 import json
 import os
@@ -161,9 +162,12 @@ def write_embedding(path, values: np.ndarray) -> None:
         fh.write(values.astype("<f8", copy=False).data)
 
 
-def read_embedding(path) -> np.ndarray:
-    """The array :func:`write_embedding` wrote. The header is checked against
-    the file's size before the payload is read straight into the result."""
+@contextlib.contextmanager
+def _embedding_file(path):
+    """The open embedding file at ``path``, at its payload, with the
+    (n_rows, d) of its header, once the magic and the payload size the header
+    implies are checked against the file's size; an OS error reading it is an
+    :class:`InputFormatError` too."""
     head = len(EMBEDDING_MAGIC) + _HEADER.size
     try:
         with open(path, "rb") as fh:
@@ -171,14 +175,29 @@ def read_embedding(path) -> np.ndarray:
             if len(blob) < head or blob[: len(EMBEDDING_MAGIC)] != EMBEDDING_MAGIC:
                 raise InputFormatError(f"{path} is not an embedding file (bad magic)")
             n_rows, d = _HEADER.unpack_from(blob, len(EMBEDDING_MAGIC))
-            size, payload = 8 * n_rows * d, os.fstat(fh.fileno()).st_size - head
-            if payload == size:
-                values = np.empty((n_rows, d), dtype="<f8")
-                payload = fh.readinto(values)
-            if payload != size:
+            payload = os.fstat(fh.fileno()).st_size - head
+            if payload != 8 * n_rows * d:
                 raise InputFormatError(f"{path}: payload length {payload} does not match header")
+            yield fh, (n_rows, d)
     except OSError as exc:
         raise InputFormatError(f"cannot read embedding {path}: {exc}") from exc
+
+
+def embedding_shape(path) -> tuple[int, int]:
+    """The (n_rows, d) of the embedding file at ``path``, checked as
+    :func:`read_embedding` checks it, without reading the payload."""
+    with _embedding_file(path) as (_, shape):
+        return shape
+
+
+def read_embedding(path) -> np.ndarray:
+    """The array :func:`write_embedding` wrote. The header is checked against
+    the file's size before the payload is read straight into the result."""
+    with _embedding_file(path) as (fh, shape):
+        values = np.empty(shape, dtype="<f8")
+        got = fh.readinto(values)
+        if got != values.nbytes:  # the file shrank since its size was read
+            raise InputFormatError(f"{path}: payload length {got} does not match header")
     return values.astype(np.float64, copy=False)
 
 

@@ -32,7 +32,7 @@ ORACLE_CAP = 3000
 EIG_RESIDUAL_TOL = 1e-8
 PERCENTILE_LEVELS = (1, 5, 25, 50, 75, 95, 99)
 DEFAULT_MAX_PAIRS = 100_000
-PAIR_CHUNK = 4096  # pairs whose rows are gathered at once
+PAIR_CHUNK = 1024  # pairs whose rows are gathered at once
 CALIBRATION_BIN_WIDTH = 0.1  # bins centered on -1.0, -0.9, ..., 1.0
 _PAIR_KEY_TAG = 0x70616972  # "pair": the stream that orders the distinct pairs drawn
 # the range dsyevr keeps max|a_ij| in, from DLAMCH's safe minimum and precision
@@ -198,17 +198,25 @@ def _check_info(routine: str, info: int) -> None:
 
 
 def _pair_correlations(rows: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine similarity of each pair's rows, and a mask of the pairs that
-    touch a zero row, whose correlation is 0."""
+    """Cosine similarity of each pair's rows, in float64, and a mask of the
+    pairs that touch a zero row, whose correlation is 0."""
+    rows = np.asarray(rows, dtype=np.float64)
     norms = np.linalg.norm(rows, axis=1)
     a, b = pairs[:, 0], pairs[:, 1]
     denom = norms[a] * norms[b]
     zero = denom == 0.0
-    # the rows are gathered a chunk of pairs at a time; each dot is its own sum
+    # the rows are gathered a chunk of pairs at a time into two buffers; each
+    # dot is its own sum. For every index that norms[a] and norms[b] accept,
+    # mode "wrap" gathers what rows[a] would; the default mode gathers into a
+    # copy first
     dots = np.empty(len(pairs))
+    ra, rb = (np.empty((min(PAIR_CHUNK, len(pairs)), rows.shape[1])) for _ in range(2))
     for i in range(0, len(pairs), PAIR_CHUNK):
         at = slice(i, i + PAIR_CHUNK)
-        dots[at] = np.einsum("ij,ij->i", rows[a[at]], rows[b[at]])
+        k = len(dots[at])
+        np.take(rows, a[at], axis=0, out=ra[:k], mode="wrap")
+        np.take(rows, b[at], axis=0, out=rb[:k], mode="wrap")
+        np.einsum("ij,ij->i", ra[:k], rb[:k], out=dots[at])
     out = np.zeros(len(pairs))
     np.divide(dots, denom, out=out, where=~zero)
     return out, zero

@@ -292,7 +292,9 @@ def test_a6_downstream_clustering():
     f = cs.indicator_above((lam[9] + lam[10]) / 2)
 
     cfg = cs.EmbedConfig(L=180, d=math.ceil(6 * math.log(n)), b=2, seed=4242)
-    compressive = cs.cluster_experiment(edges, n, f, cfg, K=K, runs=runs)
+    compressive = cs.cluster_experiment(
+        cs.normalized_adjacency(edges, n), f, cfg, K=K, runs=runs
+    )
 
     exact = cs.exact_embedding(adj, f)
     exact_scores = []

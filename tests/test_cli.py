@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -659,6 +660,24 @@ class TestErrors:
         )
         assert code == 3
 
+    def test_eval_row_mismatch_refused_before_oracle(self, small_graph, tmp_path, monkeypatch,
+                                                     capsys):
+        # an --approx of 81 rows against the 80-vertex graph exits 2 before
+        # the oracle runs, not after it
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("ran the oracle for a mismatched --approx")
+
+        monkeypatch.setattr(csemb.cli, "exact_embedding", no_oracle)
+        emb = tmp_path / "e.bin"
+        write_embedding(emb, np.ones((81, 3)))
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--approx", str(emb), "--input", str(small_graph), "--format",
+                  "edgelist", "--function", "indicator:0.3",
+                  "--output-prefix", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert "--approx has 81 rows, the matrix 80" in capsys.readouterr().err
+        assert not list(tmp_path.glob("r_*"))
+
     def test_oracle_cap_exit_code(self, tmp_path):
         n = 3200
         p = tmp_path / "big.txt"
@@ -775,6 +794,28 @@ class TestEvalCommand:
         for suffix in ("_percentiles.csv", "_calibration.csv", "_report.json"):
             assert (tmp_path / ("r" + suffix)).stat().st_size > 0
 
+    def test_approx_payload_read_after_oracle(self, small_graph, tmp_path, monkeypatch):
+        # --approx's header is checked before the oracle, its payload read after
+        out = tmp_path / "e.bin"
+        assert main(_embed_argv(small_graph, out)) == 0
+        calls = []
+
+        def recorded(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        recorded(csemb.io, "embedding_shape")
+        recorded(csemb.io, "read_embedding")
+        recorded(csemb.cli, "exact_embedding")
+        assert main(["eval", "--approx", str(out), "--input", str(small_graph), "--format",
+                     "edgelist", "--function", "indicator:0.3",
+                     "--output-prefix", str(tmp_path / "r")]) == 0
+        assert calls == ["embedding_shape", "exact_embedding", "read_embedding"]
 
     def test_identity_takes_the_full_eigh(self, small_graph, tmp_path, monkeypatch):
         # identity keeps every eigenpair, so the oracle runs np.linalg.eigh;
@@ -952,6 +993,36 @@ class TestClusterCommand:
         assert summary["median_modularity"] == pytest.approx(
             float(np.median(summary["run_scores"]))
         )
+
+    def test_no_edge_list_held_through_the_embed(self, small_graph, tmp_path, monkeypatch):
+        # only normalized_adjacency sees the edge array, and S's values are
+        # released once the embed is done, before the k-means restarts
+        refs = {}
+        read_edgelist, embed, kmeans = (csemb.io.read_edgelist, csemb.cluster.fast_embed_cascaded,
+                                        csemb.cluster.kmeans)
+
+        def reading(path):
+            edges, n = read_edgelist(path)
+            refs["edges"] = weakref.ref(edges)
+            return edges, n
+
+        def embedding(S, *args, **kwargs):
+            assert refs["edges"]() is None, "the edge list is held through the embed"
+            refs["values"] = weakref.ref(S.values)
+            return embed(S, *args, **kwargs)
+
+        def clustering(*args, **kwargs):
+            if sys.version_info >= (3, 11):  # the call takes over the caller's S from 3.11 on
+                assert refs["values"]() is None, "S's values are held through the restarts"
+            return kmeans(*args, **kwargs)
+
+        monkeypatch.setattr(csemb.io, "read_edgelist", reading)
+        monkeypatch.setattr(csemb.cluster, "fast_embed_cascaded", embedding)
+        monkeypatch.setattr(csemb.cluster, "kmeans", clustering)
+        assert main(["cluster", "--input", str(small_graph), "--function", "indicator:0.3",
+                     "--L", "8", "--d", "6", "--k", "4", "--runs", "2",
+                     "--summary-out", str(tmp_path / "s.json")]) == 0
+        assert set(refs) == {"edges", "values"}
 
 
 class TestNormCommand:

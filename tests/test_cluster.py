@@ -278,7 +278,9 @@ class TestClusterExperiment:
         rng = np.random.default_rng(5)
         edges, _ = sbm(120, 4, 0.3, 0.02, rng)
         cfg = EmbedConfig(L=20, d=12, b=2, seed=7)
-        result = cluster_experiment(edges, 120, indicator_above(0.3), cfg, K=4, runs=1)
+        result = cluster_experiment(
+            normalized_adjacency(edges, 120), indicator_above(0.3), cfg, K=4, runs=1
+        )
         adj = normalized_adjacency(edges, 120)
         emb = fast_embed_cascaded(adj, indicator_above(0.3), cfg)
         km = kmeans(emb.values, 4, seed=fold_seed(cfg.seed, _KMEANS_SEED_TAG))
@@ -291,7 +293,9 @@ class TestClusterExperiment:
         rng = np.random.default_rng(6)
         edges, _ = sbm(90, 3, 0.3, 0.02, rng)
         cfg = EmbedConfig(L=12, d=10, seed=8)
-        result = cluster_experiment(edges, 90, indicator_above(0.3), cfg, K=3, runs=5)
+        result = cluster_experiment(
+            normalized_adjacency(edges, 90), indicator_above(0.3), cfg, K=3, runs=5
+        )
         assert len(result.run_scores) == 5
         assert result.median_modularity == pytest.approx(
             float(np.median(result.run_scores))
@@ -304,7 +308,9 @@ class TestClusterExperiment:
         rng = np.random.default_rng(4)
         edges, _ = sbm(120, 4, 0.3, 0.05, rng)
         cfg = EmbedConfig(L=12, d=8, seed=4)
-        result = cluster_experiment(edges, 120, indicator_above(0.3), cfg, K=4, runs=4)
+        result = cluster_experiment(
+            normalized_adjacency(edges, 120), indicator_above(0.3), cfg, K=4, runs=4
+        )
         ranked = sorted(result.run_scores)
         assert ranked[1] < ranked[2]
         assert result.median_modularity == ranked[1]

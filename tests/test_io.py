@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from csemb import InputFormatError, SparseMatrix
 from csemb.io import (
+    embedding_shape,
     read_edgelist,
     read_embedding,
     read_matrix_market,
@@ -473,22 +474,50 @@ class TestEmbeddingFile:
         blob = bytearray(p.read_bytes())
         blob[8:16] = (1 << 60).to_bytes(8, "little")
         p.write_bytes(bytes(blob))
-        with pytest.raises(InputFormatError, match="does not match header"):
-            read_embedding(p)
+        for read in (read_embedding, embedding_shape):
+            with pytest.raises(InputFormatError, match="does not match header"):
+                read(p)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "e.bin"
         p.write_bytes(b"NOTMAGIC" + b"\0" * 16)
-        with pytest.raises(InputFormatError):
-            read_embedding(p)
+        for read in (read_embedding, embedding_shape):
+            with pytest.raises(InputFormatError):
+                read(p)
 
     def test_truncated_payload(self, tmp_path):
         values = np.ones((3, 3))
         p = tmp_path / "e.bin"
         write_embedding(p, values)
         p.write_bytes(p.read_bytes()[:-8])
-        with pytest.raises(InputFormatError):
-            read_embedding(p)
+        for read in (read_embedding, embedding_shape):
+            with pytest.raises(InputFormatError):
+                read(p)
+
+    def test_payload_longer_than_header(self, tmp_path):
+        p = tmp_path / "e.bin"
+        write_embedding(p, np.ones((3, 3)))
+        p.write_bytes(p.read_bytes() + b"\0" * 8)
+        for read in (read_embedding, embedding_shape):
+            with pytest.raises(InputFormatError, match="does not match header"):
+                read(p)
+
+    def test_missing_file(self, tmp_path):
+        for read in (read_embedding, embedding_shape):
+            with pytest.raises(InputFormatError, match="cannot read embedding"):
+                read(tmp_path / "absent.bin")
+
+    def test_shape_without_the_payload(self, tmp_path):
+        p = tmp_path / "e.bin"
+        write_embedding(p, np.ones((20_000, 10)))
+        tracemalloc.start()
+        try:
+            shape = embedding_shape(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert shape == (20_000, 10)
+        assert peak < 64 * 1024  # the payload is 1.6 MB
 
     def test_csv_escape_hatch(self, tmp_path):
         values = np.array([[1.5, -2.0]])

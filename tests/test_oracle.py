@@ -614,13 +614,16 @@ class TestDistortionPercentiles:
             distortion_percentiles(np.zeros((3, 2)), np.zeros((4, 2)))
 
     def test_chunked_correlations_same_bits(self):
-        rng = np.random.default_rng(12)
-        rows = rng.standard_normal((300, 80))
-        pairs = sample_pairs(300, 3 * PAIR_CHUNK + 5, seed=1)
-        norms = np.linalg.norm(rows, axis=1)
-        a, b = pairs[:, 0], pairs[:, 1]
-        whole = np.einsum("ij,ij->i", rows[a], rows[b]) / (norms[a] * norms[b])
-        assert _pair_correlations(rows, pairs)[0].tobytes() == whole.tobytes()
+        # several chunks, fewer pairs than one chunk, and a one-column embedding
+        for cols, n_pairs in [(80, 3 * PAIR_CHUNK + 5), (80, PAIR_CHUNK // 2 + 3),
+                              (1, 3 * PAIR_CHUNK + 5)]:
+            rng = np.random.default_rng(12)
+            rows = rng.standard_normal((300, cols))
+            pairs = sample_pairs(300, n_pairs, seed=1)
+            norms = np.linalg.norm(rows, axis=1)
+            a, b = pairs[:, 0], pairs[:, 1]
+            whole = np.einsum("ij,ij->i", rows[a], rows[b]) / (norms[a] * norms[b])
+            assert _pair_correlations(rows, pairs)[0].tobytes() == whole.tobytes()
 
     def test_peak_memory(self):
         # 100k pairs of 80-column rows: gathering both rows of every pair at
