@@ -105,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("eval", help="compare an embedding against the dense oracle")
     pv.add_argument("--approx", required=True, help="embedding file to evaluate")
-    pv.add_argument("--exact", default=None, help="precomputed exact embedding file")
+    pv.add_argument("--exact", default=None,
+                    help="precomputed exact embedding file (excludes --input and --function)")
     pv.add_argument("--input", default=None)
     pv.add_argument("--format", choices=("edgelist", "matrix-market", "points-csv"), default=None)
     pv.add_argument("--matrix", choices=("normalized-adjacency", "raw"), default="normalized-adjacency")
@@ -224,6 +225,11 @@ def cmd_embed(args) -> int:
 
 def cmd_eval(args) -> int:
     _refuse_options_off_format(args)
+    unused = [opt for opt, value in (("--input", args.input), ("--function", args.function))
+              if value is not None]
+    if args.exact and unused:
+        raise ValueError(f"{' and '.join(unused)} cannot be used with --exact, which reads the "
+                         "exact embedding instead of computing it")
     rows = cio.embedding_shape(args.approx)[0]  # its payload is read once the oracle is done
     if args.exact:
         exact = cio.read_embedding(args.exact)

@@ -26,12 +26,14 @@ is not exactly symmetric is refused; a norm above 1 trips the growth guard.
 
 The work unit is a block of columns sized from n so that one n x w operand
 fits in ``BLOCK_BYTES``, about half a core's L2 cache (:func:`block_width`).
-Blocks are spread over the worker threads. Each worker owns one workspace
-of three n x w buffers, allocated once per run by the calling thread: the
-stage input, which doubles as one of the recursion's two terms, the other
-term, and the stage output, into which the weighted terms are added. Every
-block and stage of that worker reuses them, so a run allocates no n x w
-array in its workers. Omega is the sign block of the run's seed
+Blocks are spread over the workers: the calling thread works the first
+worker's share and starts one thread for each further worker, so a run with
+one worker or one block starts none. Each worker owns one workspace of three
+n x w buffers, allocated once per run by the calling thread: the stage
+input, which doubles as one of the recursion's two terms, the other term,
+and the stage output, into which the weighted terms are added. Every block
+and stage of that worker reuses them, so a run allocates no n x w array in
+its workers. Omega is the sign block of the run's seed
 (:func:`sample_projection`), and every random draw (the norm's start
 vector, k-means seeding and the eval pair sample too, by
 :func:`uniform_draws`) is a pure function of (seed, position) through one
@@ -45,7 +47,7 @@ worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -317,11 +319,28 @@ def _apply_cascade(
         out[:, lo:hi] = piece
         return products
 
-    def work(k):
-        return [run(span, spaces[k]) for span in spans[k::workers]]
+    parts = [None] * workers  # each worker's block counts, or what it raised
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        counts = [c for part in pool.map(work, range(workers)) for c in part]
+    def work(k):
+        try:
+            parts[k] = [run(span, spaces[k]) for span in spans[k::workers]]
+        except BaseException as exc:  # raised by the caller once every thread is joined
+            parts[k] = exc
+
+    started = []
+    try:
+        for k in range(1, workers):
+            thread = threading.Thread(target=work, args=(k,))
+            thread.start()
+            started.append(thread)
+        work(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for part in parts:
+        if isinstance(part, BaseException):
+            raise part
+    counts = [c for part in parts for c in part]
     expected = stages * expansion.order
     if any(c != expected for c in counts):
         raise RuntimeError(

@@ -206,10 +206,10 @@ def write_embedding_csv(path, values: np.ndarray) -> None:
 
 
 def write_labels_csv(path, labels: np.ndarray) -> None:
+    labels = np.asarray(labels, dtype=np.int64).tolist()
     with open(path, "w") as fh:
         fh.write("vertex_id,cluster_id\n")
-        for i, c in enumerate(np.asarray(labels)):
-            fh.write(f"{i},{int(c)}\n")
+        fh.write("".join(map("{},{}\n".format, range(len(labels)), labels)))
 
 
 def write_json(obj, path) -> str:

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .functions import breakpoints_of
 from .sparse import weighted_add
@@ -47,6 +46,45 @@ REPORT_GRID_SIZE = 10001
 _EDGE_OFFSET = 1e-9  # report grid samples this close to each breakpoint
 _RESCALE_EXP = 512  # legendre_terms moves 2**512 from gamma into the terms
 _RESCALE_AT = 2.0**_RESCALE_EXP
+
+# numpy's leggauss(QUAD_NODES) rule, pinned so that no run imports
+# numpy.polynomial (nine modules, 0.6 MB resident) for these constants: its
+# positive nodes, ascending, and their weights, as float.hex. numpy
+# symmetrises the rule, so _panel_nodes' negated mirror is exact.
+_HALF_RULE = np.array([float.fromhex(h) for h in """
+0x1.8ef487a8cbc32p-6 0x1.8ee0567ee2e5dp-5
+0x1.2afad5ee95ad0p-4 0x1.8dee238192cdcp-5
+0x1.f182ff48e8a26p-4 0x1.8c0a5097676c0p-5
+0x1.5b6e88ad5c00fp-3 0x1.89360387fe3b9p-5
+0x1.bd489b79ec83bp-3 0x1.8572f41fbb53dp-5
+0x1.0f0a26c56e49cp-2 0x1.80c36b24bdd21p-5
+0x1.3ecb6c46c76cbp-2 0x1.7b2a40f3ccde2p-5
+0x1.6dcb1f0620fffp-2 0x1.74aadbc614fb9p-5
+0x1.9becb55272c9dp-2 0x1.6d492da0c2510p-5
+0x1.c9142c5898fc5p-2 0x1.6509b1efb8dfcp-5
+0x1.f52619257c3a1p-2 0x1.5bf16accdf431p-5
+0x1.1003dca600f34p-1 0x1.5205ddf5a36e2p-5
+0x1.24cf81925487fp-1 0x1.474d117092830p-5
+0x1.38e95ace7b3c3p-1 0x1.3bcd87e50de1ep-5
+0x1.4c4533c68b412p-1 0x1.2f8e3ca7574e3p-5
+0x1.5ed74b4532f83p-1 0x1.22969f7b5c8bdp-5
+0x1.70945a96f12c4p-1 0x1.14ee9010d92e3p-5
+0x1.81719c62ec68ep-1 0x1.069e593b92368p-5
+0x1.9164d335425e2p-1 0x1.ef5d57d53b4b8p-6
+0x1.a0644fb6d8db8p-1 0x1.d05133c3af946p-6
+0x1.ae66f68eedbc6p-1 0x1.b02b2071c0c76p-6
+0x1.bb6445eadae2cp-1 0x1.8efea34684612p-6
+0x1.c7545aa8c0dadp-1 0x1.6cdfe10bba36ep-6
+0x1.d22ff5221288ap-1 0x1.49e391bd2143cp-6
+0x1.dbf07d935a5afp-1 0x1.261ef40a7a2d6p-6
+0x1.e490081f2891bp-1 0x1.01a7c0a5c98d9p-6
+0x1.ec09586b58faap-1 0x1.b9283b35df8d9p-7
+0x1.f257e4db5aabcp-1 0x1.6df524de84deap-7
+0x1.f777d976cfadap-1 0x1.21e400109d33cp-7
+0x1.fb661ac8c85a9p-1 0x1.aa46b24145aa3p-8
+0x1.fe204ab274eccp-1 0x1.0fc7ac3ac3b55p-8
+0x1.ffa4e911f7533p-1 0x1.d379f1845dadfp-10
+""".split()]).reshape(-1, 2).T
 
 
 def _check_domain(x: np.ndarray) -> None:
@@ -156,7 +194,9 @@ def _panel_nodes(breaks: tuple[float, ...], degree: int) -> tuple[np.ndarray, np
     """Composite Gauss-Legendre nodes and weights on [-1, 1]: panels split at
     ``breaks``, and every smooth piece subdivided into one sub-panel of
     ``QUAD_NODES`` nodes per ``QUAD_REFINE_DEGREE`` degrees of the integrand."""
-    xs, ws = leggauss(QUAD_NODES)
+    half_x, half_w = _HALF_RULE
+    xs = np.concatenate([-half_x[::-1], half_x])
+    ws = np.concatenate([half_w[::-1], half_w])
     # sorted, not np.unique: the loop skips equal edges, and np.unique imports numpy.ma
     edges = np.sort(
         np.concatenate([[-1.0, 1.0], np.clip(np.asarray(breaks, dtype=np.float64), -1.0, 1.0)])

@@ -13,7 +13,6 @@ bit for bit as ``dsyevr`` gives them but without its n x n eigenvector array.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -379,6 +378,8 @@ def write_report(report: DistortionReport, prefix) -> None:
     ``<prefix>_calibration.csv``, the percentiles of each bin, and
     ``<prefix>_report.json``, the deviation summary without the bins; its
     ``mode`` key names the summary and is always ``"deviation"``."""
+    import csv  # here, so that only eval's report loads it
+
     levels = PERCENTILE_LEVELS
     tables = {
         "percentiles": [["percentile", "value"]]

@@ -139,7 +139,11 @@ def test_cli_commands_import_neither_scipy_sparse_nor_scipy_io(tmp_path):
     # and linalg._flapack, which adds about 2.5 MB of RSS, in eval alone. No
     # command runs the scipy.linalg package. The README's "Known limits" lists
     # the same two. No command loads numpy.random either (about 6 MB of RSS):
-    # every random draw is a SplitMix64 hash of (seed, position).
+    # every random draw is a SplitMix64 hash of (seed, position). Nor does one
+    # load concurrent.futures (0.64-0.74 MB with its thread pool, logging and
+    # queue: the engine starts bare threads) or numpy.polynomial (0.60-0.68 MB:
+    # the Gauss-Legendre rule is a pinned table), and csv (0.07 MB) comes only
+    # with eval's report. (RSS added after numpy, one process, 2-vCPU VM.)
     graph = tmp_path / "g.txt"
     graph.write_text("".join(f"{i} {(i + 1) % 12}\n{i} {(i + 5) % 12}\n" for i in range(12)))
     mtx = tmp_path / "a.mtx"
@@ -167,6 +171,12 @@ def test_cli_commands_import_neither_scipy_sparse_nor_scipy_io(tmp_path):
         "import csemb.oracle, csemb.sparse\n"
         "from csemb.cli import main\n"
         "codes, calls, rand, load = [], [], [], csemb.sparse.load_scipy_extension\n"
+        "spare = ('concurrent.futures', 'logging', 'numpy.polynomial', 'csv')\n"
+        "loads, csv_at_report, report = [], [], csemb.cli.write_report\n"
+        "def reporting(*args):\n"
+        "    csv_at_report.append('csv' in sys.modules)\n"
+        "    return report(*args)\n"
+        "csemb.cli.write_report = reporting\n"
         "def recording(module, *args):\n"
         "    calls[-1].append(module)\n"
         "    return load(module, *args)\n"
@@ -178,9 +188,10 @@ def test_cli_commands_import_neither_scipy_sparse_nor_scipy_io(tmp_path):
         "    calls.append([])\n"
         "    codes.append(main(argv))\n"
         "    rand.append('numpy.random' in sys.modules)\n"
+        "    loads.append([m for m in spare if m in sys.modules])\n"
         "at_import = csemb.sparse._sparsetools.__name__\n"
         "loaded = [m for m in ('scipy.sparse', 'scipy.io', 'scipy.linalg') if m in sys.modules]\n"
-        "print(json.dumps([codes, calls, at_import, loaded, rand]))\n"
+        "print(json.dumps([codes, calls, at_import, loaded, rand, loads, csv_at_report]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     run = subprocess.run(
@@ -188,12 +199,17 @@ def test_cli_commands_import_neither_scipy_sparse_nor_scipy_io(tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr
-    codes, calls, at_import, loaded, rand = json.loads(run.stdout.strip().splitlines()[-1])
+    codes, calls, at_import, loaded, rand, loads, csv_at_report = json.loads(
+        run.stdout.strip().splitlines()[-1]
+    )
     assert codes == [0] * len(commands)
     assert at_import == "scipy.sparse._sparsetools"
     assert calls == [[], [], ["linalg._flapack"], [], []]  # each command on its own
     assert loaded == []
     assert rand == [False] * len(commands)
+    # csv arrives with eval's report, the third command, and stays loaded
+    assert loads == [[], [], ["csv"], ["csv"], ["csv"]]
+    assert csv_at_report == [False]
 
 
 def test_embed_and_norm_never_load_openssl(tmp_path):

@@ -755,6 +755,26 @@ class TestEvalCommand:
         assert exc.value.code == 2
         assert "--n applies only to --format edgelist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("unused, named", [
+        (("--input", "missing.txt"), "--input"),
+        (("--function", "indicator:0.9"), "--function"),
+        (("--input", "missing.txt", "--format", "edgelist", "--function", "indicator:0.9"),
+         "--input and --function"),
+    ], ids=["input", "function", "both"])
+    def test_exact_file_refuses_oracle_options(self, small_graph, tmp_path, capsys, unused,
+                                               named):
+        # with --exact no matrix is read and no oracle runs, so the options
+        # that would feed them are refused rather than ignored
+        out = tmp_path / "e.bin"
+        main(_embed_argv(small_graph, out))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--approx", str(out), "--exact", str(out), *unused,
+                  "--output-prefix", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert f"{named} cannot be used with --exact" in capsys.readouterr().err
+        assert not list(tmp_path.glob("r_*"))
+
     @pytest.mark.parametrize("extra", [(), ("--format", "edgelist", "--n", "80")],
                              ids=["bare", "consistent"])
     def test_exact_file_report(self, small_graph, tmp_path, extra):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -373,6 +374,63 @@ class TestColumnBlocks:
         single = _embed(S, f, 10, 9, 20).values
         monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", 1)
         assert np.array_equal(_embed(S, f, 10, 9, 20, n_workers=2).values, single)
+
+
+class TestWorkerThreads:
+    """The calling thread works worker 0's share of the blocks and starts one
+    thread per further worker."""
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        started = []
+        real = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            real(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        return started
+
+    @pytest.mark.parametrize("d, n_workers, threads", [(20, 1, 0), (5, 2, 0), (20, 2, 1),
+                                                       (20, 4, 2)],
+                             ids=["one-worker", "one-block", "two-of-three", "four-of-three"])
+    def test_threads_started(self, monkeypatch, starts, d, n_workers, threads):
+        # 8 columns per block: d = 20 gives blocks of 8, 8 and 4, d = 5 one
+        # block, so min(n_workers, blocks) - 1 threads start
+        n = 30
+        S = sparse_from(random_symmetric(n, np.random.default_rng(31)))
+        single = _embed(S, indicator_above(0.1), 10, d, 31).values
+        monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", 8 * n * 8)
+        emb = _embed(S, indicator_above(0.1), 10, d, 31, n_workers=n_workers)
+        assert len(starts) == threads
+        assert np.array_equal(emb.values, single)
+
+    @pytest.mark.parametrize("col", [0, 8], ids=["caller", "thread"])
+    def test_block_exception_reaches_caller(self, monkeypatch, col):
+        # two workers over blocks at columns 0, 8 and 16: the block at column
+        # 8 is the started thread's, the others the caller's
+        n = 30
+        S = sparse_from(random_symmetric(n, np.random.default_rng(32)))
+        monkeypatch.setattr(csemb.engine, "BLOCK_BYTES", 8 * n * 8)
+        real = csemb.engine._draw_signs
+        raised_in = []
+
+        def failing(out, seed, d, row_codes, lo, t):
+            if lo == col:
+                raised_in.append(threading.current_thread() is threading.main_thread())
+                raise KeyError(f"block at column {lo}")
+            real(out, seed, d, row_codes, lo, t)
+
+        monkeypatch.setattr(csemb.engine, "_draw_signs", failing)
+        unhandled = []
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        before = threading.active_count()
+        with pytest.raises(KeyError, match=rf"^'block at column {col}'$"):
+            _embed(S, indicator_above(0.1), 10, 20, 32, n_workers=2)
+        assert raised_in == [col == 0]
+        assert threading.active_count() == before
+        assert unhandled == []
 
 
 class TestDrawnProjection:

@@ -534,6 +534,18 @@ def test_labels_csv(tmp_path):
     assert lines[1:] == ["0,2", "1,0", "2,1"]
 
 
+@pytest.mark.parametrize("labels", [np.array([], dtype=np.int64), np.array([7]),
+                                    np.array([3, 0, 3, 12, 1], dtype=np.int32),
+                                    np.arange(1000, dtype=np.int64) % 199],
+                         ids=["empty", "one", "int32", "thousand"])
+def test_labels_csv_bytes_match_row_by_row_form(tmp_path, labels):
+    # the file is written in one string; its bytes are those of one write per vertex
+    p = tmp_path / "labels.csv"
+    write_labels_csv(p, labels)
+    expected = "vertex_id,cluster_id\n" + "".join(f"{i},{int(c)}\n" for i, c in enumerate(labels))
+    assert p.read_bytes() == expected.encode()
+
+
 def test_matrix_market_dense_array_format(tmp_path):
     p = tmp_path / "d.mtx"
     scipy.io.mmwrite(p, np.array([[1.0, 0.0], [0.0, 2.0]]))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csemb.legendre
 from csemb import (
     LegendreExpansion,
     approximation_report,
@@ -82,6 +83,15 @@ class TestOrthogonality:
         G = (P * w) @ P.T
         expected = np.diag(2.0 / (2 * np.arange(11) + 1))
         assert np.abs(G - expected).max() <= 1e-10
+
+
+class TestPinnedRule:
+    def test_panel_is_numpys_leggauss_bit_for_bit(self):
+        # one panel on [-1, 1] is the pinned rule itself, mirrored
+        x, w = np.polynomial.legendre.leggauss(csemb.legendre.QUAD_NODES)
+        nodes, weights = csemb.legendre._panel_nodes((), 0)
+        assert nodes.tobytes() == x.tobytes()
+        assert weights.tobytes() == w.tobytes()
 
 
 class TestCoefficients:
